@@ -62,7 +62,6 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 		healthInterval   = fs.Duration("health-interval", 250*time.Millisecond, "how often each backend's /readyz is probed")
 		reqTimeout       = fs.Duration("request-timeout", 60*time.Second, "per-request deadline at the front, spanning all failover attempts (negative disables)")
 		retries          = fs.Int("retries", 1, "per-backend retry budget before failing over to the next ring owner")
-		hedgeAfter       = fs.Duration("hedge-after", 0, "launch a duplicate attempt on the same backend after this long (0 = off); siblings are verified byte-identical")
 		breakerThreshold = fs.Int("breaker-threshold", 4, "consecutive failures that open a backend's circuit breaker (0 disables)")
 		maxJobs          = fs.Int("max-jobs", 64, "bound on the front-side async job table (/v1/jobs); excess submissions are shed with 429")
 		jobTTL           = fs.Duration("job-ttl", 10*time.Minute, "how long a finished front job stays queryable before it is reaped")
@@ -99,7 +98,6 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 		HealthInterval:   *healthInterval,
 		RequestTimeout:   *reqTimeout,
 		Retries:          *retries,
-		HedgeAfter:       *hedgeAfter,
 		BreakerThreshold: *breakerThreshold,
 		MaxJobs:          *maxJobs,
 		JobTTL:           *jobTTL,

@@ -7,17 +7,18 @@
 // pure function of the request, not of cache state or concurrency).
 //
 //	idemload -addr 127.0.0.1:7777 -concurrency 32 -requests 2000
-//	idemload -addr $(cat /tmp/idemd.addr) -repeat 2 -min-hit-ratio 0.5
+//	idemload -addr $(cat /tmp/idemd.addr) -repeat 2 \
+//	    -assert 'idemd_buildcache_hits_total / idemd_buildcache_hits_total+idemd_buildcache_misses_total >= 0.5'
 //	idemload -addr ... -json BENCH_serve.json
 //
-// Resilience and chaos: -retries/-hedge-after enable idempotence-
-// justified re-execution through internal/resilience, and -chaos-seed
+// Resilience and chaos: -retries enables idempotence-justified
+// re-execution through internal/resilience, and -chaos-seed
 // interposes a seeded internal/chaos fault proxy between the generator
 // and the daemon — together they run the end-to-end campaign that
 // docs/resilience.md describes: under injected transport faults the
 // client must converge to the same digest a fault-free run produces.
 //
-//	idemload -addr ... -chaos-seed 7 -chaos-rates 10,6,6,6 -retries 8 -hedge-after 75ms
+//	idemload -addr ... -chaos-seed 7 -chaos-rates 10,6,6,6 -retries 8
 //
 // Async jobs: -jobs swaps the request mix for one deterministic batch
 // submitted via POST /v1/jobs, consumed through cursor long-polls (or
@@ -25,26 +26,24 @@
 // the digest equals the one a direct /v1/batch POST produces, which
 // -verify-batch asserts byte-for-byte. The campaign client survives the
 // daemon being killed and restarted mid-job (submits retry, cursors
-// resume), and -min-resumed-units asserts the restarted daemon really
-// reloaded journaled results instead of re-executing them — the
-// kill -9 resume proof scripts/jobs_smoke.sh runs (docs/jobs.md).
+// resume), and an -assert on idemd_jobs_resumed_units_total proves the
+// restarted daemon really reloaded journaled results instead of
+// re-executing them — the kill -9 resume proof scripts/jobs_smoke.sh
+// runs (docs/jobs.md).
 //
 //	idemload -addr ... -jobs -verify-batch -job-units 48
-//	idemload -addr ... -jobs -stream -expect-digest <hex> -max-compiles 0 -min-resumed-units 1
+//	idemload -addr ... -jobs -stream -expect-digest <hex> \
+//	    -assert 'idemd_buildcache_compiles_total <= 0' -assert 'idemd_jobs_resumed_units_total >= 1'
 //
 // Exit status is nonzero on any permanently failed request, any
-// non-200 response, a digest or idempotence mismatch, or an unmet
-// -min-hit-ratio / -min-evictions / -min-disk-hit-ratio / -max-compiles
-// / -min-verified assertion (scraped from the daemon's /metrics, so
-// smoke-test scripts need no curl/jq). The disk assertions drive the
-// warm-restart tests against `idemd -cache-dir` (docs/persistence.md);
-// -min-verified drives the translation-validation smoke against
-// `idemd -verify-mode full` (docs/verify.md). SIGINT/SIGTERM flushes
-// partial -json results and exits 130.
+// non-200 response, a digest mismatch, or an unmet -assert (evaluated
+// on the daemons' own /metrics, so smoke-test scripts need no curl/jq;
+// see assert.go for the expression syntax). A malformed -assert exits 2
+// before any request is sent. SIGINT/SIGTERM flushes partial -json
+// results and exits 130.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -87,7 +86,6 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		addr         = fs.String("addr", "127.0.0.1:7777", "idemd (or idemfront) address (host:port)")
 		scrape       = fs.String("scrape", "", "comma-separated /metrics scrape targets (host:port; default: -addr). When driving a front tier, list every replica: counters are summed so the cache assertions gate fleet-wide behavior")
 		expectDigest = fs.String("expect-digest", "", "assert the pass digest equals this 16-hex-digit value (cross-fleet identity: run a 1-replica baseline, then require the fleet to reproduce its digest)")
-		replicaHits  = fs.Bool("require-replica-hits", false, "assert every scrape target reports at least one compile-cache hit (proves the ring actually spread the working set)")
 		concurrency  = fs.Int("concurrency", 32, "concurrent in-flight requests")
 		requests     = fs.Int("requests", 2000, "requests per pass")
 		seed         = fs.Uint64("seed", 1, "request-mix seed (same seed => same requests => same digest)")
@@ -95,29 +93,23 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		mix          = fs.String("mix", "45,40,15", "compile,simulate,batch weight percentages")
 		timeout      = fs.Duration("timeout", 60*time.Second, "per-request client timeout")
 		jsonOut      = fs.String("json", "", "write the benchmark summary to this file (BENCH_serve.json)")
-		minHitRatio  = fs.Float64("min-hit-ratio", -1, "assert the daemon's compile-cache hit ratio is at least this (scraped from /metrics; <0 disables)")
-		minEvictions = fs.Int64("min-evictions", -1, "assert at least this many compile-cache evictions (<0 disables)")
-		minDiskRatio = fs.Float64("min-disk-hit-ratio", -1, "assert the disk-tier hit ratio (disk hits / disk lookups) is at least this; restart tests use it to prove warm starts (<0 disables)")
-		maxCompiles  = fs.Int64("max-compiles", -1, "assert at most this many actual codegen runs happened (<0 disables); 0 proves a fully warm start")
-		minVerified  = fs.Int64("min-verified", -1, "assert at least this many translation-validator checks ran AND none found violations (scraped idemd_verify_checked_total / idemd_verify_failed_total; <0 disables)")
-		sweepAll     = fs.Bool("sweep-compiles", false, "before the seeded passes, POST /v1/compile once per built-in workload (paper-default options); with -min-verified >= 0 every swept response must also report verified=true, proving the daemon validated each build")
+		sweepAll     = fs.Bool("sweep-compiles", false, "before the seeded passes, POST /v1/compile once per built-in workload (paper-default options); every swept response must report verified=true, so run it against idemd -verify-mode full")
 		quiet        = fs.Bool("quiet", false, "suppress the per-pass progress line")
 
-		jobsMode        = fs.Bool("jobs", false, "run the async-job campaign instead of the request mix: submit one deterministic batch via POST /v1/jobs and consume results incrementally (docs/jobs.md)")
-		streamMode      = fs.Bool("stream", false, "with -jobs, consume via GET /v1/jobs/{id}/stream (NDJSON) instead of cursor long-polls; broken streams reconnect at the cursor")
-		jobUnits        = fs.Int("job-units", 24, "with -jobs, units in the submitted batch")
-		jobSimSteps     = fs.Int64("job-sim-steps", 0, "with -jobs, make every unit a simulation of this many steps (slow, kill-window-friendly units for resume smoke tests; 0 = normal palette mix)")
-		jobIDFile       = fs.String("job-id-file", "", "with -jobs, write the submitted job id to this file (smoke scripts poll/kill against it)")
-		verifyBatch     = fs.Bool("verify-batch", false, "with -jobs, POST the same units to /v1/batch and assert the reconstructed job results are byte-identical")
-		minResumedUnits = fs.Int64("min-resumed-units", -1, "assert at least this many unit results were reloaded from job journals instead of re-executed (scraped idemd_jobs_resumed_units_total; <0 disables)")
+		jobsMode    = fs.Bool("jobs", false, "run the async-job campaign instead of the request mix: submit one deterministic batch via POST /v1/jobs and consume results incrementally (docs/jobs.md)")
+		streamMode  = fs.Bool("stream", false, "with -jobs, consume via GET /v1/jobs/{id}/stream (NDJSON) instead of cursor long-polls; broken streams reconnect at the cursor")
+		jobUnits    = fs.Int("job-units", 24, "with -jobs, units in the submitted batch")
+		jobSimSteps = fs.Int64("job-sim-steps", 0, "with -jobs, make every unit a simulation of this many steps (slow, kill-window-friendly units for resume smoke tests; 0 = normal palette mix)")
+		jobIDFile   = fs.String("job-id-file", "", "with -jobs, write the submitted job id to this file (smoke scripts poll/kill against it)")
+		verifyBatch = fs.Bool("verify-batch", false, "with -jobs, POST the same units to /v1/batch and assert the reconstructed job results are byte-identical")
 
 		retries    = fs.Int("retries", 0, "re-execute failed requests up to this many times (safe: responses are idempotent)")
-		hedgeAfter = fs.Duration("hedge-after", 0, "launch a hedged duplicate if a request is still in flight after this long (0 disables)")
 		breakerThr = fs.Int("breaker-threshold", 8, "open the retry circuit breaker after this many consecutive failures (0 disables)")
 		chaosSeed  = fs.Uint64("chaos-seed", 0, "interpose a seeded fault-injection proxy (0 disables)")
 		chaosRates = fs.String("chaos-rates", "10,6,6,6", "latency,error500,reset,truncate fault percentages for -chaos-seed")
-		metricsOut = fs.String("metrics-out", "", "write client-side resilience counters (Prometheus text) to this file")
 	)
+	var gates assertions
+	fs.Var(&gates, "assert", "repeatable gate `'EXPR OP NUMBER'` on the scraped /metrics: EXPR is SUM or SUM / SUM of unlabelled series joined by +, OP is >=, <= or ==; an each: prefix checks every scrape target alone instead of the fleet sum")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -201,14 +193,23 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 
 	client := &http.Client{Timeout: *timeout}
 	var rc *resilience.Client
-	if *retries > 0 || *hedgeAfter > 0 {
+	if *retries > 0 {
 		rc = resilience.NewClient(resilience.Policy{
 			MaxRetries:       *retries,
-			HedgeAfter:       *hedgeAfter,
 			Seed:             *seed,
-			VerifyIdentical:  *hedgeAfter > 0,
 			BreakerThreshold: *breakerThr,
 		})
+	}
+
+	// One scrape serves both the -assert gates and the -json summary, so
+	// the summary shows exactly the numbers that were gated.
+	var scraped *fleetScrape
+	scrapeOnce := func() fleetScrape {
+		if scraped == nil {
+			v := scrapeFleet(client, scrapeTargets)
+			scraped = &v
+		}
+		return *scraped
 	}
 
 	// flush writes whatever has been measured so far; it runs on the
@@ -220,13 +221,6 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 	var jobsRes *jobsCampaignResult
 	completedPasses := 0
 	flush := func(failure string) {
-		if *metricsOut != "" && rc != nil {
-			var b bytes.Buffer
-			rc.Counters().WriteProm(&b, "idemload_resilience")
-			if err := os.WriteFile(*metricsOut, b.Bytes(), 0o644); err != nil {
-				fmt.Fprintf(stderr, "idemload: %v\n", err)
-			}
-		}
 		if *jsonOut == "" {
 			return
 		}
@@ -259,38 +253,42 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		// Scrape failures are explicit: scrape_errors is always present,
 		// and the cache/disk sections appear only when every target
 		// answered — a partial sum would quietly gate on the wrong number.
-		cache, per, scrapeErrs := scrapeFleet(client, scrapeTargets)
-		summary["scrape_errors"] = scrapeErrs
-		if scrapeErrs == 0 {
+		view := scrapeOnce()
+		summary["scrape_errors"] = view.errs
+		if view.errs == 0 {
+			c := view.sum
 			summary["cache"] = map[string]any{
-				"hits": cache.hits, "misses": cache.misses,
-				"hit_ratio": cache.hitRatio(), "evictions": cache.evictions,
-				"compiles": cache.compiles,
+				"hits": count(c, "buildcache_hits_total"), "misses": count(c, "buildcache_misses_total"),
+				"hit_ratio": ratio(c, "buildcache_hits_total", "buildcache_misses_total"),
+				"evictions": count(c, "buildcache_evictions_total"),
+				"compiles":  count(c, "buildcache_compiles_total"),
 			}
 			summary["disk"] = map[string]any{
-				"hits": cache.diskHits, "misses": cache.diskMisses,
-				"writes": cache.diskWrites, "corrupt": cache.diskCorrupt,
-				"hit_ratio": cache.diskHitRatio(),
+				"hits": count(c, "buildcache_disk_hits_total"), "misses": count(c, "buildcache_disk_misses_total"),
+				"writes": count(c, "buildcache_disk_writes_total"), "corrupt": count(c, "buildcache_disk_corrupt_total"),
+				"hit_ratio": ratio(c, "buildcache_disk_hits_total", "buildcache_disk_misses_total"),
 			}
 			summary["server"] = map[string]any{
-				"sim_preempted":      cache.simPreempted,
-				"jobs_resumed":       cache.jobsResumed,
-				"jobs_resumed_units": cache.jobsResumedUnits,
+				"sim_preempted":      count(c, "sim_preempted_total"),
+				"jobs_resumed":       count(c, "jobs_resumed_total"),
+				"jobs_resumed_units": count(c, "jobs_resumed_units_total"),
 			}
+			checked := count(c, "verify_checked_total")
 			summary["verify"] = map[string]any{
-				"checked":            cache.verifyChecked,
-				"failed":             cache.verifyFailed,
-				"rejected_artifacts": cache.verifyRejected,
+				"checked":            checked,
+				"failed":             count(c, "verify_failed_total"),
+				"rejected_artifacts": count(c, "verify_rejected_artifacts_total"),
 			}
 			// verify_ns is the bench guard's cost ledger: total wall time
 			// the daemon spent inside the translation validator and the
 			// per-check average (scripts/bench_serve.sh, docs/verify.md).
+			nanos := count(c, "verify_nanos_total")
 			perCheck := int64(0)
-			if cache.verifyChecked > 0 {
-				perCheck = cache.verifyNanos / cache.verifyChecked
+			if checked > 0 {
+				perCheck = nanos / checked
 			}
 			summary["verify_ns"] = map[string]any{
-				"total":     cache.verifyNanos,
+				"total":     nanos,
 				"per_check": perCheck,
 			}
 		}
@@ -306,16 +304,16 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 				"verified_batch": jobsRes.verifiedBatch,
 			}
 		}
-		reps := make([]map[string]any, 0, len(per))
-		for _, r := range per {
+		reps := make([]map[string]any, 0, len(view.per))
+		for _, r := range view.per {
 			m := map[string]any{"target": r.target}
 			if r.err != nil {
 				m["error"] = r.err.Error()
 			} else {
-				m["hits"] = r.c.hits
-				m["misses"] = r.c.misses
-				m["hit_ratio"] = r.c.hitRatio()
-				m["compiles"] = r.c.compiles
+				m["hits"] = count(r.m, "buildcache_hits_total")
+				m["misses"] = count(r.m, "buildcache_misses_total")
+				m["hit_ratio"] = ratio(r.m, "buildcache_hits_total", "buildcache_misses_total")
+				m["compiles"] = count(r.m, "buildcache_compiles_total")
 			}
 			reps = append(reps, m)
 		}
@@ -342,7 +340,7 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		// Workload sweep: one compile per built-in workload, in catalog
 		// order, so a full-verification daemon checks every program the
 		// service can build — not just the seeded palette below.
-		n, err := sweepCompiles(ctx, client, trafficBase, *minVerified >= 0)
+		n, err := sweepCompiles(ctx, client, trafficBase)
 		if err != nil {
 			fmt.Fprintf(stderr, "idemload: %v\n", err)
 			flush("workload sweep failed")
@@ -434,17 +432,10 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		flush("digest mismatch against -expect-digest")
 		return 1
 	}
-	if rc != nil {
+	if rc != nil && !*quiet {
 		s := rc.Counters()
-		if !*quiet {
-			fmt.Fprintf(stdout, "resilience: %d attempts, %d retries, %d hedges (%d wins), %d breaker opens, %d mismatches\n",
-				s.Attempts, s.Retries, s.Hedges, s.HedgeWins, s.BreakerOpens, s.Mismatches)
-		}
-		if s.Mismatches > 0 {
-			fmt.Fprintf(stderr, "idemload: %d idempotence violations: re-executed requests produced diverging responses\n", s.Mismatches)
-			flush("idempotence violation")
-			return 1
-		}
+		fmt.Fprintf(stdout, "resilience: %d attempts, %d retries, %d breaker opens\n",
+			s.Attempts, s.Retries, s.BreakerOpens)
 	}
 	if proxy != nil && !*quiet {
 		c := proxy.Counters()
@@ -452,12 +443,11 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 			c.Latencies, c.Errors500, c.Resets, c.Truncates, c.Requests)
 	}
 
-	// Scrape the daemons' own view of the compile cache; assertions here
-	// keep smoke scripts free of curl/jq. Against a fleet the counters
-	// sum across replicas, so the gates below hold fleet-wide.
-	cache, per, scrapeErrs := scrapeFleet(client, scrapeTargets)
-	if scrapeErrs > 0 {
-		for _, r := range per {
+	// The daemons' own view of the compile cache. Against a fleet the
+	// counters sum across replicas, so the gates hold fleet-wide.
+	view := scrapeOnce()
+	if view.errs > 0 {
+		for _, r := range view.per {
 			if r.err != nil {
 				fmt.Fprintf(stderr, "idemload: metrics scrape %s: %v\n", r.target, r.err)
 			}
@@ -466,75 +456,38 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		return 1
 	}
 	if !*quiet {
+		c := view.sum
 		fmt.Fprintf(stdout, "cache: %d hits / %d misses (%.1f%% hit ratio), %d evictions, %d compiles\n",
-			cache.hits, cache.misses, 100*cache.hitRatio(), cache.evictions, cache.compiles)
-		if len(per) > 1 {
-			for _, r := range per {
+			count(c, "buildcache_hits_total"), count(c, "buildcache_misses_total"),
+			100*ratio(c, "buildcache_hits_total", "buildcache_misses_total"),
+			count(c, "buildcache_evictions_total"), count(c, "buildcache_compiles_total"))
+		if len(view.per) > 1 {
+			for _, r := range view.per {
 				fmt.Fprintf(stdout, "  replica %s: %d hits / %d misses (%.1f%% hit ratio), %d compiles\n",
-					r.target, r.c.hits, r.c.misses, 100*r.c.hitRatio(), r.c.compiles)
+					r.target, count(r.m, "buildcache_hits_total"), count(r.m, "buildcache_misses_total"),
+					100*ratio(r.m, "buildcache_hits_total", "buildcache_misses_total"),
+					count(r.m, "buildcache_compiles_total"))
 			}
 		}
-		if cache.diskHits+cache.diskMisses+cache.diskWrites > 0 {
+		if dh, dm, dw := count(c, "buildcache_disk_hits_total"), count(c, "buildcache_disk_misses_total"), count(c, "buildcache_disk_writes_total"); dh+dm+dw > 0 {
 			fmt.Fprintf(stdout, "disk: %d hits / %d misses (%.1f%% hit ratio), %d writes, %d corrupt\n",
-				cache.diskHits, cache.diskMisses, 100*cache.diskHitRatio(), cache.diskWrites, cache.diskCorrupt)
+				dh, dm, 100*ratio(c, "buildcache_disk_hits_total", "buildcache_disk_misses_total"),
+				dw, count(c, "buildcache_disk_corrupt_total"))
 		}
-		if cache.jobsResumed > 0 {
+		if jr := count(c, "jobs_resumed_total"); jr > 0 {
 			fmt.Fprintf(stdout, "jobs: %d resumed, %d unit results reloaded from journals\n",
-				cache.jobsResumed, cache.jobsResumedUnits)
+				jr, count(c, "jobs_resumed_units_total"))
 		}
-		if cache.verifyChecked+cache.verifyRejected > 0 {
+		if vc, vr := count(c, "verify_checked_total"), count(c, "verify_rejected_artifacts_total"); vc+vr > 0 {
 			fmt.Fprintf(stdout, "verify: %d checked, %d failed, %d artifacts rejected\n",
-				cache.verifyChecked, cache.verifyFailed, cache.verifyRejected)
+				vc, count(c, "verify_failed_total"), vr)
 		}
 	}
-	if *minHitRatio >= 0 && cache.hitRatio() < *minHitRatio {
-		fmt.Fprintf(stderr, "idemload: cache hit ratio %.3f below required %.3f\n", cache.hitRatio(), *minHitRatio)
-		flush("hit-ratio assertion failed")
-		return 1
-	}
-	if *minEvictions >= 0 && cache.evictions < *minEvictions {
-		fmt.Fprintf(stderr, "idemload: %d cache evictions below required %d\n", cache.evictions, *minEvictions)
-		flush("eviction assertion failed")
-		return 1
-	}
-	if *minDiskRatio >= 0 && cache.diskHitRatio() < *minDiskRatio {
-		fmt.Fprintf(stderr, "idemload: disk hit ratio %.3f below required %.3f (%d hits / %d misses)\n",
-			cache.diskHitRatio(), *minDiskRatio, cache.diskHits, cache.diskMisses)
-		flush("disk-hit-ratio assertion failed")
-		return 1
-	}
-	if *maxCompiles >= 0 && cache.compiles > *maxCompiles {
-		fmt.Fprintf(stderr, "idemload: %d compiles above allowed %d (warm start failed)\n", cache.compiles, *maxCompiles)
-		flush("compile-count assertion failed")
-		return 1
-	}
-	if *minVerified >= 0 {
-		if cache.verifyChecked < *minVerified {
-			fmt.Fprintf(stderr, "idemload: %d validator checks below required %d (is -verify-mode on?)\n",
-				cache.verifyChecked, *minVerified)
-			flush("min-verified assertion failed")
+	for _, a := range gates {
+		if err := a.check(view); err != nil {
+			fmt.Fprintf(stderr, "idemload: %v\n", err)
+			flush("assertion failed: " + a.src)
 			return 1
-		}
-		if cache.verifyFailed > 0 {
-			fmt.Fprintf(stderr, "idemload: %d validator checks found violations — the compiler emitted a non-idempotent region\n",
-				cache.verifyFailed)
-			flush("verify-failed assertion failed")
-			return 1
-		}
-	}
-	if *minResumedUnits >= 0 && cache.jobsResumedUnits < *minResumedUnits {
-		fmt.Fprintf(stderr, "idemload: %d journal-resumed units below required %d (jobs were re-executed instead of resumed)\n",
-			cache.jobsResumedUnits, *minResumedUnits)
-		flush("resumed-units assertion failed")
-		return 1
-	}
-	if *replicaHits {
-		for _, r := range per {
-			if r.c.hits == 0 {
-				fmt.Fprintf(stderr, "idemload: replica %s reports zero cache hits; the ring did not spread the working set\n", r.target)
-				flush("replica-hits assertion failed")
-				return 1
-			}
 		}
 	}
 
@@ -598,18 +551,18 @@ type passResult struct {
 	errSamples []string
 }
 
-// sender executes one request (possibly with retries/hedging behind it).
+// sender executes one request (possibly with retries behind it).
 // key is the request index, feeding the deterministic jitter stream.
 type sender func(ctx context.Context, key uint64, path string, body []byte) (int, []byte, error)
 
 // makeSender builds the pass's transport: a bare ctx-aware POST, or the
 // same POST wrapped in the resilience client when one is configured.
 // sweepCompiles posts one /v1/compile per built-in workload with the
-// paper-default options, sequentially in catalog order. requireVerified
-// additionally demands each response carry verified=true — the
-// end-to-end proof that a -verify-mode full daemon really validated
-// every program it can build (scripts/verify_smoke.sh).
-func sweepCompiles(ctx context.Context, client *http.Client, base string, requireVerified bool) (int, error) {
+// paper-default options, sequentially in catalog order, and demands each
+// response carry verified=true — the end-to-end proof that a
+// -verify-mode full daemon really validated every program it can build
+// (scripts/verify_smoke.sh).
+func sweepCompiles(ctx context.Context, client *http.Client, base string) (int, error) {
 	n := 0
 	for _, w := range workloads.All() {
 		body, err := json.Marshal(&server.CompileRequest{Workload: w.Name})
@@ -623,14 +576,12 @@ func sweepCompiles(ctx context.Context, client *http.Client, base string, requir
 		if status != http.StatusOK {
 			return n, fmt.Errorf("sweep %s: status %d: %s", w.Name, status, firstLine(resp))
 		}
-		if requireVerified {
-			var rep server.CompileReport
-			if err := json.Unmarshal(resp, &rep); err != nil {
-				return n, fmt.Errorf("sweep %s: decoding report: %v", w.Name, err)
-			}
-			if !rep.Verified {
-				return n, fmt.Errorf("sweep %s: response reports verified=false under a full-verification daemon", w.Name)
-			}
+		var rep server.CompileReport
+		if err := json.Unmarshal(resp, &rep); err != nil {
+			return n, fmt.Errorf("sweep %s: decoding report: %v", w.Name, err)
+		}
+		if !rep.Verified {
+			return n, fmt.Errorf("sweep %s: response reports verified=false (is idemd running -verify-mode full?)", w.Name)
 		}
 		n++
 	}
@@ -880,124 +831,4 @@ func genRequest(seed uint64, index int, weights [3]int) (string, []byte) {
 		panic(err) // request structs always marshal
 	}
 	return path, b
-}
-
-// ---------------------------------------------------------------------
-// /metrics scrape (Prometheus text format; cache and preemption
-// counters only).
-
-type serverCounters struct {
-	hits, misses, evictions int64
-	compiles                int64
-	simPreempted            int64
-	diskHits, diskMisses    int64
-	diskWrites, diskCorrupt int64
-	jobsResumed             int64
-	jobsResumedUnits        int64
-	verifyChecked           int64
-	verifyFailed            int64
-	verifyRejected          int64
-	verifyNanos             int64
-}
-
-func (c serverCounters) hitRatio() float64 {
-	if c.hits+c.misses == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.hits+c.misses)
-}
-
-// diskHitRatio is disk hits over disk lookups (hits + misses; corrupt
-// artifacts are part of the misses).
-func (c serverCounters) diskHitRatio() float64 {
-	if c.diskHits+c.diskMisses == 0 {
-		return 0
-	}
-	return float64(c.diskHits) / float64(c.diskHits+c.diskMisses)
-}
-
-// replicaScrape is one target's scrape outcome, kept separate so
-// failures stay visible instead of vanishing into a partial sum.
-type replicaScrape struct {
-	target string
-	c      serverCounters
-	err    error
-}
-
-// scrapeFleet scrapes every target and sums the counters. The error
-// count is explicit: callers decide whether a partial fleet view is
-// acceptable (the JSON summary reports it as scrape_errors either way).
-func scrapeFleet(client *http.Client, targets []string) (serverCounters, []replicaScrape, int) {
-	var total serverCounters
-	per := make([]replicaScrape, 0, len(targets))
-	errs := 0
-	for _, tgt := range targets {
-		c, err := scrapeServer(client, "http://"+tgt)
-		per = append(per, replicaScrape{target: tgt, c: c, err: err})
-		if err != nil {
-			errs++
-			continue
-		}
-		total.hits += c.hits
-		total.misses += c.misses
-		total.evictions += c.evictions
-		total.compiles += c.compiles
-		total.simPreempted += c.simPreempted
-		total.diskHits += c.diskHits
-		total.diskMisses += c.diskMisses
-		total.diskWrites += c.diskWrites
-		total.diskCorrupt += c.diskCorrupt
-		total.jobsResumed += c.jobsResumed
-		total.jobsResumedUnits += c.jobsResumedUnits
-		total.verifyChecked += c.verifyChecked
-		total.verifyFailed += c.verifyFailed
-		total.verifyRejected += c.verifyRejected
-		total.verifyNanos += c.verifyNanos
-	}
-	return total, per, errs
-}
-
-func scrapeServer(client *http.Client, base string) (serverCounters, error) {
-	var out serverCounters
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("/metrics: status %d", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		for _, m := range []struct {
-			name string
-			dst  *int64
-		}{
-			{"idemd_buildcache_hits_total ", &out.hits},
-			{"idemd_buildcache_misses_total ", &out.misses},
-			{"idemd_buildcache_evictions_total ", &out.evictions},
-			{"idemd_buildcache_compiles_total ", &out.compiles},
-			{"idemd_buildcache_disk_hits_total ", &out.diskHits},
-			{"idemd_buildcache_disk_misses_total ", &out.diskMisses},
-			{"idemd_buildcache_disk_writes_total ", &out.diskWrites},
-			{"idemd_buildcache_disk_corrupt_total ", &out.diskCorrupt},
-			{"idemd_sim_preempted_total ", &out.simPreempted},
-			{"idemd_jobs_resumed_total ", &out.jobsResumed},
-			{"idemd_jobs_resumed_units_total ", &out.jobsResumedUnits},
-			{"idemd_verify_checked_total ", &out.verifyChecked},
-			{"idemd_verify_failed_total ", &out.verifyFailed},
-			{"idemd_verify_rejected_artifacts_total ", &out.verifyRejected},
-			{"idemd_verify_nanos_total ", &out.verifyNanos},
-		} {
-			if v, ok := strings.CutPrefix(line, m.name); ok {
-				n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-				if err != nil {
-					return out, fmt.Errorf("parsing %q: %v", line, err)
-				}
-				*m.dst = n
-			}
-		}
-	}
-	return out, sc.Err()
 }

@@ -231,7 +231,7 @@ func NewProxy(target string, cfg Config) (*Proxy, error) {
 		return nil, fmt.Errorf("chaos: listen: %w", err)
 	}
 	rp := httputil.NewSingleHostReverseProxy(u)
-	// Proxy errors (canceled clients, aborted hedges) are expected
+	// Proxy errors (canceled or timed-out clients) are expected
 	// campaign events, not log-worthy.
 	rp.ErrorLog = log.New(io.Discard, "", 0)
 	inj := Wrap(rp, cfg)

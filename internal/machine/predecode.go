@@ -110,6 +110,14 @@ func DropPredecode(p *codegen.Program) {
 	codeCache.Delete(p)
 }
 
+// Predecoded counts the programs whose decoded form is memoized. Tests
+// use it to prove that a code path does not grow the memo.
+func Predecoded() int {
+	n := 0
+	codeCache.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
 // decodeOne resolves one instruction at absolute index pc.
 func decodeOne(in isa.Instr, pc int) decoded {
 	d := decoded{

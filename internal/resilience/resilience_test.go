@@ -68,70 +68,6 @@ func TestNonRetryable4xxReturnsImmediately(t *testing.T) {
 	}
 }
 
-func TestHedgeWinsSlowPrimary(t *testing.T) {
-	var calls atomic.Int64
-	attempt := func(ctx context.Context) (int, []byte, error) {
-		if calls.Add(1) == 1 {
-			// Slow primary: the hedge should beat it.
-			select {
-			case <-time.After(2 * time.Second):
-			case <-ctx.Done():
-			}
-			return 200, []byte("slow"), nil
-		}
-		return 200, []byte("slow"), nil
-	}
-	c := NewClient(Policy{HedgeAfter: 5 * time.Millisecond, Seed: 1})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := c.Do(ctx, 1, attempt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Hedged {
-		t.Error("winner was not the hedge")
-	}
-	s := c.Counters()
-	if s.Hedges != 1 || s.HedgeWins != 1 {
-		t.Errorf("hedges=%d wins=%d, want 1/1", s.Hedges, s.HedgeWins)
-	}
-}
-
-func TestVerifyIdenticalCatchesDivergence(t *testing.T) {
-	var calls atomic.Int64
-	attempt := func(ctx context.Context) (int, []byte, error) {
-		n := calls.Add(1)
-		if n == 1 {
-			time.Sleep(20 * time.Millisecond)
-			return 200, []byte("version-A"), nil
-		}
-		return 200, []byte("version-B"), nil
-	}
-	c := NewClient(Policy{HedgeAfter: 2 * time.Millisecond, VerifyIdentical: true, Seed: 1})
-	_, err := c.Do(context.Background(), 1, attempt)
-	if !errors.Is(err, ErrDivergent) {
-		t.Fatalf("err = %v, want ErrDivergent", err)
-	}
-	if got := c.Counters().Mismatches; got != 1 {
-		t.Errorf("mismatches = %d, want 1", got)
-	}
-}
-
-func TestVerifyIdenticalPassesWhenEqual(t *testing.T) {
-	attempt := func(ctx context.Context) (int, []byte, error) {
-		time.Sleep(5 * time.Millisecond)
-		return 200, []byte("same"), nil
-	}
-	c := NewClient(Policy{HedgeAfter: time.Millisecond, VerifyIdentical: true, Seed: 1})
-	res, err := c.Do(context.Background(), 1, attempt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Body) != "same" || c.Counters().Mismatches != 0 {
-		t.Errorf("body=%q mismatches=%d", res.Body, c.Counters().Mismatches)
-	}
-}
-
 func TestDeterministicBackoff(t *testing.T) {
 	p := Policy{MaxRetries: 5, Seed: 42, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second}
 	a, b := NewClient(p), NewClient(p)

@@ -511,7 +511,14 @@ func (s *Server) doSimulate(ctx context.Context, req *SimulateRequest) (*Simulat
 		return nil, err
 	}
 	if apply {
-		p = fault.Apply(p, schemeID)
+		// The instrumented copy is private to this request, so its
+		// predecode memo goes with it; otherwise the global memo pins every
+		// copy ever simulated. The cached build's own memo stays: the
+		// compile cache made it at insert and charges it to the entry.
+		if q := fault.Apply(p, schemeID); q != p {
+			p = q
+			defer machine.DropPredecode(q)
+		}
 	}
 
 	cfg.TrackPaths = req.TrackPaths || idem

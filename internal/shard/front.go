@@ -5,7 +5,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -18,7 +17,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,11 +50,6 @@ type Config struct {
 	// Retries is the per-backend resilience retry budget (default 1);
 	// exhausting it fails the request over to the next ring owner.
 	Retries int
-	// HedgeAfter launches a duplicate attempt on the same backend if
-	// the first is still in flight after this long (0 disables). Hedged
-	// siblings are verified byte-identical (resilience.ErrDivergent on
-	// violation — surfaced, never papered over).
-	HedgeAfter time.Duration
 	// BreakerThreshold opens a per-backend circuit breaker after this
 	// many consecutive retryable failures (default 4; <0 disables). An
 	// open breaker makes routing prefer the next owner instead of
@@ -111,7 +104,7 @@ func (c Config) withDefaults() Config {
 }
 
 // backend is one replica as the router sees it: its address, its
-// resilience client (retry/hedge/breaker state is per-backend) and the
+// resilience client (retry/breaker state is per-backend) and the
 // router's current health belief.
 type backend struct {
 	id      string
@@ -132,11 +125,6 @@ type Front struct {
 	metrics  *Metrics
 	mux      *http.ServeMux
 	jobs     *jobs.Manager
-
-	// flights single-flights identical in-flight bodies during the
-	// no-healthy-owner failover window (see routeMaybeCoalesced).
-	flightMu sync.Mutex
-	flights  map[string]*flight
 
 	draining atomic.Bool
 	httpSrv  *http.Server
@@ -165,7 +153,6 @@ func New(cfg Config) (*Front, error) {
 		}},
 		metrics: NewMetrics(),
 		mux:     http.NewServeMux(),
-		flights: map[string]*flight{},
 		stop:    make(chan struct{}),
 	}
 	// The front's job table tracks externally fed jobs only (no engine,
@@ -181,8 +168,6 @@ func New(cfg Config) (*Front, error) {
 			base: "http://" + id,
 			rc: resilience.NewClient(resilience.Policy{
 				MaxRetries:       cfg.Retries,
-				HedgeAfter:       cfg.HedgeAfter,
-				VerifyIdentical:  cfg.HedgeAfter > 0,
 				BreakerThreshold: cfg.BreakerThreshold,
 				Seed:             cfg.Seed ^ hash64(id),
 			}),
@@ -405,50 +390,24 @@ func (f *Front) verifyTotals() VerifyTotals {
 			if resp.StatusCode != http.StatusOK {
 				return
 			}
-			checked, failed, rejected, found := parseVerifyCounters(resp.Body)
-			if !found {
+			m, err := server.ParseMetrics(resp.Body)
+			checked, okC := m["idemd_verify_checked_total"]
+			failed, okF := m["idemd_verify_failed_total"]
+			rejected, okR := m["idemd_verify_rejected_artifacts_total"]
+			if err != nil || !(okC || okF || okR) {
+				// Not an idemd /metrics page (or an old replica).
 				return
 			}
 			mu.Lock()
-			vt.Checked += checked
-			vt.Failed += failed
-			vt.RejectedArtifacts += rejected
+			vt.Checked += int64(checked)
+			vt.Failed += int64(failed)
+			vt.RejectedArtifacts += int64(rejected)
 			vt.Backends++
 			mu.Unlock()
 		}(b)
 	}
 	wg.Wait()
 	return vt
-}
-
-// parseVerifyCounters extracts the three idemd_verify_* counters from a
-// Prometheus text stream; found is false when none are present (an old
-// replica, or not an idemd /metrics page at all).
-func parseVerifyCounters(r io.Reader) (checked, failed, rejected int64, found bool) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	take := func(line, name string) (int64, bool) {
-		rest, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
-			return 0, false
-		}
-		v, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-		if err != nil {
-			return 0, false
-		}
-		return v, true
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		if v, ok := take(line, "idemd_verify_checked_total"); ok {
-			checked, found = v, true
-		} else if v, ok := take(line, "idemd_verify_failed_total"); ok {
-			failed, found = v, true
-		} else if v, ok := take(line, "idemd_verify_rejected_artifacts_total"); ok {
-			rejected, found = v, true
-		}
-	}
-	return checked, failed, rejected, found
 }
 
 // respond writes one front-level response and records it.
@@ -512,7 +471,7 @@ func (f *Front) proxySingle(path string) http.HandlerFunc {
 		if !parsed {
 			f.metrics.RawRouted()
 		}
-		status, resp, err := f.routeMaybeCoalesced(ctx, path, body, key)
+		status, resp, err := f.route(ctx, path, body, key)
 		if err != nil {
 			f.respondError(w, path, http.StatusServiceUnavailable,
 				fmt.Sprintf("no replica served the request: %v", err))
@@ -571,67 +530,6 @@ func hash64(s string) uint64 {
 }
 
 // ---------------------------------------------------------------------
-// Single-flight coalescing during failover.
-
-// flight is one in-flight leader request that identical followers wait
-// on. Followers reuse the leader's response only on clean success; a
-// failed leader sends every follower through its own route() so a
-// transient fault cannot fan out.
-type flight struct {
-	done   chan struct{}
-	status int
-	body   []byte
-	err    error
-}
-
-// routeMaybeCoalesced is route() with single-flight coalescing for
-// /v1/compile while the key's primary owner is out (unhealthy or
-// breaker-open). In that failover window identical retrying clients
-// pile onto the surviving replicas exactly when capacity is scarcest;
-// since responses are pure functions of the request bytes, serving all
-// of them one upstream round-trip is free — and the window gate keeps
-// the steady state zero-cost. Flights key on the body hash, not the
-// routing key: only byte-identical requests may share a response.
-func (f *Front) routeMaybeCoalesced(ctx context.Context, path string, body []byte, key string) (int, []byte, error) {
-	if path != "/v1/compile" || !f.failoverWindow(key) {
-		return f.route(ctx, path, body, key)
-	}
-	fk := path + "\x00" + rawKey(body)
-	f.flightMu.Lock()
-	if fl, ok := f.flights[fk]; ok {
-		f.flightMu.Unlock()
-		select {
-		case <-fl.done:
-			if fl.err == nil {
-				f.metrics.Coalesced()
-				return fl.status, fl.body, nil
-			}
-		case <-ctx.Done():
-			return 0, nil, context.Cause(ctx)
-		}
-		// Leader failed; fall through to an independent attempt.
-		return f.route(ctx, path, body, key)
-	}
-	fl := &flight{done: make(chan struct{})}
-	f.flights[fk] = fl
-	f.flightMu.Unlock()
-
-	fl.status, fl.body, fl.err = f.route(ctx, path, body, key)
-	f.flightMu.Lock()
-	delete(f.flights, fk)
-	f.flightMu.Unlock()
-	close(fl.done)
-	return fl.status, fl.body, fl.err
-}
-
-// failoverWindow reports whether the key's primary ring owner cannot
-// take the request right now (marked out, or its breaker is open).
-func (f *Front) failoverWindow(key string) bool {
-	b := f.backends[f.ring.Owner(key)]
-	return !(b.healthy.Load() && b.rc.Ready())
-}
-
-// ---------------------------------------------------------------------
 // Routing with failover.
 
 // route sends body to the key's ring owner, failing over down the
@@ -640,8 +538,7 @@ func (f *Front) failoverWindow(key string) bool {
 // transport errors mark the backend out reactively, and 5xx responses
 // move on without touching health (the periodic probe decides). A
 // response below 500 — including a replica's canonical 4xx — ends the
-// search. Only correctness stops failover early: a divergent hedge
-// (idempotence violation) or the caller's context expiring.
+// search, and so does the caller's context expiring.
 func (f *Front) route(ctx context.Context, path string, body []byte, key string) (int, []byte, error) {
 	prefs := f.ring.Owners(key)
 	var avail, rest []*backend
@@ -677,11 +574,6 @@ func (f *Front) route(ctx context.Context, path string, body []byte, key string)
 			// No HTTP response at all: the backend is unreachable. Mark it
 			// out now instead of waiting for the next probe.
 			f.setHealth(b, false, "transport error")
-		}
-		if errors.Is(err, resilience.ErrDivergent) {
-			// An idempotence violation is a correctness signal, not a
-			// capacity problem; rerouting would mask it.
-			return 0, nil, err
 		}
 		if ctx.Err() != nil {
 			return 0, nil, context.Cause(ctx)

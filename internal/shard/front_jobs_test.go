@@ -15,8 +15,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,71 +386,5 @@ func TestFrontJobValidation(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusMethodNotAllowed || resp2.Header.Get("Allow") != "GET, DELETE" {
 		t.Fatalf("PATCH: status %d Allow %q", resp2.StatusCode, resp2.Header.Get("Allow"))
-	}
-}
-
-// TestFrontCoalescesCompilesDuringFailover: while a key's primary owner
-// is out, identical in-flight /v1/compile bodies single-flight into one
-// upstream request.
-func TestFrontCoalescesCompilesDuringFailover(t *testing.T) {
-	var hits atomic.Int64
-	const answer = `{"coalesced":"yes"}` + "\n"
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/readyz":
-			// Permanently not ready: every key's owner stays in the
-			// failover window without the health loop flapping it back.
-			w.WriteHeader(http.StatusServiceUnavailable)
-		case "/v1/compile":
-			hits.Add(1)
-			time.Sleep(300 * time.Millisecond)
-			io.WriteString(w, answer)
-		default:
-			w.WriteHeader(http.StatusNotFound)
-		}
-	}))
-	t.Cleanup(stub.Close)
-
-	f, url := newFront(t, []string{strings.TrimPrefix(stub.URL, "http://")}, nil)
-	// Wait for the probe to mark the stub out.
-	deadline := time.Now().Add(5 * time.Second)
-	for f.HealthyNow() != 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if f.HealthyNow() != 0 {
-		t.Fatal("stub backend never marked out")
-	}
-
-	body := mustJSON(t, &server.CompileRequest{Source: frontTinySrc})
-	results := make([]string, 8)
-	var wg sync.WaitGroup
-	// The leader goes first so the followers find its flight in place.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, b := postBody(t, url+"/v1/compile", body)
-		results[0] = string(b)
-	}()
-	time.Sleep(100 * time.Millisecond)
-	for i := 1; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, b := postBody(t, url+"/v1/compile", body)
-			results[i] = string(b)
-		}(i)
-	}
-	wg.Wait()
-
-	for i, r := range results {
-		if r != answer {
-			t.Fatalf("request %d got %q", i, r)
-		}
-	}
-	if n := hits.Load(); n != 1 {
-		t.Fatalf("stub served %d compiles, want 1 (single flight)", n)
-	}
-	if n := f.Metrics().CoalescedNow(); n != 7 {
-		t.Fatalf("coalesced %d followers, want 7", n)
 	}
 }

@@ -40,7 +40,6 @@ type Metrics struct {
 	subBatches atomic.Int64
 	subJobs    atomic.Int64
 	subRetries atomic.Int64
-	coalesced  atomic.Int64
 	inflight   atomic.Int64
 
 	start time.Time
@@ -116,13 +115,6 @@ func (m *Metrics) SubJobRetry() { m.subRetries.Add(1) }
 
 // SubJobRetriesNow reads the resubmission counter (tests assert on it).
 func (m *Metrics) SubJobRetriesNow() int64 { return m.subRetries.Load() }
-
-// Coalesced counts one follower request served from a single-flight
-// leader's response during a failover window.
-func (m *Metrics) Coalesced() { m.coalesced.Add(1) }
-
-// CoalescedNow reads the coalescing counter (tests assert on it).
-func (m *Metrics) CoalescedNow() int64 { return m.coalesced.Load() }
 
 // InFlight tracks the front's in-flight gauge.
 func (m *Metrics) InFlight() func() {
@@ -220,7 +212,6 @@ func (m *Metrics) Render(healthy map[string]bool, js jobs.Stats, vt VerifyTotals
 	counter("sub_batches_total", "Sub-batches fanned out to backends by /v1/batch splitting.", m.subBatches.Load())
 	counter("sub_jobs_total", "Sub-jobs submitted to backends by /v1/jobs mergers.", m.subJobs.Load())
 	counter("sub_job_retries_total", "Sub-jobs resubmitted to another backend after a replica failure.", m.subRetries.Load())
-	counter("coalesced_total", "Requests served from a single-flight leader during failover.", m.coalesced.Load())
 	gauge("inflight_requests", "Requests currently being served by the front.", m.inflight.Load())
 	gauge("jobs_active", "Front jobs currently merging sub-job results.", js.Active)
 	gauge("jobs_tracked", "Front jobs in the table (running + terminal).", js.Tracked)

@@ -4,7 +4,7 @@
 #
 # Default mode drives the acceptance workload — BENCH_SERVE_REQUESTS
 # requests (default 2000) at concurrency 32, run twice with the same
-# seed, with the resilience layer enabled (retries + tail hedging) —
+# seed, with the resilience layer's retries enabled —
 # against two daemons in sequence:
 #
 #   phase A: `idemd` with verification off, the latency baseline
@@ -24,10 +24,9 @@
 # directly would need the 1% signal to beat scheduler jitter an order
 # of magnitude larger on a shared box. The wall-clock delta is still
 # printed for the record. idemload itself fails the run on any
-# permanently failed request or on
-# a digest mismatch between the passes, and writes the headline numbers
-# (req/s, p50/p90/p99, cache hit ratio, retry/hedge/preemption
-# counters) to the summary.
+# permanently failed request or on a digest mismatch between the
+# passes, and writes the headline numbers (req/s, p50/p90/p99, cache
+# hit ratio, retry/preemption counters) to the summary.
 #
 # FRONT=1 boots REPLICAS idemd processes (default 3) behind idemfront
 # and drives the same workload through the front tier, scraping every
@@ -37,49 +36,19 @@
 # compute spreads across processes and the working set partitions across
 # per-replica caches.
 set -eu
-
-GO="${GO:-go}"
 REQUESTS="${BENCH_SERVE_REQUESTS:-2000}"
 CONCURRENCY="${BENCH_SERVE_CONCURRENCY:-32}"
 FRONT="${FRONT:-0}"
 REPLICAS="${REPLICAS:-3}"
-tmp="$(mktemp -d)"
-PIDS=""
-cleanup() {
-    for p in $PIDS; do kill -9 "$p" 2>/dev/null || true; done
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-"$GO" build -o "$tmp/idemd" ./cmd/idemd
-"$GO" build -o "$tmp/idemload" ./cmd/idemload
-
-wait_addr() { # $1 = addr file
-    i=0
-    while [ ! -f "$1" ]; do
-        i=$((i + 1))
-        [ "$i" -gt 100 ] && { echo "bench-serve: daemon did not write $1" >&2; exit 1; }
-        sleep 0.1
-    done
-}
+name=bench-serve
+[ "$FRONT" = "1" ] && name=bench-shard
+. "$(dirname "$0")/lib.sh"
+build idemd idemload
 
 run_load() { # $1 = summary json path
-    "$tmp/idemload" -addr "$(cat "$tmp/addr")" -scrape "$scrape" \
+    "$tmp/idemload" -addr "$addr" -scrape "$scrape" \
         -concurrency "$CONCURRENCY" -requests "$REQUESTS" -seed 1 -repeat 2 \
-        -retries 2 -hedge-after 2s \
-        -json "$1"
-}
-
-# Drain every process (front first, so no request is mid-flight when the
-# replicas go); each must exit 0.
-drain() {
-    drained=""
-    for p in $PIDS; do drained="$p $drained"; done
-    for p in $drained; do
-        kill -TERM "$p"
-        wait "$p" || { echo "$name: pid $p exited nonzero on drain" >&2; exit 1; }
-    done
-    PIDS=""
+        -retries 2 -json "$1"
 }
 
 p50_of() { # $1 = summary json path
@@ -87,45 +56,40 @@ p50_of() { # $1 = summary json path
 }
 
 if [ "$FRONT" = "1" ]; then
-    "$GO" build -o "$tmp/idemfront" ./cmd/idemfront
-    name="bench-shard"
+    build idemfront
     out="BENCH_shard.json"
     reps=""
+    rpids=""
     n=1
     while [ "$n" -le "$REPLICAS" ]; do
-        "$tmp/idemd" -addr 127.0.0.1:0 -addr-file "$tmp/raddr$n" -quiet &
-        PIDS="$PIDS $!"
-        wait_addr "$tmp/raddr$n"
+        spawn "$tmp/idemd" -addr 127.0.0.1:0 -addr-file "$tmp/raddr$n" -quiet
+        rpids="$rpids $pid"
+        wait_addr "$tmp/raddr$n" || die "replica $n did not start"
         reps="$reps$(cat "$tmp/raddr$n"),"
         n=$((n + 1))
     done
     reps="${reps%,}"
-    "$tmp/idemfront" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -backends "$reps" -quiet &
-    PIDS="$PIDS $!"
-    wait_addr "$tmp/addr"
+    spawn "$tmp/idemfront" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -backends "$reps" -quiet
+    wait_addr "$tmp/addr" || die "idemfront did not start"
+    addr="$(cat "$tmp/addr")"
     scrape="$reps"
     run_load "$out"
-    drain
+    # The front first, so no request is mid-flight when the replicas go.
+    drain "$pid" $rpids
 else
-    name="bench-serve"
     out="BENCH_serve.json"
 
     # Phase A: verification off — the latency baseline.
-    "$tmp/idemd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -quiet &
-    PIDS="$PIDS $!"
-    wait_addr "$tmp/addr"
-    scrape="$(cat "$tmp/addr")"
+    start_idemd
+    scrape="$addr"
     run_load "$tmp/BENCH_off.json"
-    drain
-    rm -f "$tmp/addr"
+    drain "$pid"
 
     # Phase B: sampled verification — the published numbers.
-    "$tmp/idemd" -verify-mode sampled -addr 127.0.0.1:0 -addr-file "$tmp/addr" -quiet &
-    PIDS="$PIDS $!"
-    wait_addr "$tmp/addr"
-    scrape="$(cat "$tmp/addr")"
+    start_idemd -verify-mode sampled
+    scrape="$addr"
     run_load "$out"
-    drain
+    drain "$pid"
 
     # Overhead guard. p50_ms in each summary is the LAST pass — fully
     # warm cache. verify_ns.total is every nanosecond the sampled daemon
@@ -145,7 +109,7 @@ else
             off, on, checked, per_req, limit
         if (checked < 1) { print "bench-serve: sampled mode verified nothing" > "/dev/stderr"; exit 1 }
         exit (per_req <= limit) ? 0 : 1
-    }' || { echo "bench-serve: sampled verification costs >1% of warm-cache p50" >&2; exit 1; }
+    }' || die "sampled verification costs >1% of warm-cache p50"
 fi
 
 echo "wrote $out:"

@@ -18,56 +18,26 @@
 # finishes the job. The client asserts the full contract: the digest
 # equals phase 1's (-expect-digest: completed units were served from the
 # journal byte-for-byte, not re-run), the restarted daemon compiled
-# nothing (-max-compiles 0: warm artifacts), and at least one unit
-# result was reloaded from the journal (-min-resumed-units 1).
+# nothing (warm artifacts), and at least one unit result was reloaded
+# from the journal (idemd_jobs_resumed_units_total >= 1).
 set -eu
-
-GO="${GO:-go}"
-tmp="$(mktemp -d)"
-pid=""
-client=""
-cleanup() {
-    [ -n "$client" ] && kill -9 "$client" 2>/dev/null
-    [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-"$GO" build -o "$tmp/idemd" ./cmd/idemd
-"$GO" build -o "$tmp/idemload" ./cmd/idemload
+name=jobs-smoke
+. "$(dirname "$0")/lib.sh"
+build idemd idemload
 
 store="$tmp/artifacts"
 
-# start_idemd returns nonzero (instead of exiting) if the daemon never
-# came up, so the phase 2 rebind loop can retry through TIME_WAIT.
-start_idemd() { # args: listen address, extra idemd flags
-    a="$1"; shift
+# jobs_idemd boots idemd on the given address over the store. It
+# returns nonzero (instead of exiting) if the daemon never came up, so
+# the phase 2 rebind loop can retry through TIME_WAIT.
+jobs_idemd() { # $1 = listen address
     rm -f "$tmp/addr"
-    "$tmp/idemd" -addr "$a" -addr-file "$tmp/addr" -quiet -cache-dir "$store" \
-        -workers 2 "$@" &
-    pid=$!
-    i=0
-    while [ ! -f "$tmp/addr" ]; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            kill -9 "$pid" 2>/dev/null || true
-            wait "$pid" 2>/dev/null || true
-            pid=""
-            return 1
-        fi
-        sleep 0.1
-    done
-    return 0
-}
-
-stop_idemd() {
-    kill -TERM "$pid"
-    wait "$pid" || { echo "jobs-smoke: idemd exited nonzero on drain" >&2; exit 1; }
-    pid=""
-}
-
-digest_of() { # args: json summary file
-    sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p' "$1" | head -n 1
+    spawn "$tmp/idemd" -addr "$1" -addr-file "$tmp/addr" -quiet -cache-dir "$store" -workers 2
+    wait_addr "$tmp/addr" && return 0
+    kill -9 "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+    forget "$pid"
+    return 1
 }
 
 # The campaign: 32 deliberately slow simulation units (300k steps each)
@@ -81,11 +51,11 @@ load_jobs() { # args: json output file, extra idemload flags
 }
 
 echo "jobs-smoke: phase 1 — full job run, byte-identical to /v1/batch"
-start_idemd 127.0.0.1:0 || { echo "jobs-smoke: idemd did not start" >&2; exit 1; }
+jobs_idemd 127.0.0.1:0 || die "idemd did not start"
 load_jobs "$tmp/pass1.json" -verify-batch
-stop_idemd
+drain "$pid"
 d1="$(digest_of "$tmp/pass1.json")"
-[ -n "$d1" ] || { echo "jobs-smoke: phase 1 produced no digest" >&2; exit 1; }
+[ -n "$d1" ] || die "phase 1 produced no digest"
 echo "jobs-smoke: phase 1 digest $d1"
 
 echo "jobs-smoke: phase 2 — SIGKILL mid-job, resume from the journal"
@@ -93,12 +63,14 @@ echo "jobs-smoke: phase 2 — SIGKILL mid-job, resume from the journal"
 # 2's, and so the resumed-units assertion can only be satisfied by the
 # interrupted job. The artifact store itself stays warm.
 rm -rf "$store/jobs"
-start_idemd 127.0.0.1:0 || { echo "jobs-smoke: idemd did not start" >&2; exit 1; }
+jobs_idemd 127.0.0.1:0 || die "idemd did not start"
 addr="$(cat "$tmp/addr")"
 
-load_jobs "$tmp/pass2.json" -stream \
-    -expect-digest "$d1" -max-compiles 0 -min-resumed-units 1 &
+load_jobs "$tmp/pass2.json" -stream -expect-digest "$d1" \
+    -assert 'idemd_buildcache_compiles_total <= 0' \
+    -assert 'idemd_jobs_resumed_units_total >= 1' &
 client=$!
+PIDS="$PIDS $client"
 
 # Kill only after the journal holds at least one completed unit: wait
 # for <store>/jobs/<id>.job to appear (header written at submit), then
@@ -107,7 +79,7 @@ jnl=""
 i=0
 while [ -z "$jnl" ]; do
     i=$((i + 1))
-    [ "$i" -gt 300 ] && { echo "jobs-smoke: no journal appeared" >&2; exit 1; }
+    [ "$i" -gt 300 ] && die "no journal appeared"
     jnl="$(find "$store/jobs" -name '*.job' 2>/dev/null | head -n 1 || true)"
     [ -n "$jnl" ] || sleep 0.1
 done
@@ -115,7 +87,7 @@ base="$(wc -c < "$jnl")"
 i=0
 while :; do
     i=$((i + 1))
-    [ "$i" -gt 300 ] && { echo "jobs-smoke: journal never grew" >&2; exit 1; }
+    [ "$i" -gt 300 ] && die "journal never grew"
     now="$(wc -c < "$jnl")"
     [ "$now" -gt "$base" ] && break
     sleep 0.1
@@ -124,25 +96,21 @@ done
 echo "jobs-smoke: journal at $now bytes, killing idemd with SIGKILL"
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
-pid=""
+forget "$pid"
 
 # Restart on the same address (the stream client is reconnecting against
 # it). The port can linger in TIME_WAIT briefly, so retry the bind.
 n=0
-until start_idemd "$addr" 2>/dev/null; do
+until jobs_idemd "$addr" 2>/dev/null; do
     n=$((n + 1))
-    [ "$n" -gt 5 ] && { echo "jobs-smoke: could not rebind $addr" >&2; exit 1; }
+    [ "$n" -gt 5 ] && die "could not rebind $addr"
     sleep 0.25
 done
 
-wait "$client" || {
-    client=""
-    echo "jobs-smoke: resumed campaign failed (digest, compile, or resume assertion)" >&2
-    exit 1
-}
-client=""
+wait "$client" || die "resumed campaign failed (digest, compile, or resume assertion)"
+forget "$client"
 d2="$(digest_of "$tmp/pass2.json")"
 echo "jobs-smoke: phase 2 digest $d2 (resume preserved byte identity, zero recompiles)"
-stop_idemd
+drain "$pid"
 
 echo "jobs-smoke: OK"

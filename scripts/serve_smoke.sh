@@ -9,47 +9,20 @@
 # asserts that LRU evictions actually happen. Both daemons are shut down
 # with SIGTERM and must exit 0 (graceful drain).
 set -eu
-
-GO="${GO:-go}"
-tmp="$(mktemp -d)"
-pid=""
-cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-"$GO" build -o "$tmp/idemd" ./cmd/idemd
-"$GO" build -o "$tmp/idemload" ./cmd/idemload
-
-start_idemd() { # args: extra idemd flags
-    rm -f "$tmp/addr"
-    "$tmp/idemd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -quiet "$@" &
-    pid=$!
-    i=0
-    while [ ! -f "$tmp/addr" ]; do
-        i=$((i + 1))
-        [ "$i" -gt 100 ] && { echo "serve-smoke: idemd did not start" >&2; exit 1; }
-        sleep 0.1
-    done
-}
-
-stop_idemd() {
-    kill -TERM "$pid"
-    wait "$pid" || { echo "serve-smoke: idemd exited nonzero on drain" >&2; exit 1; }
-    pid=""
-}
+name=serve-smoke
+. "$(dirname "$0")/lib.sh"
+build idemd idemload
 
 echo "serve-smoke: phase 1 — determinism + cache hit ratio (unbounded cache)"
 start_idemd
-"$tmp/idemload" -addr "$(cat "$tmp/addr")" \
-    -concurrency 16 -requests 200 -seed 42 -repeat 2 -min-hit-ratio 0.5
-stop_idemd
+"$tmp/idemload" -addr "$addr" \
+    -concurrency 16 -requests 200 -seed 42 -repeat 2 -assert "$HIT_RATIO >= 0.5"
+drain "$pid"
 
 echo "serve-smoke: phase 2 — LRU evictions under a small byte bound"
 start_idemd -cache-bytes 262144
-"$tmp/idemload" -addr "$(cat "$tmp/addr")" \
-    -concurrency 16 -requests 120 -seed 7 -min-evictions 1
-stop_idemd
+"$tmp/idemload" -addr "$addr" \
+    -concurrency 16 -requests 120 -seed 7 -assert 'idemd_buildcache_evictions_total >= 1'
+drain "$pid"
 
 echo "serve-smoke: OK"

@@ -5,58 +5,35 @@
 # records their digests: the byte-identity reference. Phase 2 boots a
 # 3-replica fleet behind idemfront and replays the first campaign; the
 # fleet must reproduce the baseline digest exactly (-expect-digest),
-# clear the baseline's cache hit ratio fleet-wide (-min-hit-ratio on the
+# clear the baseline's cache hit ratio fleet-wide (an -assert on the
 # summed replica counters — routing by content key means the fleet
 # compiles each key exactly once, same as one process), and show hits on
-# every replica (-require-replica-hits: the ring actually partitioned
-# the working set). Phase 3 replays the second campaign and SIGKILLs one
+# every replica (an each: -assert: the ring actually partitioned the
+# working set). Phase 3 replays the second campaign and SIGKILLs one
 # replica mid-run: the front must absorb the crash by failing the dead
 # replica's keys over to their deterministic next owner — zero failed
 # requests, zero digest drift. Finally the front and the surviving
 # replicas must drain cleanly on SIGTERM.
 set -eu
-
-GO="${GO:-go}"
-tmp="$(mktemp -d)"
-PIDS=""
-cleanup() {
-    for p in $PIDS; do kill -9 "$p" 2>/dev/null || true; done
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-"$GO" build -o "$tmp/idemd" ./cmd/idemd
-"$GO" build -o "$tmp/idemfront" ./cmd/idemfront
-"$GO" build -o "$tmp/idemload" ./cmd/idemload
-
-wait_addr() { # $1 = addr file
-    i=0
-    while [ ! -f "$1" ]; do
-        i=$((i + 1))
-        [ "$i" -gt 100 ] && { echo "shard-smoke: daemon did not write $1" >&2; exit 1; }
-        sleep 0.1
-    done
-}
+name=shard-smoke
+. "$(dirname "$0")/lib.sh"
+build idemd idemfront idemload
 
 echo "shard-smoke: phase 1 — single-replica baselines"
-"$tmp/idemd" -addr 127.0.0.1:0 -addr-file "$tmp/addr0" -quiet &
-BASE=$!; PIDS="$PIDS $BASE"
-wait_addr "$tmp/addr0"
-base_addr="$(cat "$tmp/addr0")"
-"$tmp/idemload" -addr "$base_addr" -concurrency 16 -requests 160 -seed 42 -repeat 2 \
+start_idemd
+"$tmp/idemload" -addr "$addr" -concurrency 16 -requests 160 -seed 42 -repeat 2 \
     -quiet -json "$tmp/base42.json"
-"$tmp/idemload" -addr "$base_addr" -concurrency 16 -requests 240 -seed 7 \
+"$tmp/idemload" -addr "$addr" -concurrency 16 -requests 240 -seed 7 \
     -quiet -json "$tmp/base7.json"
-kill -TERM "$BASE"
-wait "$BASE" || { echo "shard-smoke: baseline idemd exited nonzero on drain" >&2; exit 1; }
+drain "$pid"
 
-# First "digest" is top-level; first "hit_ratio" is the cache section's
-# (top-level keys serialize alphabetically: cache before disk/replicas).
-digest42=$(sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p' "$tmp/base42.json" | head -1)
-digest7=$(sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p' "$tmp/base7.json" | head -1)
+# The first "hit_ratio" is the cache section's (top-level keys
+# serialize alphabetically: cache before disk/replicas).
+digest42=$(digest_of "$tmp/base42.json")
+digest7=$(digest_of "$tmp/base7.json")
 ratio42=$(sed -n 's/.*"hit_ratio": \([0-9.eE+-]*\),*/\1/p' "$tmp/base42.json" | head -1)
 if [ -z "$digest42" ] || [ -z "$digest7" ] || [ -z "$ratio42" ]; then
-    echo "shard-smoke: baseline summaries incomplete" >&2; exit 1
+    die "baseline summaries incomplete"
 fi
 echo "shard-smoke: baseline digests $digest42 / $digest7, cache hit ratio $ratio42"
 
@@ -64,21 +41,21 @@ echo "shard-smoke: phase 2 — 3-replica fleet: digest identity + partitioned ca
 reps=""
 n=1
 while [ "$n" -le 3 ]; do
-    "$tmp/idemd" -addr 127.0.0.1:0 -addr-file "$tmp/raddr$n" -quiet &
-    eval "R$n=\$!; PIDS=\"\$PIDS \$R$n\""
-    wait_addr "$tmp/raddr$n"
+    spawn "$tmp/idemd" -addr 127.0.0.1:0 -addr-file "$tmp/raddr$n" -quiet
+    eval "R$n=\$pid"
+    wait_addr "$tmp/raddr$n" || die "replica $n did not start"
     reps="$reps$(cat "$tmp/raddr$n"),"
     n=$((n + 1))
 done
 reps="${reps%,}"
-"$tmp/idemfront" -addr 127.0.0.1:0 -addr-file "$tmp/faddr" -backends "$reps" -quiet &
-FRONT=$!; PIDS="$PIDS $FRONT"
-wait_addr "$tmp/faddr"
+spawn "$tmp/idemfront" -addr 127.0.0.1:0 -addr-file "$tmp/faddr" -backends "$reps" -quiet
+FRONT=$pid
+wait_addr "$tmp/faddr" || die "idemfront did not start"
 front_addr="$(cat "$tmp/faddr")"
 
 "$tmp/idemload" -addr "$front_addr" -scrape "$reps" \
-    -concurrency 16 -requests 160 -seed 42 -repeat 2 \
-    -expect-digest "$digest42" -min-hit-ratio "$ratio42" -require-replica-hits \
+    -concurrency 16 -requests 160 -seed 42 -repeat 2 -expect-digest "$digest42" \
+    -assert "$HIT_RATIO >= $ratio42" -assert 'each:idemd_buildcache_hits_total >= 1' \
     -json "$tmp/fleet42.json"
 
 echo "shard-smoke: phase 3 — SIGKILL a replica mid-campaign, zero digest drift"
@@ -89,12 +66,9 @@ KILLER=$!
     -concurrency 16 -requests 240 -seed 7 \
     -expect-digest "$digest7" -json "$tmp/fleet7.json"
 wait "$KILLER" 2>/dev/null || true
+wait "$R3" 2>/dev/null || true
+forget "$R3"
 
-kill -TERM "$FRONT"
-wait "$FRONT" || { echo "shard-smoke: idemfront exited nonzero on drain" >&2; exit 1; }
-kill -TERM "$R1"
-wait "$R1" || { echo "shard-smoke: replica 1 exited nonzero on drain" >&2; exit 1; }
-kill -TERM "$R2"
-wait "$R2" || { echo "shard-smoke: replica 2 exited nonzero on drain" >&2; exit 1; }
+drain "$FRONT" "$R1" "$R2"
 
 echo "shard-smoke: OK"

@@ -5,42 +5,23 @@
 # Boot idemd with -verify-mode full, sweep a compile of every built-in
 # workload (idemload -sweep-compiles asserts each response reports
 # verified=true), then fire a seeded mixed burst so the option variants
-# in the load palette get validated too. idemload's -min-verified gate
-# then asserts, from the daemon's own /metrics, that the validator
-# actually ran (nonzero idemd_verify_checked_total) and that not one
-# check found a violation — the §2.1 criterion holds for everything the
-# service compiled.
+# in the load palette get validated too. Two -assert gates then check,
+# from the daemon's own /metrics, that the validator actually ran (at
+# least 29 idemd_verify_checked_total) and that not one check found a
+# violation — the §2.1 criterion holds for everything the service
+# compiled.
 set -eu
+name=verify-smoke
+. "$(dirname "$0")/lib.sh"
+build idemd idemload
 
-GO="${GO:-go}"
-tmp="$(mktemp -d)"
-pid=""
-cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-"$GO" build -o "$tmp/idemd" ./cmd/idemd
-"$GO" build -o "$tmp/idemload" ./cmd/idemload
-
-rm -f "$tmp/addr"
-"$tmp/idemd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -verify-mode full -quiet &
-pid=$!
-i=0
-while [ ! -f "$tmp/addr" ]; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "verify-smoke: idemd did not start" >&2; exit 1; }
-    sleep 0.1
-done
+start_idemd -verify-mode full
 
 echo "verify-smoke: full verification over every workload + seeded burst"
-"$tmp/idemload" -addr "$(cat "$tmp/addr")" \
+"$tmp/idemload" -addr "$addr" \
     -sweep-compiles -concurrency 16 -requests 150 -seed 11 \
-    -min-verified 29
+    -assert 'idemd_verify_checked_total >= 29' -assert 'idemd_verify_failed_total == 0'
 
-kill -TERM "$pid"
-wait "$pid" || { echo "verify-smoke: idemd exited nonzero on drain" >&2; exit 1; }
-pid=""
+drain "$pid"
 
 echo "verify-smoke: OK"
