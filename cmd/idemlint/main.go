@@ -8,7 +8,8 @@
 //
 // The linter flags every `range` over a map inside the pass packages
 // (internal/{ssa,cfg,dataflow,alias,redelim,multicut,regalloc,codegen,core})
-// whose body writes an order-sensitive sink:
+// and the translation validator (internal/verify) whose body writes an
+// order-sensitive sink:
 //
 //   - appends to a slice declared outside the loop,
 //   - builds a string (+=, or Write* on a strings.Builder/bytes.Buffer
@@ -43,11 +44,12 @@ import (
 
 // defaultTargets are the compiler-pass packages whose output feeds the
 // deterministic build contract (docs/determinism: same module, same
-// options, same instruction stream).
+// options, same instruction stream), plus the validator whose verdicts
+// on that output must be just as reproducible.
 var defaultTargets = []string{
 	"internal/ssa", "internal/cfg", "internal/dataflow", "internal/alias",
 	"internal/redelim", "internal/multicut", "internal/regalloc",
-	"internal/codegen", "internal/core",
+	"internal/codegen", "internal/core", "internal/verify",
 }
 
 func main() {

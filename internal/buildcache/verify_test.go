@@ -54,21 +54,54 @@ func invalidMutant(t *testing.T, w workloads.Workload, mo codegen.ModuleOptions)
 
 // TestVerifyRejectsInvalidArtifact: a disk artifact that decodes cleanly
 // but fails verification is pruned and the request recompiles — never an
-// error — with the rejection counted.
+// error — with the rejection counted. That holds for a criterion breach
+// (a dropped MARK) and for structural damage the decoder lets through
+// (a register operand outside the register file, an entry outside the
+// instruction stream).
 func TestVerifyRejectsInvalidArtifact(t *testing.T) {
 	mo := codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()}
 	var w workloads.Workload
-	var mutant *codegen.Program
+	var dropped *codegen.Program
 	for _, cand := range workloads.All() {
 		if m := invalidMutant(t, cand, mo); m != nil {
-			w, mutant = cand, m
+			w, dropped = cand, m
 			break
 		}
 	}
-	if mutant == nil {
+	if dropped == nil {
 		t.Fatal("no workload yields a rejecting dropped-MARK mutant")
 	}
+	p, _, err := codegen.CompileModuleOpts(w.Module(), "main", w.MemWords, mo)
+	if err != nil {
+		t.Fatalf("compile %s: %v", w.Name, err)
+	}
+	badReg := *p
+	badReg.Instrs = append([]isa.Instr(nil), p.Instrs...)
+	for i, in := range badReg.Instrs {
+		if in.Op == isa.LDR {
+			badReg.Instrs[i].Rs1 = 200
+			break
+		}
+	}
+	badEntry := *p
+	badEntry.Entry = len(p.Instrs) + 7
 
+	for _, tc := range []struct {
+		name   string
+		mutant *codegen.Program
+	}{
+		{"dropped-mark", dropped},
+		{"register-out-of-range", &badReg},
+		{"entry-out-of-range", &badEntry},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testRejectedArtifact(t, w, mo, tc.mutant) })
+	}
+}
+
+// testRejectedArtifact plants mutant as w's disk artifact and checks that
+// a full-verify cache prunes it, recompiles, and writes a clean artifact
+// back.
+func testRejectedArtifact(t *testing.T, w workloads.Workload, mo codegen.ModuleOptions, mutant *codegen.Program) {
 	dir := t.TempDir()
 	c := NewBoundedDisk(0, dir)
 	c.SetVerifyMode(VerifyFull)

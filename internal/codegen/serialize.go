@@ -192,8 +192,9 @@ func sortedKeys[V any](m map[string]V) []string {
 // --- decoder ---
 
 // decoder panics on malformed input; DecodeProgram converts the panic to
-// an error. maxCount bounds every length prefix so a corrupt header
-// cannot trigger a giant allocation before the bound check fails.
+// an error. maxCount bounds every map and string count, and slice bounds
+// each slice length by what the rest of the input can hold, so a corrupt
+// header cannot trigger a giant allocation before the bound check fails.
 type decoder struct {
 	buf []byte
 	off int
@@ -233,18 +234,23 @@ func (d *decoder) count() int {
 	return int(v)
 }
 
-// slice reads a nil-preserving length prefix (see encoder.slice).
-func (d *decoder) slice() (n int, isNil bool) {
+// slice reads a nil-preserving length prefix (see encoder.slice) and
+// fails unless the length is at most limit.
+func (d *decoder) slice(limit int) (n int, isNil bool) {
 	v := d.uvarint()
 	if v == 0 {
 		return 0, true
 	}
 	v--
-	if v > maxCount {
+	if v > uint64(limit) {
 		d.fail("count out of range")
 	}
 	return int(v), false
 }
+
+// left is the number of unread input bytes: an upper bound on the length
+// of any slice whose elements each take at least one byte.
+func (d *decoder) left() int { return len(d.buf) - d.off }
 
 func (d *decoder) byte() uint8 {
 	if d.off >= len(d.buf) {
@@ -288,7 +294,7 @@ func (d *decoder) str() string {
 
 func (d *decoder) program() *Program {
 	p := &Program{}
-	if n, isNil := d.slice(); !isNil {
+	if n, isNil := d.slice(d.left()); !isNil {
 		p.Instrs = make([]isa.Instr, n)
 		for i := range p.Instrs {
 			in := &p.Instrs[i]
@@ -310,7 +316,9 @@ func (d *decoder) program() *Program {
 		k := d.str()
 		p.FuncEntry[k] = d.int()
 	}
-	if n, isNil := d.slice(); !isNil {
+	// FuncOf is run-length encoded, but it never outnumbers the
+	// instructions it names.
+	if n, isNil := d.slice(len(p.Instrs)); !isNil {
 		p.FuncOf = make([]string, 0, n)
 		for len(p.FuncOf) < n {
 			run := d.count()
@@ -329,11 +337,11 @@ func (d *decoder) program() *Program {
 		p.GlobalBase[k] = d.varint()
 	}
 	p.GlobalEnd = d.varint()
-	if n, isNil := d.slice(); !isNil {
+	if n, isNil := d.slice(d.left()); !isNil {
 		p.Globals = make([]*ir.GlobalVar, n)
 		for i := range p.Globals {
 			g := &ir.GlobalVar{Name: d.str(), Size: d.varint()}
-			if m, mNil := d.slice(); !mNil {
+			if m, mNil := d.slice(d.left()); !mNil {
 				g.Init = make([]int64, m)
 				for j := range g.Init {
 					g.Init[j] = d.varint()
@@ -377,7 +385,7 @@ func (d *decoder) funcConstruction() *FuncConstruction {
 	s.AvgRegionSize = d.f64()
 	s.LargestRegionSize = d.int()
 	fc.Cuts = d.int()
-	if n, isNil := d.slice(); !isNil {
+	if n, isNil := d.slice(d.left()); !isNil {
 		fc.Antideps = make([]AntidepInfo, n)
 		for i := range fc.Antideps {
 			fc.Antideps[i] = AntidepInfo{Read: d.str(), Write: d.str(), MustAlias: d.bool()}

@@ -2,7 +2,9 @@ package codegen_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"idemproc/internal/codegen"
@@ -108,6 +110,15 @@ func TestSerializeRejectsCorrupt(t *testing.T) {
 	}
 	if _, _, err := codegen.DecodeProgram(append(append([]byte{}, enc...), 0xff)); err == nil {
 		t.Fatal("trailing garbage decoded successfully")
+	}
+	// A length prefix the input cannot hold fails before anything is sized
+	// from it: 1<<20 instructions would take ~56 MB.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := codegen.DecodeProgram(binary.AppendUvarint(nil, 1<<20+1))
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew > 1<<20 {
+		t.Fatalf("oversized instruction count: err %v after allocating %d bytes", err, grew)
 	}
 	// A flipped length prefix near the front must not OOM or panic.
 	mut := append([]byte{}, enc...)

@@ -1,0 +1,39 @@
+package verify
+
+import (
+	"testing"
+
+	"idemproc/internal/workloads"
+)
+
+var reportSink *Report
+
+// BenchmarkVerify checks the 279 matrix programs per op; the builds run
+// before the timer starts. ns/program is ns/op divided by the program
+// count.
+func BenchmarkVerify(b *testing.B) {
+	progs := matrixPrograms(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			reportSink = Verify(p)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(progs)), "ns/program")
+}
+
+// verifyAllocCeiling is a fifth of the 42,682 allocations one Verify of
+// astar took when the dataflow cloned its state at every step; a return
+// to per-step cloning fails this test.
+const verifyAllocCeiling = 42682 / 5
+
+// TestVerifyAllocs guards the verifier's allocation count on astar under
+// the default options.
+func TestVerifyAllocs(t *testing.T) {
+	w, _ := workloads.ByName("astar")
+	p := compile(t, w, matrix[0].mo)
+	if n := testing.AllocsPerRun(5, func() { reportSink = Verify(p) }); n > verifyAllocCeiling {
+		t.Fatalf("Verify(astar) allocates %.0f times, ceiling %d", n, verifyAllocCeiling)
+	}
+}

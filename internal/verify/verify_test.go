@@ -220,3 +220,48 @@ func TestMutationBadBranch(t *testing.T) {
 		t.Fatalf("retargeted branch not flagged: %s", rep.Summary())
 	}
 }
+
+// FuzzVerifyArtifact: idemd re-verifies artifacts it reads back from
+// disk, so Verify and Render see whatever bytes DecodeProgram accepts.
+// Neither may panic.
+func FuzzVerifyArtifact(f *testing.F) {
+	for _, name := range []string{"mcf", "bzip2"} {
+		w, _ := workloads.ByName(name)
+		for _, m := range matrix {
+			if m.name != "default" && m.name != "maxregion8" {
+				continue
+			}
+			p, st, err := codegen.CompileModuleOpts(w.Module(), "main", w.MemWords, m.mo)
+			if err != nil {
+				f.Fatalf("compile %s: %v", name, err)
+			}
+			f.Add(codegen.EncodeProgram(p, st))
+			if name != "mcf" || m.name != "default" {
+				continue
+			}
+			// Structural damage the decoder lets through: a register
+			// operand outside the register file, an entry outside the
+			// instruction stream.
+			badReg, _ := mutate(p, func(instrs []isa.Instr) bool {
+				for i := range instrs {
+					if instrs[i].Op == isa.LDR {
+						instrs[i].Rs1 = 200
+						return true
+					}
+				}
+				return false
+			})
+			f.Add(codegen.EncodeProgram(badReg, st))
+			badEntry := *p
+			badEntry.Entry = -3
+			f.Add(codegen.EncodeProgram(&badEntry, st))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, _, err := codegen.DecodeProgram(data)
+		if err != nil {
+			return
+		}
+		Verify(p).Render(p)
+	})
+}
