@@ -52,7 +52,7 @@ func BenchmarkMachineStep(b *testing.B) {
 	if !ok {
 		b.Fatal("workload gcc missing")
 	}
-	p, _, err := cache.Compile(context.Background(), w, codegen.ModuleOptions{Core: core.DefaultOptions()})
+	p, _, err := cache.Compile(context.Background(), w, codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,6 +66,9 @@ func BenchmarkMachineStep(b *testing.B) {
 		m := machine.New(p, cfg)
 		if _, err := m.Run(w.Args...); err != nil {
 			b.Fatal(err)
+		}
+		if m.Stats.Marks == 0 {
+			b.Fatal("binary executed no MARKs: the store buffer never commits")
 		}
 		steps += m.Stats.DynInstrs
 	}

@@ -7,8 +7,9 @@
 // today's runtime happens to iterate small maps stably.
 //
 // The linter flags every `range` over a map inside the pass packages
-// (internal/{ssa,cfg,dataflow,alias,redelim,multicut,regalloc,codegen,core})
-// and the translation validator (internal/verify) whose body writes an
+// (internal/{ssa,cfg,dataflow,alias,redelim,multicut,regalloc,codegen,core}),
+// the translation validator (internal/verify) and the simulator side
+// (internal/{machine,limit,experiments,fault}) whose body writes an
 // order-sensitive sink:
 //
 //   - appends to a slice declared outside the loop,
@@ -17,7 +18,8 @@
 //   - prints (fmt.Print*/Fprint*/Sprint* and friends).
 //
 // A finding is suppressed when the enclosing function visibly restores
-// the order — a sort.* call after the loop mentioning the same slice —
+// the order — a sort.* or slices.Sort* call after the loop mentioning
+// the same slice —
 // or when the loop carries a `//idemlint:ordered` annotation (same line
 // or the line above), which asserts the consumer sorts or is itself
 // order-insensitive. Order-insensitive map writes, set inserts,
@@ -44,12 +46,15 @@ import (
 
 // defaultTargets are the compiler-pass packages whose output feeds the
 // deterministic build contract (docs/determinism: same module, same
-// options, same instruction stream), plus the validator whose verdicts
-// on that output must be just as reproducible.
+// options, same instruction stream), the validator whose verdicts on
+// that output must be just as reproducible, and the simulator side
+// whose output feeds the machine digests and the figure tables.
 var defaultTargets = []string{
 	"internal/ssa", "internal/cfg", "internal/dataflow", "internal/alias",
 	"internal/redelim", "internal/multicut", "internal/regalloc",
 	"internal/codegen", "internal/core", "internal/verify",
+	"internal/machine", "internal/limit", "internal/experiments",
+	"internal/fault",
 }
 
 func main() {
@@ -393,9 +398,9 @@ func writerCall(info *types.Info, call *ast.CallExpr, rs *ast.RangeStmt) (types.
 	return nil, "", false
 }
 
-// sortedAfter reports whether a sort.* call mentioning obj appears in
-// the function after the range loop — the collect-then-sort idiom,
-// which is exactly the fix the linter wants.
+// sortedAfter reports whether a sort.* or slices.Sort* call mentioning
+// obj appears in the function after the range loop — the
+// collect-then-sort idiom, which is exactly the fix the linter wants.
 func sortedAfter(info *types.Info, body *ast.BlockStmt, rs *ast.RangeStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -411,7 +416,17 @@ func sortedAfter(info *types.Info, body *ast.BlockStmt, rs *ast.RangeStmt, obj t
 		if !ok {
 			return true
 		}
-		if pn, ok := info.ObjectOf(pkgID).(*types.PkgName); !ok || pn.Imported().Path() != "sort" {
+		pn, ok := info.ObjectOf(pkgID).(*types.PkgName)
+		if !ok {
+			return true
+		}
+		switch pn.Imported().Path() {
+		case "sort":
+		case "slices":
+			if !strings.HasPrefix(sel.Sel.Name, "Sort") {
+				return true
+			}
+		default:
 			return true
 		}
 		for _, arg := range call.Args {

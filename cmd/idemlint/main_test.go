@@ -14,6 +14,7 @@ func TestFixture(t *testing.T) {
 	}
 	want := map[string]bool{
 		"append to out":            false, // BadAppend
+		"append to keys":           false, // BadAppendSlicesNoSort
 		"Builder.WriteString on b": false, // BadBuilder
 		"fmt.Println":              false, // BadPrint
 		"string build of s":        false, // BadConcat

@@ -4,6 +4,7 @@ package fixture
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -25,6 +26,26 @@ func GoodAppendSorted(m map[string]int) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// GoodAppendSlicesSorted restores the order with the slices package.
+func GoodAppendSlicesSorted(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.SortFunc(out, strings.Compare)
+	return out
+}
+
+// BadAppendSlicesNoSort calls into slices after the loop, but nothing
+// there sorts.
+func BadAppendSlicesNoSort(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return slices.Clip(keys)
 }
 
 // GoodAnnotated asserts the caller sorts; the annotation suppresses.

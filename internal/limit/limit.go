@@ -63,11 +63,21 @@ const (
 	stWritten
 )
 
+// memCell is one memory word's state: state is current only while
+// epoch matches the category's epoch, so ending a path resets every
+// word at once.
+type memCell struct {
+	epoch int64
+	state accessState
+}
+
 // catState is one category's tracking state.
 type catState struct {
-	epoch    int64
-	memEpoch map[int64]int64
-	memState map[int64]accessState
+	epoch int64
+	// mem is indexed by word address and grown on demand: the machine
+	// reports only addresses inside its memory, which is small and
+	// dense, so a slice costs less than a map per access.
+	mem      []memCell
 	regEpoch [48]int64
 	regState [48]accessState
 	pathLen  int64
@@ -89,13 +99,16 @@ func (cs *catState) endPath() {
 }
 
 func (cs *catState) memAccess(addr int64, write bool) bool {
-	st := cs.memState[addr]
-	if cs.memEpoch[addr] != cs.epoch {
-		cs.memEpoch[addr] = cs.epoch
-		st = stNone
+	if addr >= int64(len(cs.mem)) {
+		cs.mem = append(cs.mem, make([]memCell, addr+1-int64(len(cs.mem)))...)
 	}
-	st, clobber := transition(st, write)
-	cs.memState[addr] = st
+	c := &cs.mem[addr]
+	if c.epoch != cs.epoch {
+		c.epoch = cs.epoch
+		c.state = stNone
+	}
+	var clobber bool
+	c.state, clobber = transition(c.state, write)
 	return clobber
 }
 
@@ -151,11 +164,7 @@ var _ machine.Tracer = (*Tracker)(nil)
 func NewTracker() *Tracker {
 	t := &Tracker{}
 	for i := range t.cats {
-		t.cats[i] = &catState{
-			epoch:    1,
-			memEpoch: map[int64]int64{},
-			memState: map[int64]accessState{},
-		}
+		t.cats[i] = &catState{epoch: 1}
 	}
 	return t
 }
@@ -188,7 +197,9 @@ func (t *Tracker) classify(addr int64, sp uint64) memClass {
 	return memSemantic
 }
 
-// Instr observes one executed instruction.
+// Instr observes one executed instruction. A memory operation's memAddr
+// must be a word address inside the machine's memory, which the machine
+// checks before it reports the instruction.
 func (t *Tracker) Instr(in isa.Instr, memAddr int64, sp uint64) {
 	if t.pendingCall {
 		// First instruction after CALL: sp is still the caller's; the

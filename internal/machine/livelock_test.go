@@ -48,9 +48,10 @@ func TestWatchdogCatchesCorruptedLoopCounter(t *testing.T) {
 			t.Fatalf("step %d: unexpected error %v", step, err)
 		}
 		livelocks++
+		// The watchdog fires on the first instruction past the budget.
 		budget := span*8 + 4096
-		if m.Stats.DynInstrs > budget+2 {
-			t.Fatalf("step %d: watchdog fired late: %d dyn instrs vs budget %d", step, m.Stats.DynInstrs, budget)
+		if m.Stats.DynInstrs != budget+1 {
+			t.Fatalf("step %d: watchdog fired at %d dyn instrs, want budget %d + 1", step, m.Stats.DynInstrs, budget)
 		}
 	}
 	if livelocks == 0 {

@@ -205,7 +205,7 @@ type Machine struct {
 
 	// Event-driven fault scheduling: nextEvent is the earliest dynamic
 	// step at which any scheduled injection can fire (MaxInt64 when none
-	// are pending); until execution reaches it, step() runs the pure
+	// are pending); until execution reaches it, exec runs the pure
 	// fault-free fast path — no queue polling, no golden-mirror
 	// maintenance. Reaching it sets hot, which activates the full fault
 	// machinery for the remainder of the run.
@@ -571,7 +571,18 @@ func (m *Machine) Run(args ...uint64) (uint64, error) {
 		wdBudget = int64(float64(m.Cfg.WatchdogRef)*f) + 4096
 	}
 	for !m.halted {
-		if err := m.step(); err != nil {
+		// Each check below fires once DynInstrs exceeds a bound, so exec
+		// runs straight to the smallest bound (and at least one
+		// instruction): every limit trips at the same instruction count
+		// as a check after every instruction would.
+		last := m.Cfg.MaxSteps
+		if wdBudget > 0 {
+			last = min(last, wdBudget)
+		}
+		if m.preemptDone != nil {
+			last = min(last, m.nextPoll-1)
+		}
+		if err := m.exec(max(last, m.Stats.DynInstrs)); err != nil {
 			return 0, err
 		}
 		if m.preemptDone != nil && m.Stats.DynInstrs >= m.nextPoll {

@@ -313,6 +313,10 @@ e:
 	if _, err := m.Run(); err == nil {
 		t.Fatal("expected step-limit error")
 	}
+	// The limit fires on the first instruction past MaxSteps.
+	if got := m.Stats.DynInstrs; got != 1001 {
+		t.Fatalf("stopped after %d instructions, want 1001", got)
+	}
 }
 
 func TestInvalidAddress(t *testing.T) {

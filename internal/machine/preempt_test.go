@@ -27,9 +27,9 @@ func longLoop(trips int64) []isa.Instr {
 }
 
 // TestPreemptBoundsInstructions pins the preemption budget: with the
-// bound context already canceled, Run must stop within PreemptEvery
-// dynamic instructions — the documented worst case — instead of running
-// the workload to completion.
+// bound context already canceled, Run must stop at the first poll,
+// exactly PreemptEvery dynamic instructions in — the documented worst
+// case — instead of running the workload to completion.
 func TestPreemptBoundsInstructions(t *testing.T) {
 	const stride = 512
 	p := rawProgram(longLoop(100_000_000)...)
@@ -45,8 +45,8 @@ func TestPreemptBoundsInstructions(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("preemption error %v does not wrap context.Canceled", err)
 	}
-	if got := m.Stats.DynInstrs; got > stride {
-		t.Errorf("executed %d instructions after cancellation, budget is %d", got, stride)
+	if got := m.Stats.DynInstrs; got != stride {
+		t.Errorf("executed %d instructions after cancellation, want the poll stride %d", got, stride)
 	}
 }
 

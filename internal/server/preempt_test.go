@@ -27,6 +27,20 @@ func waitPreempted(t *testing.T, s *Server, want int64, within time.Duration) {
 	}
 }
 
+// warmSlow compiles slowSource with a one-iteration simulate. Arguments
+// are not part of the compile cache key, so a later slow simulate finds
+// its build cached and is already in the simulator, not still compiling,
+// when the test cancels it; otherwise the cancellation ends the compile
+// wait and no simulation is ever preempted.
+func warmSlow(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	code, b := postJSON(t, ts.Client(), ts.URL+"/v1/simulate",
+		marshal(t, &SimulateRequest{Source: slowSource, Args: []uint64{1}}))
+	if code != http.StatusOK {
+		t.Fatalf("warm-up simulate: status %d body %s", code, b)
+	}
+}
+
 // TestSimulateTimeoutPreemptsRun: a request-deadline 503 must also stop
 // the simulation server-side (the pre-preemption behavior was a 503
 // whose run burned CPU to completion in the background). The preemption
@@ -66,6 +80,7 @@ func TestClientCancelPreemptsRun(t *testing.T) {
 	s := New(Config{PreemptEvery: 2048})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	warmSlow(t, ts)
 
 	slow := marshal(t, &SimulateRequest{Source: slowSource, Args: []uint64{200_000_000}})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -104,6 +119,7 @@ func TestBatchCancellationPreemptsUnits(t *testing.T) {
 	s := New(Config{Workers: 4, PreemptEvery: 2048})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	warmSlow(t, ts)
 
 	units := make([]BatchUnit, 4)
 	for i := range units {
