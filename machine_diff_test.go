@@ -144,6 +144,31 @@ func TestMachineStateDigests(t *testing.T) {
 				},
 			})
 		}
+		// The register models under the other schemes too: detection-only
+		// (plain, dmr), in-place correction (tmr) and rollback (cl) each
+		// resolve a fault differently.
+		for _, sc := range schemeCases() {
+			switch sc.name {
+			case "plain", "dmr", "tmr", "cl":
+			default:
+				continue
+			}
+			for _, inj := range injections()[:2] {
+				w, sc, inj := w, sc, inj
+				cells = append(cells, cell{
+					key: fmt.Sprintf("%s/%s-inject-%s", w.Name, sc.name, inj.Model),
+					run: func() digest {
+						p := buildFor(t, cache, w, sc)
+						cfg := sc.cfg
+						cfg.WatchdogRef = 1 << 20
+						m := machine.New(p, cfg)
+						fault.Arm(m, inj)
+						r0, err := m.Run(w.Args...)
+						return digestOf(m, r0, err)
+					},
+				})
+			}
+		}
 	}
 
 	got := make(map[string]digest, len(cells))
