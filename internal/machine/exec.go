@@ -23,7 +23,7 @@ var (
 // polling, no golden-mirror writes, no heap allocation. Reaching the
 // earliest scheduled injection step flips the machine hot, which
 // activates the full fault machinery (injection queues, golden mirror,
-// taint detection) for the rest of the run.
+// taint detection) until the faults have resolved (see switchMode).
 func (m *Machine) exec(last int64) error {
 	ops := m.code.ops
 	cache := m.cache
@@ -40,7 +40,7 @@ func (m *Machine) exec(last int64) error {
 		m.pathLen++
 
 		if seq >= m.nextEvent {
-			m.enterHot()
+			m.switchMode(seq)
 		}
 		hot := m.hot
 

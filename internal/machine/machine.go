@@ -12,7 +12,7 @@
 // region store buffer is O(1) through a last-writer index, and the fault
 // machinery — including the golden-mirror maintenance DMR detection is
 // built on — costs nothing until the first scheduled event's step is
-// reached.
+// reached, and nothing again once every injected fault has resolved.
 package machine
 
 import (
@@ -203,21 +203,24 @@ type Machine struct {
 	rpSP, rpLR uint64
 	pathLen    int64
 
-	// Event-driven fault scheduling: nextEvent is the earliest dynamic
-	// step at which any scheduled injection can fire (MaxInt64 when none
-	// are pending); until execution reaches it, exec runs the pure
+	// Event-driven fault scheduling: nextEvent is the dynamic step of the
+	// next mode decision. While the machine is cold, exec runs the pure
 	// fault-free fast path — no queue polling, no golden-mirror
-	// maintenance. Reaching it sets hot, which activates the full fault
-	// machinery for the remainder of the run.
+	// maintenance — and nextEvent is the earliest step at which any
+	// scheduled injection can fire (MaxInt64 when none are pending);
+	// reaching it sets hot, which activates the full fault machinery.
+	// While it is hot, a decision falls every hotStride instructions, and
+	// the machine goes cold again once its faults have resolved (see
+	// settled).
 	nextEvent int64
 	hot       bool
 
 	// Golden state: a fault-free mirror of the register file, computed
-	// from golden sources in parallel with architectural execution once
-	// the machine goes hot (the mirror is seeded from the architectural
-	// file at that point, before any divergence can exist). A register
-	// is "tainted" (holds a corrupted or corruption-derived value)
-	// exactly when its architectural and golden values differ — which is
+	// from golden sources in parallel with architectural execution while
+	// the machine is hot (the mirror is seeded from the architectural
+	// file on going hot, when no divergence exists). A register is
+	// "tainted" (holds a corrupted or corruption-derived value) exactly
+	// when its architectural and golden values differ — which is
 	// precisely what a DMR shadow copy detects.
 	golden [isa.NumRegs]uint64
 	// Livelock guard: consecutive boundary recoveries at the same restart
@@ -421,14 +424,40 @@ func (m *Machine) recalcNextEvent() {
 	m.nextEvent = next
 }
 
-// enterHot activates the fault machinery: from here on every step polls
-// the injection queues and maintains the golden mirror. The mirror is
-// seeded from the architectural file — correct because no fault has
-// materialized yet, so the two are necessarily identical.
-func (m *Machine) enterHot() {
-	m.hot = true
-	m.golden = m.Regs
-	m.nextEvent = math.MaxInt64
+// hotStride is the interval, in dynamic instructions, at which a hot
+// machine checks whether it can go cold again.
+const hotStride = 1024
+
+// switchMode makes the mode decision due at step seq. A cold machine goes
+// hot: from here on every step polls the injection queues and maintains
+// the golden mirror, which is seeded from the architectural file —
+// correct because no fault is in flight, so the two are identical. A hot
+// machine goes cold once settled, and otherwise decides again hotStride
+// instructions later.
+func (m *Machine) switchMode(seq int64) {
+	switch {
+	case !m.hot:
+		m.hot = true
+		m.golden = m.Regs
+		m.nextEvent = seq + hotStride
+	case m.settled():
+		m.hot = false
+		m.recalcNextEvent()
+	default:
+		m.nextEvent = seq + hotStride
+	}
+}
+
+// settled reports whether no fault is pending or in flight: every
+// injection queue is empty, no wrong path or recovery re-entry is open,
+// and no register diverges from the golden mirror. From there on hot and
+// cold execution are the same: a detection or recovery needs a tainted
+// register or a wrong path, golden loads read the memory the
+// architectural ones do, and so the mirror would only copy Regs.
+func (m *Machine) settled() bool {
+	return len(m.faultAt) == 0 && len(m.memFaultAt) == 0 && len(m.boundaryAt) == 0 &&
+		len(m.primed) == 0 && len(m.flipAt) == 0 && len(m.nestedAt) == 0 &&
+		!m.wrongPath && !m.justRecovered && m.Regs == m.golden
 }
 
 // InjectFault schedules a single-bit corruption of the destination value
@@ -771,9 +800,8 @@ func (m *Machine) takeCheckpoint() {
 }
 
 // tainted reports whether r's architectural value diverges from the
-// golden mirror. Before the machine goes hot the mirror is not
-// maintained — and no fault can have materialized — so nothing is
-// tainted by construction.
+// golden mirror. While the machine is cold the mirror is not maintained
+// — and no fault is in flight — so nothing is tainted by construction.
 func (m *Machine) tainted(r uint8) bool {
 	return m.hot && m.Regs[r] != m.golden[r]
 }
