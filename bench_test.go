@@ -14,6 +14,7 @@ package idemproc
 import (
 	"context"
 	"flag"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 
@@ -21,6 +22,7 @@ import (
 	"idemproc/internal/codegen"
 	"idemproc/internal/core"
 	"idemproc/internal/experiments"
+	"idemproc/internal/fault"
 	"idemproc/internal/limit"
 	"idemproc/internal/machine"
 	"idemproc/internal/workloads"
@@ -84,6 +86,46 @@ func BenchmarkMachineStep(b *testing.B) {
 		// magnitude. The TestStepZeroAllocs guard pins the same contract.
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(steps), "allocs/step")
 	}
+}
+
+// BenchmarkMachineFaulted measures what an injected fault costs per
+// simulated instruction: one mcf build under idempotence recovery, run
+// fault-free (free) and with the load generator's fault (flip: one
+// register bit flip at a seeded step in [100, 20100), the shape half of
+// idemload's simulations carry). Both report ns/step; their ratio is
+// the per-instruction price of the fault machinery over a whole run.
+func BenchmarkMachineFaulted(b *testing.B) {
+	w, ok := workloads.ByName("mcf")
+	if !ok {
+		b.Fatal("workload mcf missing")
+	}
+	p, _, err := buildcache.New().Compile(context.Background(), w, codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p = fault.Apply(p, fault.SchemeIdempotence)
+	cfg := machine.Config{BufferStores: true, TrackPaths: true, Recovery: machine.RecoverIdempotence,
+		Cache: machine.DefaultCache(), WatchdogRef: 1 << 20}
+	run := func(b *testing.B, flip bool) {
+		rng := rand.New(rand.NewPCG(1, 0))
+		var steps int64
+		for i := 0; i < b.N; i++ {
+			m := machine.New(p, cfg)
+			if flip {
+				m.InjectFaultMask(100+rng.Int64N(20000), 1<<rng.UintN(32))
+			}
+			if _, err := m.Run(w.Args...); err != nil {
+				b.Fatal(err)
+			}
+			if flip && m.Stats.Faults == 0 {
+				b.Fatal("the injected fault never fired")
+			}
+			steps += m.Stats.DynInstrs
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	}
+	b.Run("free", func(b *testing.B) { run(b, false) })
+	b.Run("flip", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkFig4LimitStudy regenerates Figure 4: dynamic idempotent path
