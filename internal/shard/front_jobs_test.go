@@ -14,7 +14,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -52,6 +54,25 @@ func submitFrontJob(t *testing.T, url string, body []byte) server.SubmitResponse
 		t.Fatalf("submit response: %v", err)
 	}
 	return sub
+}
+
+// cancelFrontJob DELETEs a front job and checks that it reports canceled.
+func cancelFrontJob(t *testing.T, url, id string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var cr server.CancelResponse
+	if err := json.Unmarshal(b, &cr); err != nil || cr.State != "canceled" {
+		t.Fatalf("cancel response: %s (%v)", b, err)
+	}
 }
 
 // streamFrontJob reads the NDJSON stream from cursor to the end.
@@ -283,20 +304,7 @@ func TestFrontJobCancelFansOut(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	req, err := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+sub.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("cancel: %v", err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var cr server.CancelResponse
-	if err := json.Unmarshal(b, &cr); err != nil || cr.State != "canceled" {
-		t.Fatalf("cancel response: %s (%v)", b, err)
-	}
+	cancelFrontJob(t, url, sub.ID)
 
 	// The mergers' best-effort DELETEs land on the replicas shortly.
 	for time.Now().Before(deadline) {
@@ -310,6 +318,52 @@ func TestFrontJobCancelFansOut(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("no replica sub-job was ever canceled")
+}
+
+// TestFrontJobCancelDuringSubmit: a DELETE that lands after a replica
+// admitted a sub-job but before the front read its handle still cancels
+// that sub-job. A proxy in front of the replica holds the submit response
+// until the front job is canceled.
+func TestFrontJobCancelDuringSubmit(t *testing.T) {
+	s := server.New(server.Config{MaxInFlight: 128, RequestTimeout: time.Minute, Workers: 1})
+	replica := httptest.NewServer(s.Handler())
+	t.Cleanup(replica.Close)
+	addr := replica.Listener.Addr().String()
+	admitted := make(chan struct{}, 1)
+	hold := make(chan struct{})
+	proxy := httptest.NewServer(&httputil.ReverseProxy{
+		Director: func(r *http.Request) { r.URL.Scheme, r.URL.Host = "http", addr },
+		ModifyResponse: func(resp *http.Response) error {
+			if resp.Request.Method == http.MethodPost && resp.Request.URL.Path == "/v1/jobs" {
+				admitted <- struct{}{}
+				<-hold
+			}
+			return nil
+		},
+	})
+	t.Cleanup(proxy.Close)
+	_, url := newFront(t, []string{strings.TrimPrefix(proxy.URL, "http://")}, nil)
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+
+	sub := submitFrontJob(t, url, mustJSON(t, &server.BatchRequest{Units: []server.BatchUnit{
+		{Simulate: &server.SimulateRequest{Source: slowVariant(0), Args: []uint64{100_000_000}}},
+	}}))
+	select {
+	case <-admitted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the replica never admitted the sub-job")
+	}
+	cancelFrontJob(t, url, sub.ID)
+	release()
+
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		if s.Jobs().Stats().Canceled > 0 {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatal("the replica's sub-job was never canceled")
 }
 
 // TestFrontJobValidation pins the front's error surface to the replica

@@ -34,6 +34,11 @@ const maxSubAttempts = 8
 // an idle poll parks.
 const subJobWait = 15 * time.Second
 
+// subJobSubmitTimeout bounds one sub-job submit. The submit runs on a
+// context the front job's cancel does not reach (see runSubJob), so this
+// is what keeps a wedged replica from holding a merger forever.
+const subJobSubmitTimeout = 10 * time.Second
+
 // handleJobSubmit implements POST /v1/jobs at the front: validate and
 // split exactly like /v1/batch, mint a front-side handle immediately,
 // and let one merger goroutine per sub-batch feed the tracked job.
@@ -175,8 +180,17 @@ func (f *Front) runSubJob(ctx context.Context, j *jobs.Job, b *backend,
 	if err != nil {
 		return err
 	}
+	if err := ctx.Err(); err != nil {
+		return err // canceled before the submit: nothing to release
+	}
 	f.metrics.SubJob()
-	status, resp, err := post(ctx, f.client, b.base+"/v1/jobs", sub)
+	// A cancel of the front job must not abort the submit: once the
+	// replica has admitted the sub-job, the front needs its handle to
+	// cancel it, or the replica computes it to the end. With ctx already
+	// done, the first poll below fails and cancels the returned handle.
+	sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), subJobSubmitTimeout)
+	status, resp, err := post(sctx, f.client, b.base+"/v1/jobs", sub)
+	cancel()
 	if err != nil {
 		if status == 0 {
 			f.setHealth(b, false, "transport error")
