@@ -20,7 +20,7 @@ import (
 	"strconv"
 	"strings"
 
-	"idemproc/internal/server"
+	"idemproc/internal/metrics"
 )
 
 // assertion is one parsed -assert expression.
@@ -205,7 +205,7 @@ func scrapeTarget(client *http.Client, base string) (map[string]float64, error) 
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("/metrics: status %d", resp.StatusCode)
 	}
-	return server.ParseMetrics(resp.Body)
+	return metrics.Parse(resp.Body)
 }
 
 // count reads an idemd_ counter from a scrape (0 when absent).

@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"idemproc/internal/server"
+	"idemproc/internal/metrics"
 )
 
 // TestAssert evaluates -assert expressions against a two-replica scrape
@@ -116,11 +116,11 @@ func TestMalformedAssertSendsNothing(t *testing.T) {
 // FuzzAssertExpr: no -assert string may panic the parser or, once
 // parsed, the evaluator, on a real idemd /metrics page.
 func FuzzAssertExpr(f *testing.F) {
-	page, err := os.ReadFile("../../internal/server/testdata/metrics.txt")
+	page, err := os.ReadFile("../../internal/metrics/testdata/metrics.txt")
 	if err != nil {
 		f.Fatal(err)
 	}
-	m, err := server.ParseMetrics(bytes.NewReader(page))
+	m, err := metrics.Parse(bytes.NewReader(page))
 	if err != nil {
 		f.Fatal(err)
 	}

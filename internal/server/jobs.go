@@ -169,7 +169,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	rep := j.Poll(r.Context(), cursor, wait)
 	if n := len(rep.Results); n > 0 {
-		s.metrics.ObserveChunk("poll", n)
+		s.metrics.Chunks.Observe(float64(n), "poll")
 	}
 	writeJSON(w, http.StatusOK, rep)
 }
@@ -201,7 +201,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		s.metrics.ObserveChunk("stream", len(chunk))
+		s.metrics.Chunks.Observe(float64(len(chunk)), "stream")
 		return nil
 	})
 }

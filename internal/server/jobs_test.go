@@ -356,7 +356,7 @@ func TestShedRetryAfter(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().InFlightNow() == 0 {
+	for s.Metrics().InFlight.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow request never became in-flight")
 		}

@@ -18,10 +18,10 @@ import (
 func waitPreempted(t *testing.T, s *Server, want int64, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
-	for s.Metrics().SimPreemptedNow() < want {
+	for s.Metrics().SimPreempted.Load() < want {
 		if time.Now().After(deadline) {
 			t.Fatalf("sim_preempted = %d after %v, want >= %d — the canceled simulation kept running",
-				s.Metrics().SimPreemptedNow(), within, want)
+				s.Metrics().SimPreempted.Load(), within, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -98,7 +98,7 @@ func TestClientCancelPreemptsRun(t *testing.T) {
 		errc <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().InFlightNow() == 0 {
+	for s.Metrics().InFlight.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow request never became in-flight")
 		}
@@ -142,7 +142,7 @@ func TestBatchCancellationPreemptsUnits(t *testing.T) {
 		errc <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().InFlightNow() == 0 {
+	for s.Metrics().InFlight.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("batch never became in-flight")
 		}

@@ -4,8 +4,8 @@
 // /v1/simulate runs the machine simulator (optionally with faults armed)
 // and returns the state digest, and POST /v1/batch fans many units onto
 // the experiment engine's worker pool. GET /healthz, /readyz and
-// /metrics serve liveness, drain-aware readiness and hand-rolled
-// Prometheus text metrics.
+// /metrics serve liveness, drain-aware readiness and Prometheus text
+// metrics.
 //
 // Request coalescing and artifact caching come from the shared
 // buildcache: concurrent requests for the same (workload, options) key
@@ -183,7 +183,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // tests assert on it).
 func (s *Server) Cache() *buildcache.Cache { return s.cache }
 
-// Metrics exposes the metric registry.
+// Metrics exposes the daemon's metric series.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Jobs exposes the async job manager (tests assert on its stats).
@@ -295,9 +295,9 @@ func (s *Server) instrument(path string, methods []string, limited bool, h func(
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		done := s.metrics.InFlight()
+		s.metrics.InFlight.Add(1)
 		defer func() {
-			done()
+			s.metrics.InFlight.Add(-1)
 			s.metrics.Observe(path, rec.code, time.Since(start))
 		}()
 
@@ -318,7 +318,7 @@ func (s *Server) instrument(path string, methods []string, limited bool, h func(
 			case s.sem <- struct{}{}:
 				defer func() { <-s.sem }()
 			default:
-				s.metrics.Shed()
+				s.metrics.Shed.Add(1)
 				// Retry-After turns the shed from a guess into a schedule:
 				// resilience clients honor it verbatim instead of probing
 				// with their own backoff curve.
@@ -549,7 +549,7 @@ func (s *Server) doSimulate(ctx context.Context, req *SimulateRequest) (*Simulat
 		// step loop within cfg.PreemptEvery instructions. Surface the
 		// context error so writeHTTPErr maps it to 503, and drop the
 		// partial result so batch aggregation stays exact.
-		s.metrics.SimPreempted()
+		s.metrics.SimPreempted.Add(1)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -225,7 +225,7 @@ func TestClientCancellationMidFlight(t *testing.T) {
 	}()
 	// Wait for the request to be admitted, then abandon it.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().InFlightNow() == 0 {
+	for s.Metrics().InFlight.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow request never became in-flight")
 		}
@@ -285,7 +285,7 @@ func TestShedding(t *testing.T) {
 	}()
 	<-started
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().InFlightNow() == 0 {
+	for s.Metrics().InFlight.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow request never became in-flight")
 		}
@@ -358,7 +358,7 @@ func TestGracefulDrain(t *testing.T) {
 		slowDone <- nil
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().InFlightNow() == 0 {
+	for s.Metrics().InFlight.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow request never became in-flight")
 		}

@@ -264,7 +264,7 @@ func TestFrontJobSurvivesReplicaDeath(t *testing.T) {
 	if got := reconstruct(lines); !bytes.Equal(got, refBatch) {
 		t.Fatalf("post-kill reconstruction diverges from single-process batch:\n got: %s\nwant: %s", got, refBatch)
 	}
-	if n := f.Metrics().SubJobRetriesNow(); n < 1 {
+	if n := f.Metrics().SubJobRetries.Load(); n < 1 {
 		t.Fatalf("expected at least one sub-job resubmission, got %d", n)
 	}
 }

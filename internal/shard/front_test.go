@@ -264,7 +264,7 @@ func TestFrontSplitsBatches(t *testing.T) {
 			t.Fatalf("result %d: error %q", i, r.Error)
 		}
 	}
-	if got := front.Metrics().subBatches.Load(); got < 2 {
+	if got := front.Metrics().SubBatches.Load(); got < 2 {
 		t.Errorf("batch of %d distinct keys fanned out as %d sub-batches; expected a split", n, got)
 	}
 }
@@ -304,7 +304,7 @@ func TestFrontSurvivesReplicaDeath(t *testing.T) {
 	listeners[1].Close() // kill one replica, connections refused from here on
 	check("one replica dead")
 
-	if front.Metrics().FailoversNow() == 0 {
+	if front.Metrics().Failovers.Load() == 0 {
 		t.Error("no failovers recorded although a replica died under traffic")
 	}
 	deadline := time.Now().Add(5 * time.Second)

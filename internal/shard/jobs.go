@@ -95,7 +95,7 @@ func (f *Front) forwardUnsplittableJob(w http.ResponseWriter, ctx context.Contex
 			fmt.Sprintf("batch exceeds %d units", f.cfg.MaxBatchUnits))
 		return
 	}
-	f.metrics.RawRouted()
+	f.metrics.RawRouted.Add(1)
 	status, resp, err := f.route(ctx, path, body, rawKey(body))
 	if err != nil {
 		f.respondError(w, path, http.StatusServiceUnavailable,
@@ -145,7 +145,7 @@ func (f *Front) runGroup(j *jobs.Job, g *batchGroup) {
 			return
 		}
 		lastErr = err
-		f.metrics.SubJobRetry()
+		f.metrics.SubJobRetries.Add(1)
 	}
 	j.Fail(fmt.Sprintf("sub-batch failed on every replica: %v", lastErr))
 }
@@ -183,7 +183,7 @@ func (f *Front) runSubJob(ctx context.Context, j *jobs.Job, b *backend,
 	if err := ctx.Err(); err != nil {
 		return err // canceled before the submit: nothing to release
 	}
-	f.metrics.SubJob()
+	f.metrics.SubJobs.Add(1)
 	// A cancel of the front job must not abort the submit: once the
 	// replica has admitted the sub-job, the front needs its handle to
 	// cancel it, or the replica computes it to the end. With ctx already
@@ -318,8 +318,8 @@ func firstLine(b []byte) string {
 // handleJob serves GET (long-poll) and DELETE (cancel) for a front job.
 func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 	const path = "/v1/jobs/{id}"
-	fin := f.metrics.InFlight()
-	defer fin()
+	f.metrics.InFlight.Add(1)
+	defer f.metrics.InFlight.Add(-1)
 	if r.Method != http.MethodGet && r.Method != http.MethodDelete {
 		w.Header().Set("Allow", "GET, DELETE")
 		f.respondError(w, path, http.StatusMethodNotAllowed,
@@ -363,8 +363,8 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 // strict index order, resumable with ?cursor=.
 func (f *Front) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	const path = "/v1/jobs/{id}/stream"
-	fin := f.metrics.InFlight()
-	defer fin()
+	f.metrics.InFlight.Add(1)
+	defer f.metrics.InFlight.Add(-1)
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		f.respondError(w, path, http.StatusMethodNotAllowed,
