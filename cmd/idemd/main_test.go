@@ -11,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"idemproc/internal/metrics"
 )
 
 // launch runs realMain in a goroutine against a fresh port and waits
@@ -67,7 +69,8 @@ func postJSON(t *testing.T, addr, path, body string) []byte {
 	return b
 }
 
-// scrapeCounter reads one counter from /metrics.
+// scrapeCounter reads one unlabelled series from /metrics. A page that
+// does not parse, or lacks the series, fails the test.
 func scrapeCounter(t *testing.T, addr, name string) int64 {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/metrics")
@@ -75,16 +78,18 @@ func scrapeCounter(t *testing.T, addr, name string) int64 {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	for _, line := range strings.Split(string(b), "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			var n int64
-			fmt.Sscanf(v, "%d", &n)
-			return n
-		}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d", resp.StatusCode)
 	}
-	t.Fatalf("metric %s not exposed", name)
-	return 0
+	m, err := metrics.Parse(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	v, ok := m[name]
+	if !ok {
+		t.Fatalf("metric %s not exposed", name)
+	}
+	return int64(v)
 }
 
 // artifactPaths lists the .art files under dir.
