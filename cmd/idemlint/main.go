@@ -8,9 +8,9 @@
 //
 // The linter flags every `range` over a map inside the pass packages
 // (internal/{ssa,cfg,dataflow,alias,redelim,multicut,regalloc,codegen,core}),
-// the translation validator (internal/verify) and the simulator side
-// (internal/{machine,limit,experiments,fault}) whose body writes an
-// order-sensitive sink:
+// the translation validator (internal/verify), the simulator side
+// (internal/{machine,limit,experiments,fault}) and the /metrics renderer
+// (internal/metrics) whose body writes an order-sensitive sink:
 //
 //   - appends to a slice declared outside the loop,
 //   - builds a string (+=, or Write* on a strings.Builder/bytes.Buffer
@@ -47,14 +47,15 @@ import (
 // defaultTargets are the compiler-pass packages whose output feeds the
 // deterministic build contract (docs/determinism: same module, same
 // options, same instruction stream), the validator whose verdicts on
-// that output must be just as reproducible, and the simulator side
-// whose output feeds the machine digests and the figure tables.
+// that output must be just as reproducible, the simulator side whose
+// output feeds the machine digests and the figure tables, and the
+// /metrics renderer, whose pages must diff cleanly scrape to scrape.
 var defaultTargets = []string{
 	"internal/ssa", "internal/cfg", "internal/dataflow", "internal/alias",
 	"internal/redelim", "internal/multicut", "internal/regalloc",
 	"internal/codegen", "internal/core", "internal/verify",
 	"internal/machine", "internal/limit", "internal/experiments",
-	"internal/fault",
+	"internal/fault", "internal/metrics",
 }
 
 func main() {
