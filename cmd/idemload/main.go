@@ -9,7 +9,7 @@
 //	idemload -addr 127.0.0.1:7777 -concurrency 32 -requests 2000
 //	idemload -addr $(cat /tmp/idemd.addr) -repeat 2 \
 //	    -assert 'idemd_buildcache_hits_total / idemd_buildcache_hits_total+idemd_buildcache_misses_total >= 0.5'
-//	idemload -addr ... -json BENCH_serve.json
+//	idemload -addr ... -json summary.json
 //
 // Resilience and chaos: -retries enables idempotence-justified
 // re-execution through internal/resilience, and -chaos-seed
@@ -92,7 +92,7 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		repeat       = fs.Int("repeat", 1, "passes to run; all passes must produce the same digest")
 		mix          = fs.String("mix", "45,40,15", "compile,simulate,batch weight percentages")
 		timeout      = fs.Duration("timeout", 60*time.Second, "per-request client timeout")
-		jsonOut      = fs.String("json", "", "write the benchmark summary to this file (BENCH_serve.json)")
+		jsonOut      = fs.String("json", "", "write the run summary to this file")
 		sweepAll     = fs.Bool("sweep-compiles", false, "before the seeded passes, POST /v1/compile once per built-in workload (paper-default options); every swept response must report verified=true, so run it against idemd -verify-mode full")
 		quiet        = fs.Bool("quiet", false, "suppress the per-pass progress line")
 
@@ -273,23 +273,10 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 				"jobs_resumed":       count(c, "jobs_resumed_total"),
 				"jobs_resumed_units": count(c, "jobs_resumed_units_total"),
 			}
-			checked := count(c, "verify_checked_total")
 			summary["verify"] = map[string]any{
-				"checked":            checked,
+				"checked":            count(c, "verify_checked_total"),
 				"failed":             count(c, "verify_failed_total"),
 				"rejected_artifacts": count(c, "verify_rejected_artifacts_total"),
-			}
-			// verify_ns is the bench guard's cost ledger: total wall time
-			// the daemon spent inside the translation validator and the
-			// per-check average (scripts/bench_serve.sh, docs/verify.md).
-			nanos := count(c, "verify_nanos_total")
-			perCheck := int64(0)
-			if checked > 0 {
-				perCheck = nanos / checked
-			}
-			summary["verify_ns"] = map[string]any{
-				"total":     nanos,
-				"per_check": perCheck,
 			}
 		}
 		if jobsRes != nil {

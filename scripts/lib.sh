@@ -1,6 +1,6 @@
-# lib.sh — plumbing shared by the process-level smokes and
-# bench_serve.sh. Source it from the repository root after `set -eu`
-# and after setting $name, the log prefix:
+# lib.sh — plumbing shared by the process-level smokes. Source it from
+# the repository root after `set -eu` and after setting $name, the log
+# prefix:
 #
 #   name=serve-smoke
 #   . "$(dirname "$0")/lib.sh"
