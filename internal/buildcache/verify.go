@@ -104,10 +104,10 @@ func (c *Cache) verifyFresh(key Key) bool {
 }
 
 // runVerify checks p against the §2.1 criterion, maintaining the checked
-// counter and the cost ledger (verifyNanos feeds the BENCH_serve.json
-// verify_ns section). It returns nil when there is nothing to check:
-// relaxed-alloc builds legitimately violate the register constraint, and
-// markless programs carry no recovery contract.
+// counter and the cost ledger (verifyNanos, exported as
+// idemd_verify_nanos_total). It returns nil when there is nothing to
+// check: relaxed-alloc builds legitimately violate the register
+// constraint, and markless programs carry no recovery contract.
 func (c *Cache) runVerify(p *codegen.Program, mo codegen.ModuleOptions) *verify.Report {
 	if p == nil || p.Marks == 0 || mo.RelaxedAlloc {
 		return nil
