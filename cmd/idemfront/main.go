@@ -56,19 +56,16 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 	fs := flag.NewFlagSet("idemfront", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr             = fs.String("addr", "127.0.0.1:7700", "listen address (host:port; port 0 picks a free port)")
-		addrFile         = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts with -addr :0)")
-		backends         = fs.String("backends", "", "comma-separated idemd replica addresses (host:port); required")
-		healthInterval   = fs.Duration("health-interval", 250*time.Millisecond, "how often each backend's /readyz is probed")
-		reqTimeout       = fs.Duration("request-timeout", 60*time.Second, "per-request deadline at the front, spanning all failover attempts (negative disables)")
-		retries          = fs.Int("retries", 1, "per-backend retry budget before failing over to the next ring owner")
-		breakerThreshold = fs.Int("breaker-threshold", 4, "consecutive failures that open a backend's circuit breaker (0 disables)")
-		maxJobs          = fs.Int("max-jobs", 64, "bound on the front-side async job table (/v1/jobs); excess submissions are shed with 429")
-		jobTTL           = fs.Duration("job-ttl", 10*time.Minute, "how long a finished front job stays queryable before it is reaped")
-		seed             = fs.Uint64("seed", 1, "seed for the deterministic retry-jitter streams")
-		drainTimeout     = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before abandoning them")
-		pprofAddr        = fs.String("pprof-addr", "", "serve net/http/pprof on this side listener (host:port; port 0 picks a free port; empty = off)")
-		quiet            = fs.Bool("quiet", false, "suppress lifecycle log lines")
+		addr           = fs.String("addr", "127.0.0.1:7700", "listen address (host:port; port 0 picks a free port)")
+		addrFile       = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts with -addr :0)")
+		backends       = fs.String("backends", "", "comma-separated idemd replica addresses (host:port); required")
+		healthInterval = fs.Duration("health-interval", 250*time.Millisecond, "how often each backend's /readyz is probed")
+		reqTimeout     = fs.Duration("request-timeout", 60*time.Second, "per-request deadline at the front, spanning all failover attempts (negative disables)")
+		maxJobs        = fs.Int("max-jobs", 64, "bound on the front-side async job table (/v1/jobs); excess submissions are shed with 429")
+		jobTTL         = fs.Duration("job-ttl", 10*time.Minute, "how long a finished front job stays queryable before it is reaped")
+		drainTimeout   = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before abandoning them")
+		pprofAddr      = fs.String("pprof-addr", "", "serve net/http/pprof on this side listener (host:port; port 0 picks a free port; empty = off)")
+		quiet          = fs.Bool("quiet", false, "suppress lifecycle log lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -94,15 +91,12 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 		cfgLogf = func(string, ...any) {}
 	}
 	front, err := shard.New(shard.Config{
-		Backends:         reps,
-		HealthInterval:   *healthInterval,
-		RequestTimeout:   *reqTimeout,
-		Retries:          *retries,
-		BreakerThreshold: *breakerThreshold,
-		MaxJobs:          *maxJobs,
-		JobTTL:           *jobTTL,
-		Seed:             *seed,
-		Logf:             cfgLogf,
+		Backends:       reps,
+		HealthInterval: *healthInterval,
+		RequestTimeout: *reqTimeout,
+		MaxJobs:        *maxJobs,
+		JobTTL:         *jobTTL,
+		Logf:           cfgLogf,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "idemfront: %v\n", err)

@@ -104,7 +104,6 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		verifyBatch = fs.Bool("verify-batch", false, "with -jobs, POST the same units to /v1/batch and assert the reconstructed job results are byte-identical")
 
 		retries    = fs.Int("retries", 0, "re-execute failed requests up to this many times (safe: responses are idempotent)")
-		breakerThr = fs.Int("breaker-threshold", 8, "open the retry circuit breaker after this many consecutive failures (0 disables)")
 		chaosSeed  = fs.Uint64("chaos-seed", 0, "interpose a seeded fault-injection proxy (0 disables)")
 		chaosRates = fs.String("chaos-rates", "10,6,6,6", "latency,error500,reset,truncate fault percentages for -chaos-seed")
 	)
@@ -194,11 +193,7 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 	client := &http.Client{Timeout: *timeout}
 	var rc *resilience.Client
 	if *retries > 0 {
-		rc = resilience.NewClient(resilience.Policy{
-			MaxRetries:       *retries,
-			Seed:             *seed,
-			BreakerThreshold: *breakerThr,
-		})
+		rc = resilience.NewClient(resilience.Policy{MaxRetries: *retries, Seed: *seed})
 	}
 
 	// One scrape serves both the -assert gates and the -json summary, so
@@ -421,8 +416,7 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 	}
 	if rc != nil && !*quiet {
 		s := rc.Counters()
-		fmt.Fprintf(stdout, "resilience: %d attempts, %d retries, %d breaker opens\n",
-			s.Attempts, s.Retries, s.BreakerOpens)
+		fmt.Fprintf(stdout, "resilience: %d attempts, %d retries\n", s.Attempts, s.Retries)
 	}
 	if proxy != nil && !*quiet {
 		c := proxy.Counters()

@@ -68,7 +68,6 @@ type Job struct {
 	// all pollers/streamers at once (a broadcast).
 	progress chan struct{}
 	jr       *journal
-	onCancel func()
 	resumed  int // units preloaded from the journal on recovery
 }
 
@@ -185,15 +184,11 @@ func (j *Job) doCancel() bool {
 	j.doneAt = time.Now()
 	jr := j.jr
 	j.jr = nil
-	onCancel := j.onCancel
 	j.broadcast()
 	j.mu.Unlock()
 
 	j.cancel()
 	jr.remove()
-	if onCancel != nil {
-		go onCancel()
-	}
 	j.m.canceled.Add(1)
 	return true
 }

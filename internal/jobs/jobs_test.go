@@ -247,7 +247,7 @@ func TestCancelStopsJobAndRemovesJournal(t *testing.T) {
 
 func TestDeliverDuplicateAndOutOfRangeIgnored(t *testing.T) {
 	m := newTestManager(t, Config{}, nil)
-	j, err := m.Track(2, nil)
+	j, err := m.Track(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestDeliverDuplicateAndOutOfRangeIgnored(t *testing.T) {
 
 func TestTrackFailWakesWaiters(t *testing.T) {
 	m := newTestManager(t, Config{}, nil)
-	j, err := m.Track(3, nil)
+	j, err := m.Track(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,20 +295,20 @@ func TestTrackFailWakesWaiters(t *testing.T) {
 
 func TestTableBoundAndReap(t *testing.T) {
 	m := newTestManager(t, Config{MaxJobs: 2, TTL: 30 * time.Millisecond}, nil)
-	j1, err := m.Track(1, nil)
+	j1, err := m.Track(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Track(1, nil); err != nil {
+	if _, err := m.Track(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Track(1, nil); err != ErrTableFull {
+	if _, err := m.Track(1); err != ErrTableFull {
 		t.Fatalf("third Track err = %v, want ErrTableFull", err)
 	}
 	// Finish j1; after its TTL the next admit reaps it inline.
 	j1.Deliver(0, []byte("r"))
 	time.Sleep(50 * time.Millisecond)
-	if _, err := m.Track(1, nil); err != nil {
+	if _, err := m.Track(1); err != nil {
 		t.Fatalf("Track after TTL expiry err = %v", err)
 	}
 	if _, ok := m.Get(j1.ID()); ok {
@@ -499,7 +499,7 @@ func TestSubmitAfterStopRefused(t *testing.T) {
 
 func TestStopWakesPollersAndStreamers(t *testing.T) {
 	m := NewManager(Config{}, nil, nil)
-	j, err := m.Track(2, nil)
+	j, err := m.Track(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestJobIDsUnique(t *testing.T) {
 	m := newTestManager(t, Config{MaxJobs: 128}, nil)
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		j, err := m.Track(1, nil)
+		j, err := m.Track(1)
 		if err != nil {
 			t.Fatal(err)
 		}

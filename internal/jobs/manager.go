@@ -202,10 +202,10 @@ func (m *Manager) Submit(body []byte, units []json.RawMessage) (*Job, error) {
 }
 
 // Track creates an externally fed job: the caller delivers results via
-// Job.Deliver and finalizes with Fail if it must give up. onCancel, if
-// set, runs (in its own goroutine) when the job is canceled — the front
-// tier fans the cancel out to its per-replica sub-jobs there.
-func (m *Manager) Track(units int, onCancel func()) (*Job, error) {
+// Job.Deliver and finalizes with Fail if it must give up. A cancel
+// reaches the feeders through Job.Context: the front tier's mergers run
+// under it and release their per-replica sub-jobs when it is done.
+func (m *Manager) Track(units int) (*Job, error) {
 	if units <= 0 {
 		return nil, errors.New("jobs: units must be positive")
 	}
@@ -213,7 +213,6 @@ func (m *Manager) Track(units int, onCancel func()) (*Job, error) {
 	defer m.mu.Unlock()
 	id := m.newID()
 	j := newJob(m, id, units)
-	j.onCancel = onCancel
 	if err := m.admit(id, j); err != nil {
 		j.cancel()
 		return nil, err

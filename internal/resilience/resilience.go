@@ -1,6 +1,6 @@
 // Package resilience implements safe re-execution over the idemd API:
-// seeded-deterministic retries with exponential backoff, server-scheduled
-// Retry-After, and a circuit breaker around overload.
+// seeded-deterministic retries with exponential backoff and
+// server-scheduled Retry-After.
 //
 // Retries are justified by the same property the paper exploits at
 // region granularity: idempotence. Every /v1/* response is a
@@ -21,10 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// ErrBreakerOpen is returned when the circuit breaker gives up: the
-// cooldown was waited out repeatedly and the probe kept failing.
-var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 
 // RetryAfterError marks an attempt outcome that carries the server's own
 // backoff schedule (a Retry-After header on a 429 shed). Attempts wrap
@@ -71,37 +67,21 @@ func ParseRetryAfter(v string) (time.Duration, bool) {
 	return time.Duration(sec) * time.Second, true
 }
 
+// The first retry waits about baseBackoff; each retry doubles the delay
+// up to maxBackoff.
+const (
+	baseBackoff = 5 * time.Millisecond
+	maxBackoff  = time.Second
+)
+
 // Policy configures a Client. The zero value means "no resilience":
-// one attempt, no breaker.
+// one attempt.
 type Policy struct {
 	// MaxRetries is the number of re-executions after the first attempt
 	// (0 = fail on first error).
 	MaxRetries int
-	// BaseBackoff is the first retry delay; each retry doubles it up to
-	// MaxBackoff. Defaults 5ms / 1s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Seed drives the deterministic jitter stream.
 	Seed uint64
-	// BreakerThreshold opens the circuit after this many consecutive
-	// retryable failures (0 = breaker disabled).
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before letting
-	// one probe through (default 250ms).
-	BreakerCooldown time.Duration
-}
-
-func (p Policy) withDefaults() Policy {
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 5 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = time.Second
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = 250 * time.Millisecond
-	}
-	return p
 }
 
 // Attempt performs one execution of a request and reports the HTTP
@@ -121,19 +101,15 @@ type Result struct {
 type Counters struct {
 	attempts          atomic.Int64
 	retries           atomic.Int64
-	shortCircuits     atomic.Int64
 	failures          atomic.Int64
 	retryAfterHonored atomic.Int64
 }
 
 // Snapshot is a point-in-time copy of a Client's counters.
 type Snapshot struct {
-	Attempts      int64  `json:"attempts"`
-	Retries       int64  `json:"retries"`
-	ShortCircuits int64  `json:"short_circuits"`
-	Failures      int64  `json:"failures"`
-	BreakerOpens  int64  `json:"breaker_opens"`
-	BreakerState  string `json:"breaker_state"`
+	Attempts int64 `json:"attempts"`
+	Retries  int64 `json:"retries"`
+	Failures int64 `json:"failures"`
 	// RetryAfterHonored counts retry sleeps whose duration came from a
 	// server Retry-After hint instead of the jittered backoff curve.
 	RetryAfterHonored int64 `json:"retry_after_honored"`
@@ -142,7 +118,6 @@ type Snapshot struct {
 // Client executes Attempts under a Policy. Safe for concurrent use.
 type Client struct {
 	policy   Policy
-	breaker  *breaker
 	counters Counters
 	// sleep is swappable for tests; it must honor ctx.
 	sleep func(ctx context.Context, d time.Duration) error
@@ -150,42 +125,17 @@ type Client struct {
 
 // NewClient builds a client for the policy.
 func NewClient(p Policy) *Client {
-	p = p.withDefaults()
-	c := &Client{policy: p, sleep: sleepCtx}
-	if p.BreakerThreshold > 0 {
-		c.breaker = newBreaker(p.BreakerThreshold, p.BreakerCooldown)
-	}
-	return c
-}
-
-// Ready reports whether the client would admit a request immediately:
-// no breaker configured, breaker closed or half-open, or an open
-// breaker whose cooldown has elapsed (the next Do becomes the probe).
-// A front tier routing across replicas uses this to prefer a backend
-// it will not have to sleep for — failing over beats waiting out a
-// cooldown when any replica can compute any key.
-func (c *Client) Ready() bool {
-	if c.breaker == nil {
-		return true
-	}
-	return c.breaker.ready()
+	return &Client{policy: p, sleep: sleepCtx}
 }
 
 // Counters snapshots the client's activity.
 func (c *Client) Counters() Snapshot {
-	s := Snapshot{
+	return Snapshot{
 		Attempts:          c.counters.attempts.Load(),
 		Retries:           c.counters.retries.Load(),
-		ShortCircuits:     c.counters.shortCircuits.Load(),
 		Failures:          c.counters.failures.Load(),
 		RetryAfterHonored: c.counters.retryAfterHonored.Load(),
-		BreakerState:      "disabled",
 	}
-	if c.breaker != nil {
-		s.BreakerOpens = c.breaker.Opens()
-		s.BreakerState = c.breaker.State()
-	}
-	return s
 }
 
 // retryable reports whether a round outcome justifies re-execution:
@@ -217,9 +167,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // deterministic jitter in [d/2, d) drawn from the (seed, key, try)
 // splitmix64 stream.
 func (c *Client) backoff(key uint64, try int) time.Duration {
-	d := c.policy.BaseBackoff << (try - 1)
-	if d > c.policy.MaxBackoff || d <= 0 {
-		d = c.policy.MaxBackoff
+	d := baseBackoff << (try - 1)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	x := mix(mix(c.policy.Seed^key) + uint64(try))
 	half := uint64(d) / 2
@@ -242,47 +192,12 @@ func mix(z uint64) uint64 {
 // response, the retry budget is exhausted, or ctx is done. key names the
 // request for the deterministic jitter stream (idemload passes the
 // request index).
-//
-// Breaker short-circuits do not consume the retry budget: an open
-// breaker delays the round until the cooldown admits a probe, so a
-// burst of faults cannot turn into spurious permanent failures. The
-// wait is bounded by ctx and a generous short-circuit cap.
 func (c *Client) Do(ctx context.Context, key uint64, attempt Attempt) (Result, error) {
 	var res Result
-	const maxShortCircuits = 64
-	shorted := 0
 	for try := 0; ; try++ {
-		// Admission: wait out an open breaker rather than burning a try.
-		for c.breaker != nil {
-			wait, ok := c.breaker.allow()
-			if ok {
-				break
-			}
-			shorted++
-			c.counters.shortCircuits.Add(1)
-			if shorted > maxShortCircuits {
-				c.counters.failures.Add(1)
-				return res, fmt.Errorf("%w after %d waits", ErrBreakerOpen, shorted)
-			}
-			if err := c.sleep(ctx, wait); err != nil {
-				c.counters.failures.Add(1)
-				return res, err
-			}
-		}
-
 		c.counters.attempts.Add(1)
 		status, body, err := attempt(ctx)
 		res.Attempts++
-		ok := err == nil && status < 400
-		if c.breaker != nil {
-			// Only retryable outcomes count against the breaker: a 400 is
-			// the caller's bug, not server sickness.
-			if ok || !retryable(status, err) {
-				c.breaker.record(true)
-			} else {
-				c.breaker.record(false)
-			}
-		}
 		if err == nil && !retryable(status, err) {
 			// Success, or a non-retryable response returned as-is.
 			res.Status, res.Body = status, body
@@ -296,8 +211,8 @@ func (c *Client) Do(ctx context.Context, key uint64, attempt Attempt) (Result, e
 			c.counters.failures.Add(1)
 			// The last round's status/body are surfaced either way:
 			// callers distinguishing "server said 429" from "transport
-			// died" (the front tier's health markdown) must not read a
-			// zero status just because the error happens to be wrapped.
+			// died" must not read a zero status just because the error
+			// happens to be wrapped.
 			res.Status, res.Body = status, body
 			if err != nil {
 				return res, fmt.Errorf("resilience: %d attempt(s) failed: %w", try+1, err)

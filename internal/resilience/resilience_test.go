@@ -69,23 +69,23 @@ func TestNonRetryable4xxReturnsImmediately(t *testing.T) {
 }
 
 func TestDeterministicBackoff(t *testing.T) {
-	p := Policy{MaxRetries: 5, Seed: 42, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second}
+	p := Policy{MaxRetries: 5, Seed: 42}
 	a, b := NewClient(p), NewClient(p)
-	for try := 1; try <= 5; try++ {
+	for try := 1; try <= 10; try++ {
 		da, db := a.backoff(9, try), b.backoff(9, try)
 		if da != db {
 			t.Fatalf("try %d: %v vs %v — backoff not seed-deterministic", try, da, db)
 		}
-		base := p.BaseBackoff << (try - 1)
-		if base > p.MaxBackoff {
-			base = p.MaxBackoff
+		base := baseBackoff << (try - 1)
+		if base > maxBackoff {
+			base = maxBackoff
 		}
 		if da < base/2 || da >= base {
 			t.Errorf("try %d: jittered delay %v outside [%v, %v)", try, da, base/2, base)
 		}
 	}
 	// A different seed must produce a different schedule somewhere.
-	c := NewClient(Policy{MaxRetries: 5, Seed: 43, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second})
+	c := NewClient(Policy{MaxRetries: 5, Seed: 43})
 	diff := false
 	for try := 1; try <= 5; try++ {
 		if a.backoff(9, try) != c.backoff(9, try) {
@@ -94,91 +94,6 @@ func TestDeterministicBackoff(t *testing.T) {
 	}
 	if !diff {
 		t.Error("seeds 42 and 43 produced identical jitter schedules")
-	}
-}
-
-func TestBreakerLifecycle(t *testing.T) {
-	b := newBreaker(3, 100*time.Millisecond)
-	clock := time.Unix(0, 0)
-	b.now = func() time.Time { return clock }
-
-	if _, ok := b.allow(); !ok {
-		t.Fatal("closed breaker rejected a request")
-	}
-	b.record(false)
-	b.record(false)
-	if b.State() != "closed" {
-		t.Fatalf("state after 2 failures = %s", b.State())
-	}
-	b.record(false)
-	if b.State() != "open" || b.Opens() != 1 {
-		t.Fatalf("state after threshold = %s opens=%d", b.State(), b.Opens())
-	}
-	if wait, ok := b.allow(); ok || wait != 100*time.Millisecond {
-		t.Fatalf("open breaker: wait=%v ok=%v", wait, ok)
-	}
-
-	// Cooldown elapses: one probe admitted, half-open.
-	clock = clock.Add(150 * time.Millisecond)
-	if _, ok := b.allow(); !ok {
-		t.Fatal("cooldown elapsed but probe rejected")
-	}
-	if b.State() != "half-open" {
-		t.Fatalf("state = %s, want half-open", b.State())
-	}
-
-	// Probe fails: back to open immediately.
-	b.record(false)
-	if b.State() != "open" || b.Opens() != 2 {
-		t.Fatalf("failed probe: state=%s opens=%d", b.State(), b.Opens())
-	}
-
-	// Second probe succeeds: closed again, full threshold restored.
-	clock = clock.Add(150 * time.Millisecond)
-	if _, ok := b.allow(); !ok {
-		t.Fatal("second probe rejected")
-	}
-	b.record(true)
-	if b.State() != "closed" {
-		t.Fatalf("state after good probe = %s", b.State())
-	}
-}
-
-func TestBreakerShortCircuitDoesNotBurnRetries(t *testing.T) {
-	// Server is sick for the first 5 calls, then recovers. With the
-	// breaker opening at 2, the client must still converge to success
-	// without exhausting MaxRetries on short-circuits.
-	var calls atomic.Int64
-	attempt := func(context.Context) (int, []byte, error) {
-		if calls.Add(1) <= 5 {
-			return 503, nil, nil
-		}
-		return 200, []byte("recovered"), nil
-	}
-	// Real sleeps (tiny ones): the breaker cooldown is wall-clock, so an
-	// instant sleep would spin through the short-circuit cap instead of
-	// waiting out the cooldown.
-	c := NewClient(Policy{
-		MaxRetries:       8,
-		Seed:             1,
-		BaseBackoff:      100 * time.Microsecond,
-		MaxBackoff:       500 * time.Microsecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  2 * time.Millisecond,
-	})
-	res, err := c.Do(context.Background(), 1, attempt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != 200 {
-		t.Fatalf("status = %d", res.Status)
-	}
-	s := c.Counters()
-	if s.ShortCircuits == 0 {
-		t.Error("breaker never short-circuited despite opening")
-	}
-	if s.BreakerState != "closed" {
-		t.Errorf("final breaker state = %s", s.BreakerState)
 	}
 }
 
@@ -191,49 +106,13 @@ func TestContextCancellationStopsRetries(t *testing.T) {
 		}
 		return 500, nil, nil
 	}
-	c := NewClient(Policy{MaxRetries: 100, Seed: 1, BaseBackoff: time.Millisecond})
+	c := NewClient(Policy{MaxRetries: 100, Seed: 1})
 	_, err := c.Do(ctx, 1, attempt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if calls.Load() > 3 {
 		t.Errorf("kept retrying after cancellation: %d calls", calls.Load())
-	}
-}
-
-func TestReadyPeeksWithoutConsumingProbe(t *testing.T) {
-	c := NewClient(Policy{BreakerThreshold: 2, BreakerCooldown: 100 * time.Millisecond})
-	clock := time.Unix(0, 0)
-	c.breaker.now = func() time.Time { return clock }
-
-	if !c.Ready() {
-		t.Fatal("fresh breaker not ready")
-	}
-	c.breaker.record(false)
-	c.breaker.record(false)
-	if c.Ready() {
-		t.Fatal("open breaker within cooldown reported ready")
-	}
-	if c.breaker.State() != "open" {
-		t.Fatalf("state = %s after Ready peek, want open (peek must not mutate)", c.breaker.State())
-	}
-
-	clock = clock.Add(150 * time.Millisecond)
-	if !c.Ready() {
-		t.Fatal("cooldown elapsed but not ready")
-	}
-	// The peek must not consume the half-open probe slot.
-	if c.breaker.State() != "open" {
-		t.Fatalf("state = %s after Ready peek, want still open", c.breaker.State())
-	}
-	if _, ok := c.breaker.allow(); !ok {
-		t.Fatal("probe rejected after Ready peek")
-	}
-}
-
-func TestReadyWithoutBreaker(t *testing.T) {
-	if !NewClient(Policy{}).Ready() {
-		t.Fatal("breakerless client not ready")
 	}
 }
 
@@ -266,8 +145,8 @@ func TestRetryAfterHintHonored(t *testing.T) {
 func TestExhaustedBudgetSurfacesStatusWithError(t *testing.T) {
 	// A persistent 429 whose attempts carry an error (the RetryAfter
 	// wrapper) must still surface the status: callers that distinguish
-	// "server responded" from "transport died" — the front tier's
-	// health markdown — depend on Status != 0 here.
+	// "server responded" from "transport died" depend on Status != 0
+	// here.
 	attempt := func(context.Context) (int, []byte, error) {
 		return 429, []byte("shed"), &RetryAfterError{After: time.Millisecond}
 	}

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -23,7 +22,6 @@ import (
 
 	"idemproc/internal/buildcache"
 	"idemproc/internal/jobs"
-	"idemproc/internal/resilience"
 	"idemproc/internal/server"
 )
 
@@ -47,14 +45,6 @@ type Config struct {
 	// 256, the replica default). Larger batches are forwarded unsplit
 	// and rejected canonically by a replica.
 	MaxBatchUnits int
-	// Retries is the per-backend resilience retry budget (default 1);
-	// exhausting it fails the request over to the next ring owner.
-	Retries int
-	// BreakerThreshold opens a per-backend circuit breaker after this
-	// many consecutive retryable failures (default 4; <0 disables). An
-	// open breaker makes routing prefer the next owner instead of
-	// sleeping out the cooldown.
-	BreakerThreshold int
 	// MaxJobs bounds the front-side job table (default 64). Each front
 	// job fans out per-owner sub-jobs to the replicas.
 	MaxJobs int
@@ -63,8 +53,6 @@ type Config struct {
 	JobTTL time.Duration
 	// JobPollMax caps one GET /v1/jobs/{id} long-poll (default 25s).
 	JobPollMax time.Duration
-	// Seed drives the deterministic retry-jitter streams.
-	Seed uint64
 	// Logf receives lifecycle and rebalance lines (default: discard).
 	Logf func(format string, args ...any)
 }
@@ -85,15 +73,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchUnits <= 0 {
 		c.MaxBatchUnits = 256
 	}
-	if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 4
-	}
-	if c.BreakerThreshold < 0 {
-		c.BreakerThreshold = 0
-	}
 	if c.JobPollMax <= 0 {
 		c.JobPollMax = 25 * time.Second
 	}
@@ -103,13 +82,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backend is one replica as the router sees it: its address, its
-// resilience client (retry/breaker state is per-backend) and the
+// backend is one replica as the router sees it: its address and the
 // router's current health belief.
 type backend struct {
 	id      string
 	base    string
-	rc      *resilience.Client
 	healthy atomic.Bool
 }
 
@@ -163,15 +140,7 @@ func New(cfg Config) (*Front, error) {
 		Logf:    cfg.Logf,
 	}, nil, nil)
 	for _, id := range ring.Replicas() {
-		b := &backend{
-			id:   id,
-			base: "http://" + id,
-			rc: resilience.NewClient(resilience.Policy{
-				MaxRetries:       cfg.Retries,
-				BreakerThreshold: cfg.BreakerThreshold,
-				Seed:             cfg.Seed ^ hash64(id),
-			}),
-		}
+		b := &backend{id: id, base: "http://" + id}
 		b.healthy.Store(true)
 		f.backends[id] = b
 	}
@@ -467,53 +436,36 @@ func strictUnmarshal(b []byte, v any) error {
 	return nil
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
 // ---------------------------------------------------------------------
 // Routing with failover.
 
 // route sends body to the key's ring owner, failing over down the
-// deterministic preference list when a backend cannot serve it:
-// unhealthy or breaker-open backends are deprioritized up front,
-// transport errors mark the backend out reactively, and 5xx responses
-// move on without touching health (the periodic probe decides). A
-// response below 500 — including a replica's canonical 4xx — ends the
-// search, and so does the caller's context expiring.
+// deterministic preference list when a backend cannot serve it. Each
+// candidate gets one send, healthy backends first. A transport error
+// marks the backend out reactively and moves on; a 5xx or a 429 moves on
+// without touching health (the periodic probe decides) and without
+// sleeping: re-sending to the next owner is the recovery, since any
+// replica computes the same bytes. Any other response, including a
+// replica's canonical 4xx, ends the search, and so does the caller's
+// context expiring.
 func (f *Front) route(ctx context.Context, path string, body []byte, key string) (int, []byte, error) {
 	prefs := f.ring.Owners(key)
-	var avail, rest []*backend
-	for _, id := range prefs {
-		b := f.backends[id]
-		if b.healthy.Load() && b.rc.Ready() {
-			avail = append(avail, b)
-		} else {
-			rest = append(rest, b)
-		}
-	}
-	cands := append(avail, rest...)
-
-	jitter := hash64(key)
+	cands := f.candidates(prefs)
 	var lastStatus int
 	var lastBody []byte
 	var lastErr error
-	sent := false
-	for _, b := range cands {
-		status, resp, err := f.send(ctx, b, path, body, jitter)
-		if err == nil && status < 500 {
+	for i, b := range cands {
+		status, resp, err := f.send(ctx, b, path, body)
+		if err == nil && status < 500 && status != http.StatusTooManyRequests {
 			if b.id != prefs[0] {
 				f.metrics.Failovers.Add(1)
 			}
 			return status, resp, nil
 		}
 		lastStatus, lastBody, lastErr = status, resp, err
-		if sent {
+		if i > 0 {
 			f.metrics.Failovers.Add(1)
 		}
-		sent = true
 		if err != nil && status == 0 {
 			// No HTTP response at all: the backend is unreachable. Mark it
 			// out now instead of waiting for the next probe.
@@ -524,22 +476,36 @@ func (f *Front) route(ctx context.Context, path string, body []byte, key string)
 		}
 	}
 	f.metrics.NoReplica.Add(1)
-	if lastStatus != 0 {
-		// Every backend answered with a 5xx; surface the last replica's
+	if lastErr == nil {
+		// The last backend answered, with a 5xx or a 429; surface its
 		// canonical error body rather than inventing one.
 		return lastStatus, lastBody, nil
 	}
 	return 0, nil, fmt.Errorf("all %d backends failed: %w", len(cands), lastErr)
 }
 
-// send runs one resilient request against one backend and records it.
-func (f *Front) send(ctx context.Context, b *backend, path string, body []byte, jitter uint64) (int, []byte, error) {
+// candidates orders a key's ring preference list for sending: healthy
+// backends first, then the rest as a last resort, each in ring order. A
+// dead replica is skipped without waiting for a timeout.
+func (f *Front) candidates(prefs []string) []*backend {
+	var healthy, rest []*backend
+	for _, id := range prefs {
+		b := f.backends[id]
+		if b.healthy.Load() {
+			healthy = append(healthy, b)
+		} else {
+			rest = append(rest, b)
+		}
+	}
+	return append(healthy, rest...)
+}
+
+// send posts body to one backend once and records the outcome.
+func (f *Front) send(ctx context.Context, b *backend, path string, body []byte) (int, []byte, error) {
 	start := time.Now()
-	res, err := b.rc.Do(ctx, jitter, func(ctx context.Context) (int, []byte, error) {
-		return post(ctx, f.client, b.base+path, body)
-	})
-	f.metrics.ObserveBackend(b.id, time.Since(start), err != nil || res.Status >= 500)
-	return res.Status, res.Body, err
+	status, resp, err := post(ctx, f.client, b.base+path, body)
+	f.metrics.ObserveBackend(b.id, time.Since(start), err != nil || status >= 500)
+	return status, resp, err
 }
 
 func post(ctx context.Context, client *http.Client, url string, body []byte) (int, []byte, error) {
@@ -556,17 +522,6 @@ func post(ctx context.Context, client *http.Client, url string, body []byte) (in
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return resp.StatusCode, nil, err
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		// A shedding replica schedules its own retry; surfacing the hint
-		// as an error lets the resilience layer sleep exactly that long
-		// instead of guessing (Do treats 429 as retryable either way).
-		if d, ok := resilience.ParseRetryAfter(resp.Header.Get("Retry-After")); ok {
-			return resp.StatusCode, b, &resilience.RetryAfterError{
-				After: d,
-				Err:   fmt.Errorf("status %d", resp.StatusCode),
-			}
-		}
 	}
 	return resp.StatusCode, b, nil
 }

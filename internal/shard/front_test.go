@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,6 +314,69 @@ func TestFrontSurvivesReplicaDeath(t *testing.T) {
 	}
 	if got := front.HealthyNow(); got != 2 {
 		t.Errorf("health loop sees %d healthy backends, want 2", got)
+	}
+}
+
+// TestFrontFailsOverWithoutRetrying: an owner that answers 503, or 429
+// with a Retry-After hint, gets the request exactly once. The front
+// re-sends it to the next owner at once instead of retrying the failing
+// one or sleeping out its hint; any replica's answer is the answer.
+func TestFrontFailsOverWithoutRetrying(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		status     int
+		retryAfter string
+	}{
+		{"503", http.StatusServiceUnavailable, ""},
+		{"429", http.StatusTooManyRequests, "1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hits atomic.Int64
+			stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/readyz" {
+					fmt.Fprintln(w, "ready")
+					return
+				}
+				hits.Add(1)
+				if tc.retryAfter != "" {
+					w.Header().Set("Retry-After", tc.retryAfter)
+				}
+				w.WriteHeader(tc.status)
+				fmt.Fprintln(w, `{"error":"stub"}`)
+			}))
+			t.Cleanup(stub.Close)
+			stubAddr := strings.TrimPrefix(stub.URL, "http://")
+			_, replicaAddr := newReplica(t)
+			front, frontURL := newFront(t, []string{stubAddr, replicaAddr}, nil)
+
+			var body []byte
+			for i := 0; i < 64 && body == nil; i++ {
+				req := server.CompileRequest{Source: srcVariant(i)}
+				if front.Ring().Owner(keyString(req.RouteKey())) == stubAddr {
+					body = mustJSON(t, &req)
+				}
+			}
+			if body == nil {
+				t.Fatal("no srcVariant in 64 is owned by the stub")
+			}
+
+			start := time.Now()
+			code, got := postBody(t, frontURL+"/v1/compile", body)
+			elapsed := time.Since(start)
+			wantCode, want := postBody(t, "http://"+replicaAddr+"/v1/compile", body)
+			if code != wantCode || !bytes.Equal(got, want) {
+				t.Fatalf("front (%d, %s) vs direct replica (%d, %s)", code, got, wantCode, want)
+			}
+			if n := hits.Load(); n != 1 {
+				t.Errorf("the failing owner got %d requests, want 1", n)
+			}
+			if elapsed >= time.Second {
+				t.Errorf("failover took %v, want under 1s", elapsed)
+			}
+			if n := front.Metrics().Failovers.Load(); n != 1 {
+				t.Errorf("failovers = %d, want 1", n)
+			}
+		})
 	}
 }
 

@@ -60,7 +60,7 @@ func (f *Front) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	for _, g := range groups {
 		total += len(g.indices)
 	}
-	j, err := f.jobs.Track(total, nil)
+	j, err := f.jobs.Track(total)
 	if err != nil {
 		if errors.Is(err, jobs.ErrTableFull) || errors.Is(err, jobs.ErrClosed) {
 			// Same shed contract as a replica: bounded table, retry hint.
@@ -135,7 +135,9 @@ func (f *Front) runGroup(j *jobs.Job, g *batchGroup) {
 		if len(remUnits) == 0 {
 			return
 		}
-		b := f.pickBackend(g.key, attempt)
+		// Consecutive attempts rotate replicas instead of hammering one.
+		cands := f.candidates(f.ring.Owners(g.key))
+		b := cands[attempt%len(cands)]
 		err := f.runSubJob(ctx, j, b, remUnits, remIdx, g.indices, delivered)
 		if err == nil {
 			return
@@ -148,24 +150,6 @@ func (f *Front) runGroup(j *jobs.Job, g *batchGroup) {
 		f.metrics.SubJobRetries.Add(1)
 	}
 	j.Fail(fmt.Sprintf("sub-batch failed on every replica: %v", lastErr))
-}
-
-// pickBackend walks the group's deterministic candidate list (healthy,
-// breaker-closed owners first) by attempt number, so consecutive
-// retries rotate replicas instead of hammering one.
-func (f *Front) pickBackend(key string, attempt int) *backend {
-	prefs := f.ring.Owners(key)
-	var avail, rest []*backend
-	for _, id := range prefs {
-		b := f.backends[id]
-		if b.healthy.Load() && b.rc.Ready() {
-			avail = append(avail, b)
-		} else {
-			rest = append(rest, b)
-		}
-	}
-	cands := append(avail, rest...)
-	return cands[attempt%len(cands)]
 }
 
 // runSubJob drives one sub-job on one replica to completion: submit,
