@@ -308,30 +308,3 @@ func selectInstr(f *ir.Func, v *ir.Value, vb *regalloc.VBlock,
 	}
 	return nil
 }
-
-// DebugCompile runs selection and allocation for f (already constructed:
-// cuts given) and returns the regalloc.DebugDump — a diagnostic entry
-// point used when investigating §4.4 behaviour.
-func DebugCompile(f *ir.Func, globalBase map[string]int64, cuts map[*ir.Value]bool) (string, error) {
-	ssa.Destruct(f)
-	f.Renumber()
-	for {
-		vf, posToIR, err := buildVF(f, cuts, globalBase)
-		if err != nil {
-			return "", err
-		}
-		as, err := regalloc.Allocate(vf, regalloc.Options{Idempotent: cuts != nil})
-		if viol, ok := err.(*regalloc.LiveInViolation); ok {
-			v := posToIR[viol.DefPos]
-			if v == nil || cuts[v] {
-				return "", fmt.Errorf("unrepairable %v", viol)
-			}
-			cuts[v] = true
-			continue
-		}
-		if err != nil {
-			return "", err
-		}
-		return regalloc.DebugDump(vf, as), nil
-	}
-}

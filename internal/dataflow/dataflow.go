@@ -1,6 +1,6 @@
 // Package dataflow provides the data-dependence analyses behind the
-// paper's region construction: liveness, instruction-level reachability,
-// and memory antidependence extraction (§2.1, §4.2.1).
+// paper's region construction: instruction-level reachability and
+// memory antidependence extraction (§2.1, §4.2.1).
 //
 // An antidependence is a write-after-read (WAR) pair. After the program
 // transformations of §4.1 (SSA conversion + redundancy elimination), the
@@ -123,162 +123,4 @@ func MemoryAntideps(f *ir.Func, ai *alias.Info, reach *Reach) []Antidep {
 		}
 	}
 	return out
-}
-
-// bitset is a dense bit vector keyed by ir.Value.ID. The liveness solver
-// used to iterate map[*ir.Value]bool sets, paying a hash and a heap node
-// per member per pass; 64-value words turn the transfer functions into
-// word-wide or/and-not operations.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (s bitset) has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// set sets bit i and reports whether it was newly set.
-func (s bitset) set(i int) bool {
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	if s[w]&m != 0 {
-		return false
-	}
-	s[w] |= m
-	return true
-}
-
-// orWith ors src into s, reporting whether s changed.
-func (s bitset) orWith(src bitset) bool {
-	changed := false
-	for w, x := range src {
-		if old := s[w]; old|x != old {
-			s[w] = old | x
-			changed = true
-		}
-	}
-	return changed
-}
-
-// orAndNotWith ors (src &^ mask) into s, reporting whether s changed.
-func (s bitset) orAndNotWith(src, mask bitset) bool {
-	changed := false
-	for w, x := range src {
-		if add := x &^ mask[w]; add != 0 {
-			if old := s[w]; old|add != old {
-				s[w] = old | add
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// Liveness holds per-block live-in/live-out sets of SSA values as dense
-// bitsets indexed by Block.Index and keyed by Value.ID. Query through
-// LiveIn/LiveOut/LiveAt.
-type Liveness struct {
-	liveIn  []bitset // indexed by Block.Index
-	liveOut []bitset
-}
-
-// ComputeLiveness runs backward liveness over f (which must be in SSA
-// form: each value defined once). φ arguments are treated as live-out of
-// the corresponding predecessor, per convention.
-func ComputeLiveness(f *ir.Func) *Liveness {
-	f.Renumber()
-	n := len(f.Blocks)
-	nv := f.NumValues()
-	lv := &Liveness{
-		liveIn:  make([]bitset, n),
-		liveOut: make([]bitset, n),
-	}
-	// use[b]: values used in b before any redefinition (SSA: no redefs);
-	// φ uses excluded (they belong to preds). def[b]: values defined in b.
-	use := make([]bitset, n)
-	def := make([]bitset, n)
-	for i := 0; i < n; i++ {
-		lv.liveIn[i] = newBitset(nv)
-		lv.liveOut[i] = newBitset(nv)
-		use[i] = newBitset(nv)
-		def[i] = newBitset(nv)
-	}
-	for _, b := range f.Blocks {
-		u, d := use[b.Index], def[b.Index]
-		for _, v := range b.Instrs {
-			if v.Op != ir.OpPhi {
-				for _, a := range v.Args {
-					if a != nil && !d.has(a.ID) {
-						u.set(a.ID)
-					}
-				}
-			}
-			if v.Defines() {
-				d.set(v.ID)
-			}
-		}
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for i := n - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			out := lv.liveOut[b.Index]
-			for _, s := range b.Succs {
-				if out.orWith(lv.liveIn[s.Index]) {
-					changed = true
-				}
-				// φ args incoming from b are live-out of b.
-				for pi, p := range s.Preds {
-					if p != b {
-						continue
-					}
-					for _, phi := range s.Phis() {
-						a := phi.Args[pi]
-						if a != nil && out.set(a.ID) {
-							changed = true
-						}
-					}
-				}
-			}
-			in := lv.liveIn[b.Index]
-			if in.orWith(use[b.Index]) {
-				changed = true
-			}
-			if in.orAndNotWith(out, def[b.Index]) {
-				changed = true
-			}
-		}
-	}
-	return lv
-}
-
-// LiveIn reports whether v is live on entry to b.
-func (lv *Liveness) LiveIn(b *ir.Block, v *ir.Value) bool {
-	return lv.liveIn[b.Index].has(v.ID)
-}
-
-// LiveOut reports whether v is live on exit from b.
-func (lv *Liveness) LiveOut(b *ir.Block, v *ir.Value) bool {
-	return lv.liveOut[b.Index].has(v.ID)
-}
-
-// LiveAt reports whether v is live immediately before instruction at in
-// block b (at is the block-local index).
-func (lv *Liveness) LiveAt(b *ir.Block, at int, v *ir.Value, pos Positions) bool {
-	// Defined before 'at' in b or live-in, and used at/after 'at' or
-	// live-out without redefinition (SSA: single def).
-	defBefore := v.Block == b && pos[v] < at
-	if !defBefore && !lv.liveIn[b.Index].has(v.ID) {
-		return false
-	}
-	for i := at; i < len(b.Instrs); i++ {
-		in := b.Instrs[i]
-		if in.Op == ir.OpPhi {
-			continue
-		}
-		for _, a := range in.Args {
-			if a == v {
-				return true
-			}
-		}
-	}
-	return lv.liveOut[b.Index].has(v.ID)
 }

@@ -194,64 +194,6 @@ d:
 	}
 }
 
-func TestLiveness(t *testing.T) {
-	src := `
-func @f(i64 %n) i64 {
-e:
-  %a = add %n, 1
-  %b = add %n, 2
-  br l
-l:
-  %i = phi [e: 0], [l: %i2]
-  %i2 = add %i, %a
-  %c = lt %i2, %n
-  condbr %c, l, d
-d:
-  %r = add %i2, %b
-  ret %r
-}
-`
-	m := ir.MustParse(src)
-	f := m.Func("f")
-	lv := ComputeLiveness(f)
-	blk := func(name string) *ir.Block {
-		for _, b := range f.Blocks {
-			if b.Name == name {
-				return b
-			}
-		}
-		return nil
-	}
-	v := func(n string) *ir.Value { return valueByName(f, n) }
-	l, d := blk("l"), blk("d")
-	if !lv.LiveIn(l, v("a")) {
-		t.Fatal("a must be live-in to loop")
-	}
-	if !lv.LiveIn(l, v("b")) {
-		t.Fatal("b must be live-in to loop (used after it)")
-	}
-	if !lv.LiveOut(l, v("i2")) {
-		t.Fatal("i2 must be live-out of loop (φ use + d use)")
-	}
-	if lv.LiveOut(d, v("r")) {
-		t.Fatal("nothing is live-out of the exit block")
-	}
-	if lv.LiveIn(d, v("a")) {
-		t.Fatal("a is dead after the loop")
-	}
-
-	pos := IndexPositions(f)
-	// b is live at the head of l.
-	if !lv.LiveAt(l, 0, v("b"), pos) {
-		t.Fatal("LiveAt: b live at loop head")
-	}
-	// n is live right before %c (used by it); a is live (loop back edge).
-	cPos := pos[v("c")]
-	if !lv.LiveAt(l, cPos, v("n"), pos) {
-		t.Fatal("LiveAt: n live before its use")
-	}
-}
-
 func TestEscapedAllocaAntidep(t *testing.T) {
 	// A pointer loaded from memory may point into an escaped alloca, so a
 	// store through it forms an antidep with a load of the alloca.

@@ -17,9 +17,7 @@ import (
 )
 
 // Engine runs experiment drivers over a bounded worker pool with a shared
-// content-keyed compile cache. All figure drivers are Engine methods; the
-// package-level functions of the same names are serial-engine wrappers
-// kept for convenience and API compatibility.
+// content-keyed compile cache. All figure drivers are Engine methods.
 //
 // Determinism contract: for a fixed workload list, every driver produces
 // byte-identical formatted output for any worker count. Work units are
@@ -62,10 +60,6 @@ func NewEngineWithCache(workers int, cache *buildcache.Cache) *Engine {
 
 // Cache returns the engine's compile cache.
 func (e *Engine) Cache() *buildcache.Cache { return e.cache }
-
-// defaultEngine returns the serial engine backing the package-level
-// wrapper functions.
-func defaultEngine() *Engine { return NewEngine(1) }
 
 // Workers reports the pool width.
 func (e *Engine) Workers() int { return e.workers }

@@ -104,9 +104,6 @@ type Fig4Result struct {
 	Clamped int
 }
 
-// Fig4 runs the limit study on a serial engine.
-func Fig4(ws []workloads.Workload) (*Fig4Result, error) { return defaultEngine().Fig4(ws) }
-
 // Fig4 runs the limit study over the given workloads (conventional
 // binaries, dynamic clobber tracking).
 func (e *Engine) Fig4(ws []workloads.Workload) (*Fig4Result, error) {
@@ -178,9 +175,6 @@ type Fig8Row struct {
 	FracUnder10, FracUnder100 float64
 }
 
-// Fig8 measures the path distributions on a serial engine.
-func Fig8(ws []workloads.Workload) ([]Fig8Row, error) { return defaultEngine().Fig8(ws) }
-
 // Fig8 measures the constructed binaries' dynamic path distributions.
 func (e *Engine) Fig8(ws []workloads.Workload) ([]Fig8Row, error) {
 	rows := make([]Fig8Row, len(ws))
@@ -249,9 +243,6 @@ type Fig9Result struct {
 	// Clamped counts degenerate rows clamped in the geomeans.
 	Clamped int
 }
-
-// Fig9 runs both measurements on a serial engine.
-func Fig9(ws []workloads.Workload) (*Fig9Result, error) { return defaultEngine().Fig9(ws) }
 
 // Fig9 runs both measurements. Both sub-studies share the engine's
 // compile cache, so the conventional and idempotent binaries are each
@@ -356,9 +347,6 @@ type Fig10Result struct {
 	// Clamped counts degenerate rows clamped in the geomeans.
 	Clamped int
 }
-
-// Fig10 measures the overheads on a serial engine.
-func Fig10(ws []workloads.Workload) (*Fig10Result, error) { return defaultEngine().Fig10(ws) }
 
 // Fig10 measures both binaries for every workload.
 func (e *Engine) Fig10(ws []workloads.Workload) (*Fig10Result, error) {
@@ -470,9 +458,6 @@ type Fig12Result struct {
 	// Clamped counts degenerate rows clamped in the geomeans.
 	Clamped int
 }
-
-// Fig12 measures the recovery overheads on a serial engine.
-func Fig12(ws []workloads.Workload) (*Fig12Result, error) { return defaultEngine().Fig12(ws) }
 
 // Fig12 builds and times all four configurations per workload.
 func (e *Engine) Fig12(ws []workloads.Workload) (*Fig12Result, error) {

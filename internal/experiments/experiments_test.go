@@ -153,7 +153,7 @@ func TestFig12Shape(t *testing.T) {
 
 func TestTable2AndCharacteristics(t *testing.T) {
 	ws := subset(t, "mcf", "povray")
-	rows, err := Table2(ws)
+	rows, err := NewEngine(1).Table2(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestTable2AndCharacteristics(t *testing.T) {
 	}
 	_ = experimentsFormatSmoke(FormatTable2(rows))
 
-	ch, err := Characteristics(ws)
+	ch, err := NewEngine(1).Characteristics(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,28 +188,28 @@ func TestFig11Renders(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	ws := subset(t, "bzip2")
-	lh, err := AblationLoopHeuristic(ws)
+	lh, err := NewEngine(1).AblationLoopHeuristic(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lh[0].On <= 0 || lh[0].Off <= 0 {
 		t.Fatalf("loop heuristic ablation degenerate: %+v", lh[0])
 	}
-	un, err := AblationUnroll(ws)
+	un, err := NewEngine(1).AblationUnroll(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if un[0].On < un[0].Off*0.5 {
 		t.Fatalf("unroll should not halve path lengths: %+v", un[0])
 	}
-	re, err := AblationRedElim(ws)
+	re, err := NewEngine(1).AblationRedElim(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if re[0].On > re[0].Off {
 		t.Fatalf("redundancy elimination must not add cuts: %+v", re[0])
 	}
-	ra, err := AblationRegalloc(ws)
+	ra, err := NewEngine(1).AblationRegalloc(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func experimentsFormatSmoke(s string) bool {
 
 func TestRegionSizeSweep(t *testing.T) {
 	w, _ := workloads.ByName("gcc")
-	pts, err := RegionSizeSweep(w, []int{0, 32, 8})
+	pts, err := NewEngine(1).RegionSizeSweep(w, []int{0, 32, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestRegionSizeSweep(t *testing.T) {
 
 func TestAblationPureCalls(t *testing.T) {
 	ws := subset(t, "sjeng", "blackscholes")
-	rows, err := AblationPureCalls(ws)
+	rows, err := NewEngine(1).AblationPureCalls(ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,6 @@ type Table2Row struct {
 	CutsPlaced      int
 }
 
-// Table2 analyses every workload on a serial engine.
-func Table2(ws []workloads.Workload) ([]Table2Row, error) { return defaultEngine().Table2(ws) }
-
 // Table2 analyses every workload statically.
 func (e *Engine) Table2(ws []workloads.Workload) ([]Table2Row, error) {
 	rows := make([]Table2Row, len(ws))
@@ -128,11 +125,6 @@ type AblationRow struct {
 	On, Off float64
 }
 
-// AblationLoopHeuristic runs the §4.3 ablation on a serial engine.
-func AblationLoopHeuristic(ws []workloads.Workload) ([]AblationRow, error) {
-	return defaultEngine().AblationLoopHeuristic(ws)
-}
-
 // AblationLoopHeuristic compares average dynamic path lengths with the
 // §4.3 loop-nesting heuristic on vs off.
 func (e *Engine) AblationLoopHeuristic(ws []workloads.Workload) ([]AblationRow, error) {
@@ -141,11 +133,6 @@ func (e *Engine) AblationLoopHeuristic(ws []workloads.Workload) ([]AblationRow, 
 		o.LoopHeuristic = on
 		return o
 	})
-}
-
-// AblationUnroll runs the §5 unroll ablation on a serial engine.
-func AblationUnroll(ws []workloads.Workload) ([]AblationRow, error) {
-	return defaultEngine().AblationUnroll(ws)
 }
 
 // AblationUnroll compares average dynamic path lengths with the §5 loop
@@ -187,12 +174,6 @@ func (e *Engine) pathLenAblation(ws []workloads.Workload, opt func(bool) core.Op
 	return rows, nil
 }
 
-// AblationRedElim runs the redundancy-elimination ablation on a serial
-// engine.
-func AblationRedElim(ws []workloads.Workload) ([]AblationRow, error) {
-	return defaultEngine().AblationRedElim(ws)
-}
-
 // AblationRedElim compares the number of memory antidependences the
 // region construction must cut with the Fig. 5 redundancy elimination on
 // vs off.
@@ -226,11 +207,6 @@ func (e *Engine) AblationRedElim(ws []workloads.Workload) ([]AblationRow, error)
 		return nil, err
 	}
 	return rows, nil
-}
-
-// AblationRegalloc runs the §4.4 ablation on a serial engine.
-func AblationRegalloc(ws []workloads.Workload) ([]AblationRow, error) {
-	return defaultEngine().AblationRegalloc(ws)
 }
 
 // AblationRegalloc isolates the §4.4 allocation constraint: same cuts and
@@ -301,11 +277,6 @@ type CharacteristicsRow struct {
 	SpillStores   int
 }
 
-// Characteristics runs the construction on a serial engine.
-func Characteristics(ws []workloads.Workload) ([]CharacteristicsRow, error) {
-	return defaultEngine().Characteristics(ws)
-}
-
 // Characteristics runs the construction on every workload.
 func (e *Engine) Characteristics(ws []workloads.Workload) ([]CharacteristicsRow, error) {
 	rows := make([]CharacteristicsRow, len(ws))
@@ -356,11 +327,6 @@ func FormatCharacteristics(rows []CharacteristicsRow) string {
 			r.Name, r.Suite, r.Functions, r.Instructions, r.Regions, r.Cuts, r.AvgRegionSize, r.SpillLoads, r.SpillStores)
 	}
 	return b.String()
-}
-
-// AblationPureCalls runs the pure-call ablation on a serial engine.
-func AblationPureCalls(ws []workloads.Workload) ([]AblationRow, error) {
-	return defaultEngine().AblationPureCalls(ws)
 }
 
 // AblationPureCalls measures the inter-procedural pure-call extension:

@@ -94,11 +94,6 @@ func RowFromCampaignFile(name string, path string) (ResilienceRow, error) {
 	return rowFromCampaign(name, suite, &res), nil
 }
 
-// Resilience runs the injection campaigns on a serial engine.
-func Resilience(ctx context.Context, ws []workloads.Workload, runs int, seed uint64) (*ResilienceResult, error) {
-	return defaultEngine().Resilience(ctx, ws, runs, seed)
-}
-
 // Resilience runs an all-models injection campaign of the given size for
 // every workload under every recovery scheme. Campaigns are seeded, so
 // two invocations with the same arguments produce identical tables.

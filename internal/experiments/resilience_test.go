@@ -24,7 +24,7 @@ func shrink(w workloads.Workload, d uint64) workloads.Workload {
 
 func TestResilienceTable(t *testing.T) {
 	ws := []workloads.Workload{shrink(subset(t, "blackscholes")[0], 4)}
-	res, err := Resilience(context.Background(), ws, 24, 99)
+	res, err := NewEngine(1).Resilience(context.Background(), ws, 24, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestResilienceTable(t *testing.T) {
 	}
 
 	// The table must be reproducible from its seed.
-	again, err := Resilience(context.Background(), ws, 24, 99)
+	again, err := NewEngine(1).Resilience(context.Background(), ws, 24, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRowFromCampaignFile(t *testing.T) {
 	// Round-trip: a campaign JSON aggregate written externally (e.g. by
 	// idemsim -json) folds into the same row as an in-process run.
 	ws := []workloads.Workload{shrink(subset(t, "blackscholes")[0], 4)}
-	res, err := Resilience(context.Background(), ws, 8, 7)
+	res, err := NewEngine(1).Resilience(context.Background(), ws, 8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

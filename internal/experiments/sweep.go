@@ -30,11 +30,6 @@ type SweepPoint struct {
 	ReexecCostPct float64
 }
 
-// RegionSizeSweep measures the trade-off curve on a serial engine.
-func RegionSizeSweep(w workloads.Workload, sizes []int) ([]SweepPoint, error) {
-	return defaultEngine().RegionSizeSweep(w, sizes)
-}
-
 // RegionSizeSweep measures the trade-off curve for one workload, fanning
 // the per-size build/run units out over the engine's pool.
 func (e *Engine) RegionSizeSweep(w workloads.Workload, sizes []int) ([]SweepPoint, error) {

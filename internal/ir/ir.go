@@ -16,7 +16,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -189,11 +188,6 @@ func (op Op) IsTerminator() bool {
 	return op == OpBr || op == OpCondBr || op == OpRet
 }
 
-// IsCmp reports whether op is an integer or float comparison.
-func (op Op) IsCmp() bool {
-	return op >= OpEq && op <= OpFGe
-}
-
 // HasSideEffects reports whether the instruction must be preserved even if
 // its result is unused (memory writes, calls, terminators).
 func (op Op) HasSideEffects() bool {
@@ -225,9 +219,6 @@ type Value struct {
 	// Aux holds the symbol name for OpGlobal and OpCall.
 	Aux string
 }
-
-// NumArgs returns len(v.Args).
-func (v *Value) NumArgs() int { return len(v.Args) }
 
 // Defines reports whether v defines a pseudoregister.
 func (v *Value) Defines() bool { return v.Type != Void }
@@ -471,10 +462,6 @@ func (f *Func) Renumber() {
 	}
 }
 
-// NumValues returns an upper bound on value IDs (for dense ID-indexed
-// side tables).
-func (f *Func) NumValues() int { return f.nextID }
-
 // RemoveUnreachable deletes blocks not reachable from the entry, patching
 // predecessor lists and φ arguments of surviving blocks.
 func (f *Func) RemoveUnreachable() {
@@ -567,9 +554,4 @@ func (m *Module) AddGlobal(name string, size int64, init []int64) *GlobalVar {
 	g := &GlobalVar{Name: name, Size: size, Init: init}
 	m.Globals = append(m.Globals, g)
 	return g
-}
-
-// SortFuncs orders functions by name, for deterministic output.
-func (m *Module) SortFuncs() {
-	sort.Slice(m.Funcs, func(i, j int) bool { return m.Funcs[i].Name < m.Funcs[j].Name })
 }
