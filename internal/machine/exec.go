@@ -231,9 +231,6 @@ func (m *Machine) exec(last int64) error {
 					m.justRecovered = false
 					reentry = true
 				} else if m.anyTaint() && m.Cfg.Recovery != RecoverNone {
-					if debugReconcile {
-						fmt.Printf("MARK-DETECT pc=%d fn=%s rp=%d consec=%d\n", pc, m.fn(), m.rp, m.consecBoundary)
-					}
 					if m.boundaryRecoverOrReconcile() {
 						m.Stats.Cycles = m.pipe.account(d)
 						continue
@@ -257,9 +254,6 @@ func (m *Machine) exec(last int64) error {
 			// DMR check: the redundant copy disagrees iff the value diverges
 			// from the golden mirror.
 			if m.tainted(d.rs1) {
-				if debugReconcile {
-					fmt.Printf("CHECK-DETECT pc=%d fn=%s reg=%v arch=%d golden=%d rp=%d seq=%d\n", pc, m.fn(), isa.Reg(d.rs1), int64(m.Regs[d.rs1]), int64(m.golden[d.rs1]), m.rp, m.Stats.DynInstrs)
-				}
 				if !m.recoverFault() {
 					return m.detectErr()
 				}
@@ -332,15 +326,6 @@ func (m *Machine) exec(last int64) error {
 			m.logPtr = int64(m.Regs[isa.RP])
 			if m.logPtr >= m.Cfg.LogBase+m.Cfg.LogWords {
 				if m.anyTaint() {
-					if debugReconcile {
-						fmt.Printf("WRAP-DETECT pc=%d fn=%s ckptPC=%d consec=%d:", pc, m.fn(), m.ckptPC, m.consecBoundary)
-						for i := range m.Regs {
-							if m.Regs[i] != m.golden[i] {
-								fmt.Printf(" r%d(a=%d g=%d)", i, int64(m.Regs[i]), int64(m.golden[i]))
-							}
-						}
-						fmt.Println()
-					}
 					if !m.boundaryRecoverOrReconcile() {
 						return m.detectErr()
 					}
@@ -383,15 +368,6 @@ func (m *Machine) boundaryRecoverOrReconcile() bool {
 	}
 	if m.consecBoundary >= 2 {
 		m.Stats.Reconciles++
-		if debugReconcile {
-			fmt.Printf("RECONCILE at pc=%d fn=%s:", m.PC, m.fn())
-			for i := range m.Regs {
-				if m.Regs[i] != m.golden[i] {
-					fmt.Printf(" %v(arch=%d golden=%d)", isa.Reg(i), int64(m.Regs[i]), int64(m.golden[i]))
-				}
-			}
-			fmt.Println()
-		}
 		m.reconcile()
 		m.lastRecoverPC = -1
 		m.consecBoundary = 0
@@ -504,6 +480,3 @@ func hasRs2(op isa.Op) bool {
 	}
 	return false
 }
-
-// debugReconcile enables reconcile diagnostics (tests may flip it).
-var debugReconcile = false

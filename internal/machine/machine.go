@@ -841,6 +841,3 @@ func (m *Machine) FloatRegs() []uint64 {
 	copy(out, m.Regs[isa.NumIntRegs:])
 	return out
 }
-
-// DebugReconcile toggles reconcile diagnostics (test hook).
-func DebugReconcile(on bool) { debugReconcile = on }
