@@ -48,14 +48,17 @@ import (
 // deterministic build contract (docs/determinism: same module, same
 // options, same instruction stream), the validator whose verdicts on
 // that output must be just as reproducible, the simulator side whose
-// output feeds the machine digests and the figure tables, and the
-// /metrics renderer, whose pages must diff cleanly scrape to scrape.
+// output feeds the machine digests and the figure tables, the /metrics
+// renderer, whose pages must diff cleanly scrape to scrape, and the
+// serving packages (idemd's handlers, the front tier, the job manager),
+// whose response and stream bytes are the byte-identity contract.
 var defaultTargets = []string{
 	"internal/ssa", "internal/cfg", "internal/dataflow", "internal/alias",
 	"internal/redelim", "internal/multicut", "internal/regalloc",
 	"internal/codegen", "internal/core", "internal/verify",
 	"internal/machine", "internal/limit", "internal/experiments",
 	"internal/fault", "internal/metrics",
+	"internal/server", "internal/shard", "internal/jobs",
 }
 
 func main() {
