@@ -49,7 +49,7 @@ serve-smoke: build
 	./scripts/serve_smoke.sh
 
 # chaos-smoke is the end-to-end resilience gate: the same seeded load,
-# but routed through the internal/chaos fault proxy (latency, 500s,
+# but routed through idemload's seeded fault proxy (latency, 500s,
 # connection resets, truncated bodies) with retries enabled. Idempotent
 # re-execution must absorb every injected fault: zero permanently failed
 # requests, and both passes must produce the same digest. See
@@ -108,14 +108,14 @@ fuzz:
 
 # The race detector multiplies runtime; race-fault covers the concurrent
 # components quickly (campaign engine, simulator, compile cache,
-# experiment engine, idemd service core and its metric series,
-# resilience/chaos layers and the cmd-level signal paths), race runs the
-# whole tree.
+# experiment engine, idemd service core and its metric series, the
+# front tier and job manager, and the cmd-level signal, retry and chaos
+# paths), race runs the whole tree.
 race-fault:
 	$(GO) test -race ./internal/fault/... ./internal/machine/... \
 		./internal/buildcache/... ./internal/experiments/... \
-		./internal/server/... ./internal/metrics/... ./internal/resilience/... \
-		./internal/chaos/... ./internal/shard/... ./internal/jobs/... \
+		./internal/server/... ./internal/metrics/... \
+		./internal/shard/... ./internal/jobs/... \
 		./cmd/idemd/... ./cmd/idemfront/... ./cmd/idemload/...
 
 race:

@@ -11,11 +11,10 @@
 //	    -assert 'idemd_buildcache_hits_total / idemd_buildcache_hits_total+idemd_buildcache_misses_total >= 0.5'
 //	idemload -addr ... -json summary.json
 //
-// Resilience and chaos: -retries enables idempotence-justified
-// re-execution through internal/resilience, and -chaos-seed
-// interposes a seeded internal/chaos fault proxy between the generator
-// and the daemon — together they run the end-to-end campaign that
-// docs/resilience.md describes: under injected transport faults the
+// Resilience and chaos: -retries re-sends failed requests (retry.go),
+// and -chaos-seed interposes a seeded fault proxy between the generator
+// and the daemon (chaos.go). Together they run the end-to-end campaign
+// that docs/resilience.md describes: under injected transport faults the
 // client must converge to the same digest a fault-free run produces.
 //
 //	idemload -addr ... -chaos-seed 7 -chaos-rates 10,6,6,6 -retries 8
@@ -63,8 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"idemproc/internal/chaos"
-	"idemproc/internal/resilience"
 	"idemproc/internal/server"
 	"idemproc/internal/workloads"
 )
@@ -165,35 +162,30 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 	// routed through the chaos proxy, so fault accounting and cache
 	// assertions see the servers' ground truth.
 	trafficBase := "http://" + *addr
-	var proxy *chaos.Proxy
+	var chaos *injector
 	if *chaosSeed != 0 {
 		rates, err := parseChaosRates(*chaosRates)
 		if err != nil {
 			fmt.Fprintf(stderr, "idemload: %v\n", err)
 			return 2
 		}
-		proxy, err = chaos.NewProxy(*addr, chaos.Config{
-			Seed:    *chaosSeed,
-			Default: rates,
-			// Keep the observation plane clean even if someone scrapes
-			// through the proxy.
-			PerPath: map[string]chaos.Rates{"/metrics": {}, "/healthz": {}, "/readyz": {}},
-		})
+		chaos = &injector{seed: *chaosSeed, rates: rates}
+		srv, proxyAddr, err := listenChaos(*addr, chaos)
 		if err != nil {
 			fmt.Fprintf(stderr, "idemload: %v\n", err)
 			return 1
 		}
-		defer proxy.Close()
-		trafficBase = "http://" + proxy.Addr()
+		defer srv.Close()
+		trafficBase = "http://" + proxyAddr
 		if !*quiet {
-			fmt.Fprintf(stdout, "chaos: proxy %s -> %s (seed %d, rates %s)\n", proxy.Addr(), *addr, *chaosSeed, *chaosRates)
+			fmt.Fprintf(stdout, "chaos: proxy %s -> %s (seed %d, rates %s)\n", proxyAddr, *addr, *chaosSeed, *chaosRates)
 		}
 	}
 
 	client := &http.Client{Timeout: *timeout}
-	var rc *resilience.Client
+	var rt *retrier
 	if *retries > 0 {
-		rc = resilience.NewClient(resilience.Policy{MaxRetries: *retries, Seed: *seed})
+		rt = newRetrier(*retries, *seed)
 	}
 
 	// One scrape serves both the -assert gates and the -json summary, so
@@ -300,12 +292,12 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 			reps = append(reps, m)
 		}
 		summary["replicas"] = reps
-		if rc != nil {
-			summary["resilience"] = rc.Counters()
+		if rt != nil {
+			summary["resilience"] = rt.counts()
 		}
-		if proxy != nil {
+		if chaos != nil {
 			summary["chaos"] = map[string]any{
-				"seed": *chaosSeed, "rates": *chaosRates, "injected": proxy.Counters(),
+				"seed": *chaosSeed, "rates": *chaosRates, "injected": chaos.counts(),
 			}
 		}
 		b, _ := json.MarshalIndent(summary, "", "  ")
@@ -373,7 +365,7 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 			completedPasses++
 		}
 	} else {
-		send := makeSender(client, trafficBase, rc)
+		send := makeSender(client, trafficBase, rt)
 		for pass := 0; pass < *repeat; pass++ {
 			res := runPass(ctx, send, *seed, *requests, *concurrency, weights)
 			last = res
@@ -414,12 +406,11 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		flush("digest mismatch against -expect-digest")
 		return 1
 	}
-	if rc != nil && !*quiet {
-		s := rc.Counters()
-		fmt.Fprintf(stdout, "resilience: %d attempts, %d retries\n", s.Attempts, s.Retries)
+	if rt != nil && !*quiet {
+		fmt.Fprintf(stdout, "resilience: %d attempts, %d retries\n", rt.attempts.Load(), rt.retries.Load())
 	}
-	if proxy != nil && !*quiet {
-		c := proxy.Counters()
+	if chaos != nil && !*quiet {
+		c := chaos.counts()
 		fmt.Fprintf(stdout, "chaos: injected %d latencies, %d errors, %d resets, %d truncations over %d requests\n",
 			c.Latencies, c.Errors500, c.Resets, c.Truncates, c.Requests)
 	}
@@ -499,20 +490,20 @@ func parseMix(s string) ([3]int, error) {
 }
 
 // parseChaosRates parses "latency,error500,reset,truncate" percentages.
-func parseChaosRates(s string) (chaos.Rates, error) {
+func parseChaosRates(s string) (faultRates, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 4 {
-		return chaos.Rates{}, fmt.Errorf("-chaos-rates wants four comma-separated percentages, got %q", s)
+		return faultRates{}, fmt.Errorf("-chaos-rates wants four comma-separated percentages, got %q", s)
 	}
 	var v [4]float64
 	for i, p := range parts {
 		n, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil || n < 0 || n > 100 {
-			return chaos.Rates{}, fmt.Errorf("-chaos-rates value %q must be a percentage in [0, 100]", p)
+			return faultRates{}, fmt.Errorf("-chaos-rates value %q must be a percentage in [0, 100]", p)
 		}
 		v[i] = n / 100
 	}
-	return chaos.Rates{Latency: v[0], Error500: v[1], Reset: v[2], Truncate: v[3]}, nil
+	return faultRates{latency: v[0], error500: v[1], reset: v[2], truncate: v[3]}, nil
 }
 
 // ---------------------------------------------------------------------
@@ -536,8 +527,6 @@ type passResult struct {
 // key is the request index, feeding the deterministic jitter stream.
 type sender func(ctx context.Context, key uint64, path string, body []byte) (int, []byte, error)
 
-// makeSender builds the pass's transport: a bare ctx-aware POST, or the
-// same POST wrapped in the resilience client when one is configured.
 // sweepCompiles posts one /v1/compile per built-in workload with the
 // paper-default options, sequentially in catalog order, and demands each
 // response carry verified=true — the end-to-end proof that a
@@ -578,17 +567,18 @@ func firstLine(b []byte) string {
 	return s
 }
 
-func makeSender(client *http.Client, base string, rc *resilience.Client) sender {
-	if rc == nil {
+// makeSender builds the pass's transport: a bare ctx-aware POST, or the
+// same POST behind the retrier when -retries is set.
+func makeSender(client *http.Client, base string, rt *retrier) sender {
+	if rt == nil {
 		return func(ctx context.Context, _ uint64, path string, body []byte) (int, []byte, error) {
 			return post(ctx, client, base+path, body)
 		}
 	}
 	return func(ctx context.Context, key uint64, path string, body []byte) (int, []byte, error) {
-		res, err := rc.Do(ctx, key, func(ctx context.Context) (int, []byte, error) {
+		return rt.do(ctx, key, func(ctx context.Context) (int, []byte, error) {
 			return post(ctx, client, base+path, body)
 		})
-		return res.Status, res.Body, err
 	}
 }
 
@@ -712,8 +702,18 @@ func post(ctx context.Context, client *http.Client, url string, body []byte) (in
 // (seed, index, weights): no global state, so passes and processes with
 // the same seed produce byte-identical request streams.
 
-// rng is splitmix64 — tiny, seedable, and stable across Go versions
-// (math/rand's stream is not part of its compatibility promise).
+// mix is one splitmix64 step: tiny, seedable, and stable across Go
+// versions (math/rand's stream is not part of its compatibility
+// promise). It drives the request mix, the retry jitter and the fault
+// rolls, so one seed namespace covers a campaign.
+func mix(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// rng is the splitmix64 generator over mix.
 type rng struct{ s uint64 }
 
 func newRNG(seed, index uint64) *rng {
@@ -723,11 +723,9 @@ func newRNG(seed, index uint64) *rng {
 }
 
 func (r *rng) next() uint64 {
+	v := mix(r.s)
 	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return v
 }
 
 // n returns a value in [0, bound).

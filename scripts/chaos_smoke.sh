@@ -1,7 +1,7 @@
 #!/bin/sh
 # chaos_smoke.sh — short seeded chaos campaign against a real idemd.
 #
-# Boots idemd, then runs idemload with the internal/chaos fault proxy
+# Boots idemd, then runs idemload with its seeded fault proxy
 # interposed (injected latency, 500s, connection resets, truncated
 # bodies) and retries enabled. Because every /v1/* response is an
 # idempotent function of its request, re-execution must fully absorb
