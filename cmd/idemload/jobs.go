@@ -77,8 +77,9 @@ type jobsCampaignResult struct {
 }
 
 // runJobsCampaign drives one job to completion. Every transient
-// failure retries under the progress budget; only a terminal job state
-// (canceled/failed), a vanished handle, or a dry budget is fatal.
+// failure (retryable) retries under the progress budget; an answer that
+// re-sending cannot fix, a terminal job state (canceled/failed), a
+// vanished handle, or a dry budget is fatal.
 func runJobsCampaign(ctx context.Context, client *http.Client, base string, body []byte,
 	stream bool, idFile string, quiet bool, stdout io.Writer) (jobsCampaignResult, error) {
 	var res jobsCampaignResult
@@ -96,6 +97,9 @@ func runJobsCampaign(ctx context.Context, client *http.Client, base string, body
 		}
 		if ctx.Err() != nil {
 			return res, ctx.Err()
+		}
+		if !retryable(status, err) {
+			return res, fmt.Errorf("submit: status %d: %s", status, firstLine(resp))
 		}
 		if time.Now().After(deadline) {
 			return res, fmt.Errorf("submit: no success within %s (last: status %d err %v)", jobProgressBudget, status, err)
@@ -156,6 +160,9 @@ func consumePolls(ctx context.Context, client *http.Client, base string, sub ser
 		if err != nil || status != http.StatusOK {
 			if status == http.StatusNotFound {
 				return lines, fmt.Errorf("job %s vanished: the journal did not survive the restart", sub.ID)
+			}
+			if !retryable(status, err) {
+				return lines, fmt.Errorf("job %s: poll: status %d: %s", sub.ID, status, firstLine(resp))
 			}
 			if time.Since(lastProgress) > jobProgressBudget {
 				return lines, fmt.Errorf("job %s: no progress within %s (last: status %d err %v)", sub.ID, jobProgressBudget, status, err)
@@ -219,10 +226,13 @@ func consumeStream(ctx context.Context, base string, sub server.SubmitResponse,
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
+			msg, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusNotFound {
 				return lines, fmt.Errorf("job %s vanished: the journal did not survive the restart", sub.ID)
+			}
+			if !retryable(resp.StatusCode, nil) {
+				return lines, fmt.Errorf("job %s: stream: status %d: %s", sub.ID, resp.StatusCode, firstLine(msg))
 			}
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -312,5 +313,26 @@ func TestMidRunFailureFlushesJSON(t *testing.T) {
 	}
 	if m["errors"].(float64) == 0 {
 		t.Error("errors = 0 in a failed run's summary")
+	}
+}
+
+// TestJobsStopsOnUnfixableAnswer: a job submit the daemon rejects with
+// a 4xx fails at once with the daemon's own message, instead of
+// re-sending for the whole progress budget.
+func TestJobsStopsOnUnfixableAnswer(t *testing.T) {
+	addr := startServer(t)
+	var stdout, stderr bytes.Buffer
+	start := time.Now()
+	code := realMain([]string{
+		"-addr", addr, "-jobs", "-job-units", "300", "-quiet",
+	}, &stdout, &stderr, nil)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1\nstderr: %s", code, stderr.String())
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("took %v to give up on a 400, want under 5s", d)
+	}
+	if !strings.Contains(stderr.String(), "batch exceeds 256 units") {
+		t.Errorf("stderr lacks the server's message:\n%s", stderr.String())
 	}
 }
