@@ -17,6 +17,7 @@ import (
 	"net/http/httputil"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,6 +267,60 @@ func TestFrontJobSurvivesReplicaDeath(t *testing.T) {
 	}
 	if n := f.Metrics().SubJobRetries.Load(); n < 1 {
 		t.Fatalf("expected at least one sub-job resubmission, got %d", n)
+	}
+}
+
+// TestFrontJobFailsOverInRingOrder: killing the owner of a one-unit
+// front job mid-poll resubmits the unit once, to the ring's second
+// owner, the replica route would send the same key to. The third owner
+// gets no submit.
+func TestFrontJobFailsOverInRingOrder(t *testing.T) {
+	var backends []string
+	listeners := map[string]*httptest.Server{}
+	servers := map[string]*server.Server{}
+	submits := map[string]*atomic.Int64{}
+	for i := 0; i < 3; i++ {
+		s := server.New(server.Config{MaxInFlight: 128, RequestTimeout: time.Minute, Workers: 1})
+		n := new(atomic.Int64)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+				n.Add(1)
+			}
+			s.Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		addr := strings.TrimPrefix(ts.URL, "http://")
+		backends = append(backends, addr)
+		listeners[addr], servers[addr], submits[addr] = ts, s, n
+	}
+	f, url := newFront(t, backends, nil)
+
+	req := &server.SimulateRequest{Source: slowVariant(0), Args: []uint64{1_000_000}}
+	owners := f.Ring().Owners(keyString(req.RouteKey()))
+	sub := submitFrontJob(t, url, mustJSON(t, &server.BatchRequest{Units: []server.BatchUnit{{Simulate: req}}}))
+
+	deadline := time.Now().Add(10 * time.Second)
+	for servers[owners[0]].Jobs().Stats().Active == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the owner never ran the sub-job")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	listeners[owners[0]].CloseClientConnections()
+	listeners[owners[0]].Close()
+
+	rep := pollFrontJob(t, url, sub.ID, 0, 20000)
+	if rep.State != "done" || len(rep.Results) != 1 {
+		t.Fatalf("job state %q with %d results (%s), want done with 1", rep.State, len(rep.Results), rep.Error)
+	}
+	if n := submits[owners[1]].Load(); n != 1 {
+		t.Errorf("second owner got %d sub-job submits, want 1", n)
+	}
+	if n := submits[owners[2]].Load(); n != 0 {
+		t.Errorf("third owner got %d sub-job submits, want 0", n)
+	}
+	if n := f.Metrics().SubJobRetries.Load(); n != 1 {
+		t.Errorf("sub-job retries = %d, want 1", n)
 	}
 }
 

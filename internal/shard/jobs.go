@@ -24,11 +24,6 @@ import (
 	"idemproc/internal/server"
 )
 
-// maxSubAttempts bounds how many times one sub-batch is (re)submitted
-// across the candidate list before the front job fails. Generous: a
-// rolling restart of every replica still converges well inside it.
-const maxSubAttempts = 8
-
 // subJobWait is the long-poll wait the mergers use against replicas.
 // The replica returns early on any progress; this only bounds how long
 // an idle poll parks.
@@ -115,15 +110,16 @@ func (f *Front) forwardUnsplittableJob(w http.ResponseWriter, ctx context.Contex
 // runGroup is one sub-batch's merger: submit the group's still-missing
 // units to a replica as a sub-job, long-poll its cursor, rewrite each
 // result's index back to the original batch position, and deliver it
-// into the front job. On any replica-side failure it resubmits only the
-// remaining units to the next candidate; after maxSubAttempts the whole
+// into the front job. Like route, it walks the key's ring owners once,
+// healthy ones first: after a replica-side failure only the undelivered
+// units go to the next owner, and once every owner has failed the whole
 // front job fails (partial output would not be byte-stable).
 func (f *Front) runGroup(j *jobs.Job, g *batchGroup) {
 	defer f.wg.Done()
 	ctx := j.Context()
 	delivered := make([]bool, len(g.indices))
 	var lastErr error
-	for attempt := 0; attempt < maxSubAttempts; attempt++ {
+	for i, b := range f.candidates(f.ring.Owners(g.key)) {
 		var remUnits []json.RawMessage
 		var remIdx []int
 		for k, d := range delivered {
@@ -135,19 +131,16 @@ func (f *Front) runGroup(j *jobs.Job, g *batchGroup) {
 		if len(remUnits) == 0 {
 			return
 		}
-		// Consecutive attempts rotate replicas instead of hammering one.
-		cands := f.candidates(f.ring.Owners(g.key))
-		b := cands[attempt%len(cands)]
-		err := f.runSubJob(ctx, j, b, remUnits, remIdx, g.indices, delivered)
-		if err == nil {
-			return
+		if i > 0 {
+			f.metrics.SubJobRetries.Add(1)
 		}
-		if ctx.Err() != nil {
-			// Front job canceled or front draining — not a replica fault.
+		err := f.runSubJob(ctx, j, b, remUnits, remIdx, g.indices, delivered)
+		if err == nil || ctx.Err() != nil {
+			// Done, or the front job was canceled or the front is
+			// draining: not a replica fault.
 			return
 		}
 		lastErr = err
-		f.metrics.SubJobRetries.Add(1)
 	}
 	j.Fail(fmt.Sprintf("sub-batch failed on every replica: %v", lastErr))
 }
