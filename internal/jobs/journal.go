@@ -187,8 +187,10 @@ type decodedJournal struct {
 // re-execution of units whose records were lost.
 func decodeJournal(data []byte) (*decodedJournal, error) {
 	rest := data
-	take := func(n int) ([]byte, bool) {
-		if len(rest) < n {
+	// take compares n with len(rest) before converting it: a corrupt
+	// length can exceed any int.
+	take := func(n uint64) ([]byte, bool) {
+		if uint64(len(rest)) < n {
 			return nil, false
 		}
 		b := rest[:n]
@@ -204,7 +206,7 @@ func decodeJournal(data []byte) (*decodedJournal, error) {
 		return v, true
 	}
 
-	if m, ok := take(len(journalMagic)); !ok || string(m) != journalMagic {
+	if m, ok := take(uint64(len(journalMagic))); !ok || string(m) != journalMagic {
 		return nil, fmt.Errorf("bad magic")
 	}
 	ver, ok := uvarint()
@@ -218,7 +220,7 @@ func decodeJournal(data []byte) (*decodedJournal, error) {
 	if !ok || idLen > 256 {
 		return nil, fmt.Errorf("truncated id")
 	}
-	idB, ok := take(int(idLen))
+	idB, ok := take(idLen)
 	if !ok {
 		return nil, fmt.Errorf("truncated id")
 	}
@@ -234,7 +236,7 @@ func decodeJournal(data []byte) (*decodedJournal, error) {
 	if !ok {
 		return nil, fmt.Errorf("truncated body checksum")
 	}
-	body, ok := take(int(bodyLen))
+	body, ok := take(bodyLen)
 	if !ok {
 		return nil, fmt.Errorf("truncated body")
 	}
@@ -261,7 +263,7 @@ func decodeJournal(data []byte) (*decodedJournal, error) {
 		if !ok {
 			break
 		}
-		payload, ok := take(int(plen))
+		payload, ok := take(plen)
 		if !ok {
 			break
 		}

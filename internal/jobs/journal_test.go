@@ -2,10 +2,40 @@ package jobs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
+
+// hugeBodyLength is a journal header whose body length is 2^64-1, which
+// turns negative as an int.
+func hugeBodyLength() []byte {
+	h := []byte(journalMagic)
+	h = binary.AppendUvarint(h, journalVersion)
+	h = binary.AppendUvarint(h, 2)
+	h = append(h, "jx"...)
+	h = binary.AppendUvarint(h, 1)
+	h = binary.AppendUvarint(h, math.MaxUint64)
+	h = append(h, make([]byte, sha256.Size)...)
+	return append(h, `{"units":[{}]}`...)
+}
+
+// hugeRecordLength is a valid journal with one intact record followed
+// by a record whose payload length is 2^64-1. It returns the journal
+// and the length of its intact prefix.
+func hugeRecordLength() ([]byte, int) {
+	data := encodeJournalHeader("jx", 2, []byte(`{"units":[{},{}]}`))
+	data = append(data, encodeRecord(0, []byte("good"))...)
+	intact := len(data)
+	data = binary.AppendUvarint(data, 1)
+	data = binary.AppendUvarint(data, math.MaxUint64)
+	data = append(data, make([]byte, sha256.Size)...)
+	return append(data, "tail"...), intact
+}
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -117,12 +147,62 @@ func TestJournalHeaderCorruptionIsError(t *testing.T) {
 	h := encodeJournalHeader("jx", 1, []byte(`{"units":[{}]}`))
 	h[len(h)-1] ^= 1
 	cases["body bitflip"] = h
+	cases["huge body length"] = hugeBodyLength()
 
 	for name, data := range cases {
 		if _, err := decodeJournal(data); err == nil {
 			t.Errorf("%s: decodeJournal succeeded, want error", name)
 		}
 	}
+}
+
+// TestJournalHugeRecordLengthEndsStream: a record length beyond the
+// file ends the record stream at that record and keeps the ones before.
+func TestJournalHugeRecordLengthEndsStream(t *testing.T) {
+	data, intact := hugeRecordLength()
+	dj, err := decodeJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dj.records) != 1 || dj.records[0].index != 0 || string(dj.records[0].payload) != "good" {
+		t.Fatalf("records = %+v, want only the intact one", dj.records)
+	}
+	if dj.goodLen != int64(intact) {
+		t.Fatalf("goodLen = %d, want %d", dj.goodLen, intact)
+	}
+}
+
+// FuzzDecodeJournal: no input panics the decoder, and a decoded journal
+// re-encodes to bytes that decode to the same journal.
+func FuzzDecodeJournal(f *testing.F) {
+	valid := encodeJournalHeader("jseed", 3, []byte(`{"units":[{},{},{}]}`))
+	valid = append(valid, encodeRecord(2, []byte("two"))...)
+	valid = append(valid, encodeRecord(0, []byte("zero"))...)
+	hugeRecord, _ := hugeRecordLength()
+	f.Add(valid)
+	f.Add(hugeBodyLength())
+	f.Add(hugeRecord)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dj, err := decodeJournal(data)
+		if err != nil {
+			return
+		}
+		if dj.goodLen > int64(len(data)) {
+			t.Fatalf("goodLen %d beyond %d input bytes", dj.goodLen, len(data))
+		}
+		again := encodeJournalHeader(dj.id, dj.units, dj.body)
+		for _, r := range dj.records {
+			again = append(again, encodeRecord(r.index, r.payload)...)
+		}
+		dj2, err := decodeJournal(again)
+		if err != nil {
+			t.Fatalf("re-encoded journal does not decode: %v", err)
+		}
+		dj.goodLen, dj2.goodLen = 0, 0
+		if !reflect.DeepEqual(dj, dj2) {
+			t.Fatalf("round trip changed the journal:\n%+v\n%+v", dj, dj2)
+		}
+	})
 }
 
 func TestJournalNilSafe(t *testing.T) {
