@@ -9,8 +9,7 @@
 // build/run units fan out over a bounded worker pool, compiles are
 // memoized in a shared content-keyed cache, and aggregation happens in
 // deterministic index order so tables are byte-identical for any worker
-// count. The package-level functions of the same names run on a serial
-// engine.
+// count; NewEngine(1) runs them serially.
 package experiments
 
 import (

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"idemproc/internal/codegen"
@@ -73,25 +71,6 @@ func rowFromCampaign(name string, suite workloads.Suite, res *fault.CampaignResu
 		Livelocks:         res.Livelocks,
 		Crashes:           res.Crashes,
 	}
-}
-
-// RowFromCampaignFile loads a campaign JSON aggregate (as written by
-// `idemsim -json`) and flattens it into a table row, so externally-run
-// campaigns can be folded into the same report.
-func RowFromCampaignFile(name string, path string) (ResilienceRow, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ResilienceRow{}, err
-	}
-	var res fault.CampaignResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return ResilienceRow{}, fmt.Errorf("%s: %w", path, err)
-	}
-	suite := workloads.Suite("")
-	if w, ok := workloads.ByName(name); ok {
-		suite = w.Suite
-	}
-	return rowFromCampaign(name, suite, &res), nil
 }
 
 // Resilience runs an all-models injection campaign of the given size for

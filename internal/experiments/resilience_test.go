@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -79,45 +77,4 @@ func TestResilienceTable(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatal("resilience table not reproducible from seed")
 	}
-}
-
-func TestRowFromCampaignFile(t *testing.T) {
-	// Round-trip: a campaign JSON aggregate written externally (e.g. by
-	// idemsim -json) folds into the same row as an in-process run.
-	ws := []workloads.Workload{shrink(subset(t, "blackscholes")[0], 4)}
-	res, err := NewEngine(1).Resilience(context.Background(), ws, 8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the idempotence row from serialized campaign fields.
-	for _, row := range res.Rows {
-		if row.Scheme != "IDEMPOTENCE" {
-			continue
-		}
-		data, err := json.Marshal(map[string]any{
-			"scheme": row.Scheme, "runs": row.Runs, "landed": row.Landed,
-			"sdc_rate": row.SDCRate, "detection_rate": row.DetectionRate,
-			"recovery_rate":       row.RecoveryRate,
-			"mean_detect_latency": row.MeanDetectLatency,
-			"inflation_p90":       row.InflationP90,
-			"livelocks":           row.Livelocks, "crashes": row.Crashes,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "bs.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := RowFromCampaignFile("blackscholes", path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := row
-		if got != want {
-			t.Fatalf("file row mismatch:\n got %+v\nwant %+v", got, want)
-		}
-		return
-	}
-	t.Fatal("no IDEMPOTENCE row")
 }

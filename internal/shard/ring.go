@@ -36,14 +36,6 @@ type Ring struct {
 	replicas []string // sorted, unique, non-empty
 }
 
-// RingConfig is the ring's marshalable identity. Two processes that
-// build rings from equal configs (in any replica order) compute
-// identical assignments — the cross-process determinism contract the
-// front tier and its tests pin.
-type RingConfig struct {
-	Replicas []string `json:"replicas"`
-}
-
 // NewRing builds a ring over the replica IDs (for the front tier these
 // are backend host:port addresses). Order does not matter; duplicates
 // and empty IDs are rejected.
@@ -63,14 +55,6 @@ func NewRing(replicas []string) (*Ring, error) {
 		}
 	}
 	return &Ring{replicas: sorted}, nil
-}
-
-// RingFromConfig rebuilds a ring from its marshaled identity.
-func RingFromConfig(c RingConfig) (*Ring, error) { return NewRing(c.Replicas) }
-
-// Config returns the ring's marshalable identity (replicas sorted).
-func (r *Ring) Config() RingConfig {
-	return RingConfig{Replicas: r.Replicas()}
 }
 
 // Replicas returns the replica set, sorted.
@@ -141,7 +125,7 @@ func score(replica, key string) uint64 {
 		h = (h ^ uint64(key[i])) * prime
 	}
 	// splitmix64 finalizer — the same scramble family the repo's seeded
-	// RNGs use (idemload request mix, resilience jitter).
+	// RNGs use (idemload's request mix, retry jitter and fault rolls).
 	h += 0x9e3779b97f4a7c15
 	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
 	h = (h ^ (h >> 27)) * 0x94d049bb133111eb

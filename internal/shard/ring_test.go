@@ -1,13 +1,11 @@
 // Ring determinism and rebalance properties. The contracts under test
 // are what make consistent-hash routing safe to deploy as a fleet:
-// same replica set + key => same owner in every process (including
-// after a marshal/unmarshal round trip of the ring config), and a
+// same replica set + key => same owner in every process, and a
 // replica leaving moves only the ~K/N keys it owned — never a key
 // between two survivors.
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -49,30 +47,6 @@ func TestOwnerDeterministicAcrossInstances(t *testing.T) {
 	for _, key := range keySet(2000) {
 		if ao, bo := a.Owner(key), b.Owner(key); ao != bo {
 			t.Fatalf("key %q: owner %q vs %q across instances", key, ao, bo)
-		}
-	}
-}
-
-func TestOwnerSurvivesConfigRoundTrip(t *testing.T) {
-	a, err := NewRing(replicaSet(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(a.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cfg RingConfig
-	if err := json.Unmarshal(blob, &cfg); err != nil {
-		t.Fatal(err)
-	}
-	b, err := RingFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range keySet(2000) {
-		if ao, bo := a.Owner(key), b.Owner(key); ao != bo {
-			t.Fatalf("key %q: owner changed across marshal round trip: %q vs %q", key, ao, bo)
 		}
 	}
 }
