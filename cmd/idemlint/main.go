@@ -49,9 +49,10 @@ import (
 // options, same instruction stream), the validator whose verdicts on
 // that output must be just as reproducible, the simulator side whose
 // output feeds the machine digests and the figure tables, the /metrics
-// renderer, whose pages must diff cleanly scrape to scrape, and the
+// renderer, whose pages must diff cleanly scrape to scrape, the
 // serving packages (idemd's handlers, the front tier, the job manager),
-// whose response and stream bytes are the byte-identity contract.
+// whose response and stream bytes are the byte-identity contract, and
+// idemload, whose pass digest and fault schedule the smokes pin.
 var defaultTargets = []string{
 	"internal/ssa", "internal/cfg", "internal/dataflow", "internal/alias",
 	"internal/redelim", "internal/multicut", "internal/regalloc",
@@ -59,6 +60,7 @@ var defaultTargets = []string{
 	"internal/machine", "internal/limit", "internal/experiments",
 	"internal/fault", "internal/metrics",
 	"internal/server", "internal/shard", "internal/jobs",
+	"cmd/idemload",
 }
 
 func main() {
