@@ -70,7 +70,7 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 		jobTTL       = fs.Duration("job-ttl", 10*time.Minute, "how long a finished job stays queryable before it is reaped")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before abandoning them")
 		pprofAddr    = fs.String("pprof-addr", "", "serve net/http/pprof on this side listener (host:port; port 0 picks a free port; empty = off)")
-		quiet        = fs.Bool("quiet", false, "suppress the per-request log line")
+		quiet        = fs.Bool("quiet", false, "silence the service core's lifecycle log lines (listen, artifact store, job recovery, drain)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
