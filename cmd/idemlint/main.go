@@ -51,8 +51,9 @@ import (
 // output feeds the machine digests and the figure tables, the /metrics
 // renderer, whose pages must diff cleanly scrape to scrape, the
 // serving packages (idemd's handlers, the front tier, the job manager),
-// whose response and stream bytes are the byte-identity contract, and
-// idemload, whose pass digest and fault schedule the smokes pin.
+// whose response and stream bytes are the byte-identity contract,
+// idemload, whose pass digest and fault schedule the smokes pin, and the
+// two table printers, idemsim's campaign summary and idembench's figures.
 var defaultTargets = []string{
 	"internal/ssa", "internal/cfg", "internal/dataflow", "internal/alias",
 	"internal/redelim", "internal/multicut", "internal/regalloc",
@@ -60,7 +61,7 @@ var defaultTargets = []string{
 	"internal/machine", "internal/limit", "internal/experiments",
 	"internal/fault", "internal/metrics",
 	"internal/server", "internal/shard", "internal/jobs",
-	"cmd/idemload",
+	"cmd/idemload", "cmd/idemsim", "cmd/idembench",
 }
 
 func main() {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,9 @@ func main() {
 	fmt.Printf("%-34s %18d %14d\n", "cycles", intra.Stats.Cycles, inter.Stats.Cycles)
 
 	// Recovery still works with regions spanning the calls.
-	res, err := fault.Campaign(fault.Apply(ip, fault.SchemeIdempotence), fault.SchemeIdempotence, 20, w.Args...)
+	res, err := fault.RunCampaign(context.Background(), fault.Apply(ip, fault.SchemeIdempotence), fault.Spec{
+		Scheme: fault.SchemeIdempotence, Runs: 20, Seed: fault.DefaultSeed, Args: w.Args,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

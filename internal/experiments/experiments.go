@@ -471,30 +471,23 @@ func (e *Engine) Fig12(ws []workloads.Workload) (*Fig12Result, error) {
 		if err != nil {
 			return err
 		}
-		dmr, err := e.Run(fault.Apply(base, fault.SchemeDMR), w, machine.Config{})
-		if err != nil {
-			return err
+		var cycles []int64 // in fault.Schemes order: DMR, TMR, CL, IDEM
+		for _, s := range fault.Schemes {
+			p := base
+			if s.Idempotent() {
+				p = idem
+			}
+			m, err := e.Run(fault.Apply(p, s), w, s.Config())
+			if err != nil {
+				return err
+			}
+			cycles = append(cycles, m.Stats.Cycles)
 		}
-		tmr, err := e.Run(fault.Apply(base, fault.SchemeTMR), w, machine.Config{Recovery: machine.RecoverTMR})
-		if err != nil {
-			return err
-		}
-		cl, err := e.Run(fault.Apply(base, fault.SchemeCheckpointLog), w, machine.Config{Recovery: machine.RecoverCheckpointLog})
-		if err != nil {
-			return err
-		}
-		idm, err := e.Run(fault.Apply(idem, fault.SchemeIdempotence), w,
-			machine.Config{BufferStores: true, Recovery: machine.RecoverIdempotence})
-		if err != nil {
-			return err
-		}
-		d := float64(dmr.Stats.Cycles)
+		pct := func(k int) float64 { return 100 * (float64(cycles[k])/float64(cycles[0]) - 1) }
 		rows[i] = Fig12Row{
 			Name: w.Name, Suite: w.Suite,
-			TMRPct:    100 * (float64(tmr.Stats.Cycles)/d - 1),
-			CLPct:     100 * (float64(cl.Stats.Cycles)/d - 1),
-			IdemPct:   100 * (float64(idm.Stats.Cycles)/d - 1),
-			DMRCycles: dmr.Stats.Cycles,
+			TMRPct: pct(1), CLPct: pct(2), IdemPct: pct(3),
+			DMRCycles: cycles[0],
 		}
 		return nil
 	})

@@ -49,15 +49,6 @@ type ResilienceResult struct {
 	MeanRecovery map[string]float64 `json:"mean_recovery"`
 }
 
-// resilienceSchemes are the campaigns the table compares, in the paper's
-// Figure 12 order.
-var resilienceSchemes = []fault.Scheme{
-	fault.SchemeDMR,
-	fault.SchemeTMR,
-	fault.SchemeCheckpointLog,
-	fault.SchemeIdempotence,
-}
-
 // rowFromCampaign flattens a campaign aggregate into a table row.
 func rowFromCampaign(name string, suite workloads.Suite, res *fault.CampaignResult) ResilienceRow {
 	return ResilienceRow{
@@ -97,9 +88,9 @@ func (e *Engine) Resilience(ctx context.Context, ws []workloads.Workload, runs i
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range resilienceSchemes {
+		for _, s := range fault.Schemes {
 			p := base
-			if s == fault.SchemeIdempotence {
+			if s.Idempotent() {
 				p = idem
 			}
 			cr, err := fault.RunCampaign(ctx, fault.Apply(p, s), fault.Spec{
@@ -138,7 +129,7 @@ func (r *ResilienceResult) Format() string {
 			100*row.SDCRate, 100*row.DetectionRate, 100*row.RecoveryRate,
 			row.MeanDetectLatency, row.InflationP90, row.Livelocks)
 	}
-	for _, s := range resilienceSchemes {
+	for _, s := range fault.Schemes {
 		k := s.String()
 		fmt.Fprintf(&b, "%-16s %-9s %-20s %7s %7s %7.1f%% %7s %8.1f%%\n",
 			"MEAN", "", k, "", "", 100*r.MeanSDC[k], "", 100*r.MeanRecovery[k])

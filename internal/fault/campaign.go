@@ -1,10 +1,11 @@
-// Campaign engine: parallel, seeded, resumable fault-injection campaigns
-// over instrumented programs. Each run draws one injection from the
-// enabled fault models using a PRNG derived from (campaign seed, run
-// index), executes it on a private machine instance under the livelock
-// watchdog, and classifies the outcome. Aggregates are computed in run
-// order, so a campaign's JSON output is bit-for-bit reproducible from its
-// seed regardless of worker count or interruption/resume history.
+// Campaign engine: parallel, seeded fault-injection campaigns over
+// instrumented programs. Each run draws one injection from the enabled
+// fault models using a PRNG derived from (campaign seed, run index),
+// executes it on a private machine instance under the livelock watchdog,
+// and classifies the outcome. Aggregates are computed in run order, so a
+// campaign's JSON output is bit-for-bit reproducible from its seed for
+// any worker count — and an interrupted campaign is recovered by running
+// it again.
 package fault
 
 import (
@@ -14,41 +15,31 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"idemproc/internal/codegen"
 	"idemproc/internal/machine"
 )
 
-// DefaultSeed seeds campaigns that do not specify one (the legacy
-// Campaign entry point); any fixed value keeps them reproducible.
+// DefaultSeed seeds campaigns that do not choose one; any fixed value
+// keeps them reproducible.
 const DefaultSeed = 0x1de12012
 
 // Spec configures a campaign.
 type Spec struct {
-	Scheme Scheme `json:"scheme"`
-	Runs   int    `json:"runs"`
+	Scheme Scheme
+	Runs   int
 	// Seed is the master PRNG seed; run i draws from PCG(Seed, i+1).
-	Seed uint64 `json:"seed"`
+	Seed uint64
 	// Workers bounds the worker pool (default GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
+	Workers int
 	// Models is the enabled fault-model mix (default: register bit flips).
-	Models []ModelKind `json:"models,omitempty"`
+	Models []ModelKind
 	// Args are the program arguments.
-	Args []uint64 `json:"args,omitempty"`
-	// WatchdogFactor and MaxRegionRetries tune the livelock watchdog
-	// (defaults: 16x the fault-free reference, 64 retries).
-	WatchdogFactor   float64 `json:"watchdog_factor,omitempty"`
-	MaxRegionRetries int     `json:"max_region_retries,omitempty"`
-
+	Args []uint64
 	// KeepRecords includes every per-run record in the result.
-	KeepRecords bool `json:"keep_records,omitempty"`
-
-	// CheckpointPath enables periodic campaign checkpoints (every
-	// CheckpointEvery completed runs, default 50); Resume loads an
-	// existing checkpoint and skips its completed runs.
-	CheckpointPath  string `json:"-"`
-	CheckpointEvery int    `json:"-"`
-	Resume          bool   `json:"-"`
+	KeepRecords bool
 }
 
 // Outcome classifies one injection run.
@@ -152,41 +143,11 @@ type CampaignResult struct {
 	Records []RunRecord `json:"records,omitempty"`
 }
 
-// configFor builds the machine configuration for a scheme.
-func configFor(s Scheme) machine.Config {
-	cfg := machine.Config{}
-	switch s {
-	case SchemeIdempotence:
-		cfg.BufferStores = true
-		cfg.Recovery = machine.RecoverIdempotence
-	case SchemeCheckpointLog:
-		cfg.Recovery = machine.RecoverCheckpointLog
-	case SchemeTMR:
-		cfg.Recovery = machine.RecoverTMR
-	case SchemeDMR:
-		// detection only; campaigns report detections, not recoveries
-	}
-	return cfg
-}
-
-// Campaign runs a seeded single-bit register-flip campaign with the
-// default seed — the legacy entry point, now backed by the parallel
-// engine. See RunCampaign for the full interface.
-func Campaign(p *codegen.Program, s Scheme, runs int, args ...uint64) (*CampaignResult, error) {
-	return RunCampaign(context.Background(), p, Spec{
-		Scheme: s,
-		Runs:   runs,
-		Seed:   DefaultSeed,
-		Args:   args,
-	})
-}
-
 // RunCampaign executes spec against p: one fault-free reference run, then
 // spec.Runs injection runs on a bounded worker pool. Each run's injection
 // is drawn from PCG(spec.Seed, index+1), so results are reproducible for
-// any worker count. Cancelling ctx stops dispatch, drains in-flight runs,
-// writes a final checkpoint (when configured) and returns ctx's error;
-// re-invoking with Resume set picks up where it stopped.
+// any worker count. Cancelling ctx stops new runs and returns ctx's
+// error; running the campaign again reproduces it from run 0.
 func RunCampaign(ctx context.Context, p *codegen.Program, spec Spec) (*CampaignResult, error) {
 	if spec.Runs <= 0 {
 		return nil, errors.New("fault: campaign needs at least one run")
@@ -201,107 +162,39 @@ func RunCampaign(ctx context.Context, p *codegen.Program, spec Spec) (*CampaignR
 	if workers > spec.Runs {
 		workers = spec.Runs
 	}
-	if spec.CheckpointEvery <= 0 {
-		spec.CheckpointEvery = 50
-	}
 
-	cfg := configFor(spec.Scheme)
+	cfg := spec.Scheme.Config()
 	ref := machine.New(p, cfg)
 	want, err := ref.Run(spec.Args...)
 	if err != nil {
 		return nil, fmt.Errorf("fault: reference run: %w", err)
 	}
 	span := ref.Stats.DynInstrs
-
 	env := Env{Span: span, MemWords: int64(p.MemWords), GlobalEnd: p.GlobalEnd}
-	runCfg := cfg
-	runCfg.WatchdogRef = span
-	runCfg.WatchdogFactor = spec.WatchdogFactor
-	runCfg.MaxRegionRetries = spec.MaxRegionRetries
+	cfg.WatchdogRef = span
 
-	// Resume: load completed records from the checkpoint, if any.
-	records := make([]*RunRecord, spec.Runs)
-	if spec.Resume && spec.CheckpointPath != "" {
-		ck, err := LoadCheckpoint(spec.CheckpointPath)
-		switch {
-		case err == nil:
-			if err := ck.validate(spec, span, want); err != nil {
-				return nil, err
-			}
-			for i := range ck.Records {
-				r := ck.Records[i]
-				if r.Index >= 0 && r.Index < spec.Runs {
-					records[r.Index] = &r
-				}
-			}
-		case errors.Is(err, errCheckpointMissing):
-			// nothing to resume; run from scratch
-		default:
-			return nil, err
-		}
-	}
-	var todo []int
-	for i := range records {
-		if records[i] == nil {
-			todo = append(todo, i)
-		}
-	}
-
-	// Dispatch. The feeder stops on cancellation; workers always drain
-	// the index channel, so resCh sees every started run.
-	idxCh := make(chan int)
-	resCh := make(chan RunRecord, workers)
-	go func() {
-		defer close(idxCh)
-		for _, i := range todo {
-			select {
-			case idxCh <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	done := make(chan struct{})
+	// Each worker takes the next run index and writes only that run's
+	// slot, as experiments.Engine.ForEach does, so aggregation in index
+	// order is independent of the worker count.
+	records := make([]RunRecord, spec.Runs)
+	var next atomic.Int64
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			for i := range idxCh {
-				resCh <- runOne(p, runCfg, spec, env, span, want, i)
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= spec.Runs {
+					return
+				}
+				records[i] = runOne(p, cfg, spec, env, span, want, i)
 			}
-			done <- struct{}{}
 		}()
 	}
-	go func() {
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-		close(resCh)
-	}()
-
-	// Collect, checkpointing periodically.
-	sinceCkpt := 0
-	for rec := range resCh {
-		rec := rec
-		records[rec.Index] = &rec
-		sinceCkpt++
-		if spec.CheckpointPath != "" && sinceCkpt >= spec.CheckpointEvery {
-			sinceCkpt = 0
-			if err := saveCheckpoint(spec.CheckpointPath, spec, span, want, records); err != nil {
-				return nil, err
-			}
-		}
-	}
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		if spec.CheckpointPath != "" {
-			if serr := saveCheckpoint(spec.CheckpointPath, spec, span, want, records); serr != nil {
-				return nil, errors.Join(err, serr)
-			}
-		}
 		return nil, fmt.Errorf("fault: campaign interrupted: %w", err)
-	}
-	if spec.CheckpointPath != "" {
-		if err := saveCheckpoint(spec.CheckpointPath, spec, span, want, records); err != nil {
-			return nil, err
-		}
 	}
 	return aggregate(spec, records), nil
 }
@@ -310,7 +203,7 @@ func RunCampaign(ctx context.Context, p *codegen.Program, spec Spec) (*CampaignR
 func runOne(p *codegen.Program, cfg machine.Config, spec Spec, env Env, span int64, want uint64, i int) RunRecord {
 	rng := rand.New(rand.NewPCG(spec.Seed, uint64(i)+1))
 	kind := spec.Models[rng.IntN(len(spec.Models))]
-	inj := ModelFor(kind).Sample(rng, env)
+	inj := sample(kind, rng, env)
 
 	m := machine.New(p, cfg)
 	Arm(m, inj)
@@ -348,7 +241,7 @@ func runOne(p *codegen.Program, cfg machine.Config, spec Spec, env Env, span int
 }
 
 // aggregate folds records (in index order) into the campaign result.
-func aggregate(spec Spec, records []*RunRecord) *CampaignResult {
+func aggregate(spec Spec, records []RunRecord) *CampaignResult {
 	res := &CampaignResult{
 		Scheme:  spec.Scheme.String(),
 		Seed:    spec.Seed,
@@ -359,9 +252,6 @@ func aggregate(spec Spec, records []*RunRecord) *CampaignResult {
 	var latSum float64
 	var latN int
 	for _, r := range records {
-		if r == nil {
-			continue
-		}
 		res.Runs++
 		ms := res.ByModel[r.Injection.Model.String()]
 		if ms == nil {
@@ -411,7 +301,7 @@ func aggregate(spec Spec, records []*RunRecord) *CampaignResult {
 			inflations = append(inflations, r.ExtraPct)
 		}
 		if spec.KeepRecords {
-			res.Records = append(res.Records, *r)
+			res.Records = append(res.Records, r)
 		}
 	}
 	if len(inflations) > 0 {

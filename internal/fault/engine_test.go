@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -31,6 +29,12 @@ func buildWorkload(t *testing.T, name string, idem bool) (*codegen.Program, []ui
 		t.Fatal(err)
 	}
 	return p, args
+}
+
+// campaign runs a register-flip campaign under DefaultSeed, the shape
+// most recovery tests need.
+func campaign(p *codegen.Program, s Scheme, runs int, args ...uint64) (*CampaignResult, error) {
+	return RunCampaign(context.Background(), p, Spec{Scheme: s, Runs: runs, Seed: DefaultSeed, Args: args})
 }
 
 // TestCampaignReproducibleParallel runs a 200-run campaign on a built-in
@@ -197,105 +201,26 @@ func TestNestedFaultStormEscalatesToLivelock(t *testing.T) {
 	t.Logf("%d storms escalated to ErrLivelock", livelocks)
 }
 
-// TestCampaignCheckpointResume interrupts a campaign (deterministically,
-// by rewriting its checkpoint to contain only a prefix of the records)
-// and resumes it; the resumed aggregate JSON must equal an uninterrupted
-// run with the same seed, bit for bit.
-func TestCampaignCheckpointResume(t *testing.T) {
-	ip := Apply(buildProgram(t, true), SchemeIdempotence)
-	dir := t.TempDir()
-	ckptPath := filepath.Join(dir, "campaign.ckpt.json")
-	spec := Spec{
-		Scheme:      SchemeIdempotence,
-		Runs:        60,
-		Seed:        99,
-		Workers:     4,
-		Models:      []ModelKind{ModelRegisterBitFlip, ModelRegisterBurst},
-		Args:        []uint64{40},
-		KeepRecords: true,
-	}
-
-	// Uninterrupted baseline.
-	full, err := RunCampaign(context.Background(), ip, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.MarshalIndent(full, "", " ")
-
-	// Reference fingerprint for the crafted partial checkpoint.
-	cfg := configFor(spec.Scheme)
-	ref := machine.New(ip, cfg)
-	want, err := ref.Run(spec.Args...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	span := ref.Stats.DynInstrs
-
-	// Simulate an interrupted campaign: a checkpoint holding only the
-	// first 20 completed runs.
-	partial := make([]*RunRecord, spec.Runs)
-	for i := 0; i < 20; i++ {
-		r := full.Records[i]
-		partial[i] = &r
-	}
-	if err := saveCheckpoint(ckptPath, spec, span, want, partial); err != nil {
-		t.Fatal(err)
-	}
-
-	resumeSpec := spec
-	resumeSpec.CheckpointPath = ckptPath
-	resumeSpec.Resume = true
-	resumed, err := RunCampaign(context.Background(), ip, resumeSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, _ := json.MarshalIndent(resumed, "", " ")
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatalf("resumed aggregate differs from uninterrupted run:\n%s\n---\n%s", gotJSON, wantJSON)
-	}
-
-	// The final checkpoint holds every record.
-	ck, err := LoadCheckpoint(ckptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ck.Records) != spec.Runs {
-		t.Fatalf("final checkpoint has %d records, want %d", len(ck.Records), spec.Runs)
-	}
-
-	// Resuming against a mismatched campaign must be rejected.
-	bad := resumeSpec
-	bad.Seed = 100
-	if _, err := RunCampaign(context.Background(), ip, bad); err == nil {
-		t.Fatal("resume with a different seed was not rejected")
-	}
-}
-
 // TestCampaignCancellation cancels a running campaign and checks that it
-// returns the context error, leaves a loadable checkpoint behind, and
-// that resuming completes the campaign with aggregates identical to an
-// uninterrupted run.
+// returns the context error, and that running the campaign again — the
+// way to recover an interrupted one — matches an uninterrupted run.
 func TestCampaignCancellation(t *testing.T) {
 	p, args := buildWorkload(t, "canneal", true)
 	ip := Apply(p, SchemeIdempotence)
-	dir := t.TempDir()
-	ckptPath := filepath.Join(dir, "cancel.ckpt.json")
 	spec := Spec{
-		Scheme:          SchemeIdempotence,
-		Runs:            64,
-		Seed:            5,
-		Workers:         4,
-		Args:            args,
-		KeepRecords:     true,
-		CheckpointPath:  ckptPath,
-		CheckpointEvery: 4,
+		Scheme:      SchemeIdempotence,
+		Runs:        64,
+		Seed:        5,
+		Workers:     4,
+		Args:        args,
+		KeepRecords: true,
 	}
 
 	baseline, err := RunCampaign(context.Background(), ip, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(ckptPath)
+	want, _ := json.Marshal(baseline)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(30*time.Millisecond, cancel)
@@ -303,9 +228,7 @@ func TestCampaignCancellation(t *testing.T) {
 	if err == nil {
 		// The campaign beat the timer; cancellation path not exercised,
 		// but the result must still match the baseline.
-		ja, _ := json.Marshal(res)
-		jb, _ := json.Marshal(baseline)
-		if string(ja) != string(jb) {
+		if got, _ := json.Marshal(res); string(got) != string(want) {
 			t.Fatal("uncancelled rerun differs from baseline")
 		}
 		t.Skip("campaign finished before cancellation")
@@ -314,16 +237,12 @@ func TestCampaignCancellation(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 
-	resumeSpec := spec
-	resumeSpec.Resume = true
-	resumed, err := RunCampaign(context.Background(), ip, resumeSpec)
+	rerun, err := RunCampaign(context.Background(), ip, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, _ := json.Marshal(resumed)
-	jb, _ := json.Marshal(baseline)
-	if string(ja) != string(jb) {
-		t.Fatalf("resumed-after-cancel aggregate differs from uninterrupted run:\n%s\n---\n%s", ja, jb)
+	if got, _ := json.Marshal(rerun); string(got) != string(want) {
+		t.Fatalf("rerun after cancel differs from uninterrupted run:\n%s\n---\n%s", got, want)
 	}
 }
 

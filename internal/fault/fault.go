@@ -22,6 +22,7 @@ package fault
 import (
 	"idemproc/internal/codegen"
 	"idemproc/internal/isa"
+	"idemproc/internal/machine"
 )
 
 // Scheme identifies a recovery configuration.
@@ -39,18 +40,52 @@ const (
 	SchemeIdempotence
 )
 
+// Schemes lists the recovery schemes in Figure 12's order.
+var Schemes = []Scheme{SchemeDMR, SchemeTMR, SchemeCheckpointLog, SchemeIdempotence}
+
+// schemeTable is the one place a scheme's names and machine
+// configuration are spelled out; Apply holds its transform.
+var schemeTable = [...]struct {
+	name, flag string
+	cfg        machine.Config
+}{
+	// DMR detects only; its campaigns report detections, not recoveries.
+	SchemeDMR:           {"DMR", "dmr", machine.Config{}},
+	SchemeTMR:           {"INSTRUCTION-TMR", "tmr", machine.Config{Recovery: machine.RecoverTMR}},
+	SchemeCheckpointLog: {"CHECKPOINT-AND-LOG", "cl", machine.Config{Recovery: machine.RecoverCheckpointLog}},
+	SchemeIdempotence:   {"IDEMPOTENCE", "idem", machine.Config{Recovery: machine.RecoverIdempotence, BufferStores: true}},
+}
+
 func (s Scheme) String() string {
-	switch s {
-	case SchemeDMR:
-		return "DMR"
-	case SchemeTMR:
-		return "INSTRUCTION-TMR"
-	case SchemeCheckpointLog:
-		return "CHECKPOINT-AND-LOG"
-	case SchemeIdempotence:
-		return "IDEMPOTENCE"
+	if int(s) < len(schemeTable) {
+		return schemeTable[s].name
 	}
 	return "?"
+}
+
+// ParseScheme resolves a scheme's API and command-line spelling: dmr,
+// tmr, cl or idem. Running without a scheme ("none") is the caller's
+// concern.
+func ParseScheme(name string) (Scheme, bool) {
+	for s, e := range schemeTable {
+		if e.flag == name {
+			return Scheme(s), true
+		}
+	}
+	return 0, false
+}
+
+// Idempotent reports whether the scheme instruments the idempotent build
+// (the others instrument the conventional one).
+func (s Scheme) Idempotent() bool { return s == SchemeIdempotence }
+
+// Config returns the machine configuration that runs the scheme's
+// instrumented program.
+func (s Scheme) Config() machine.Config {
+	if int(s) < len(schemeTable) {
+		return schemeTable[s].cfg
+	}
+	return machine.Config{}
 }
 
 // Apply instruments p for the scheme and returns the new program.

@@ -108,19 +108,8 @@ func storeOfLR(p *codegen.Program) int {
 // runScheme builds, instruments, and runs one scheme configuration.
 func runScheme(t *testing.T, s Scheme, faultStep int64) (*machine.Machine, uint64, error) {
 	t.Helper()
-	idem := s == SchemeIdempotence
-	p := Apply(buildProgram(t, idem), s)
-	cfg := machine.Config{}
-	switch s {
-	case SchemeIdempotence:
-		cfg.BufferStores = true
-		cfg.Recovery = machine.RecoverIdempotence
-	case SchemeCheckpointLog:
-		cfg.Recovery = machine.RecoverCheckpointLog
-	case SchemeTMR:
-		cfg.Recovery = machine.RecoverTMR
-	}
-	m := machine.New(p, cfg)
+	p := Apply(buildProgram(t, s.Idempotent()), s)
+	m := machine.New(p, s.Config())
 	if faultStep >= 0 {
 		m.InjectFault(faultStep, uint(faultStep)%63+1)
 	}
@@ -275,16 +264,8 @@ d:
 		t.Fatalf("collatz(27) = %d, want 111", want)
 	}
 	for _, s := range []Scheme{SchemeDMR, SchemeTMR, SchemeCheckpointLog} {
-		ip := Apply(p, s)
-		cfg := machine.Config{}
-		switch s {
-		case SchemeTMR:
-			cfg.Recovery = machine.RecoverTMR
-		case SchemeCheckpointLog:
-			// CL binaries need the log pointer initialized.
-			cfg.Recovery = machine.RecoverCheckpointLog
-		}
-		im := machine.New(ip, cfg)
+		// CL binaries need the log pointer their configuration initializes.
+		im := machine.New(Apply(p, s), s.Config())
 		got, err := im.Run(27)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -306,7 +287,7 @@ func TestCampaignAllSchemesCorrect(t *testing.T) {
 		{SchemeCheckpointLog, Apply(base, SchemeCheckpointLog)},
 		{SchemeTMR, Apply(base, SchemeTMR)},
 	} {
-		res, err := Campaign(tc.p, tc.s, 40, 40)
+		res, err := campaign(tc.p, tc.s, 40, 40)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.s, err)
 		}
@@ -321,7 +302,7 @@ func TestCampaignAllSchemesCorrect(t *testing.T) {
 
 func TestCampaignDMRDetects(t *testing.T) {
 	p := Apply(buildProgram(t, false), SchemeDMR)
-	res, err := Campaign(p, SchemeDMR, 30, 40)
+	res, err := campaign(p, SchemeDMR, 30, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

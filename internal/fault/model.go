@@ -110,7 +110,7 @@ type Env struct {
 }
 
 // Injection is one sampled fault, fully describing how to arm a machine.
-// It round-trips through the campaign checkpoint JSON.
+// Campaign records carry it in their JSON.
 type Injection struct {
 	Model ModelKind `json:"model"`
 	// Step is the dynamic-instruction placement.
@@ -125,32 +125,6 @@ type Injection struct {
 	NestedMask uint64 `json:"nested_mask,omitempty"`
 }
 
-// Model samples injections for one fault-model kind. Implementations are
-// stateless; all randomness comes from the per-run PRNG.
-type Model interface {
-	Kind() ModelKind
-	Sample(rng *rand.Rand, env Env) Injection
-}
-
-// ModelFor returns the Model implementation for a kind.
-func ModelFor(k ModelKind) Model {
-	switch k {
-	case ModelRegisterBitFlip:
-		return bitFlipModel{}
-	case ModelRegisterBurst:
-		return burstModel{}
-	case ModelMemoryWord:
-		return memWordModel{}
-	case ModelControlFlow:
-		return controlFlowModel{}
-	case ModelBoundary:
-		return boundaryModel{}
-	case ModelNested:
-		return nestedModel{}
-	}
-	return bitFlipModel{}
-}
-
 // sampleStep places an injection uniformly over the fault-free execution.
 func sampleStep(rng *rand.Rand, env Env) int64 {
 	if env.Span <= 1 {
@@ -159,82 +133,40 @@ func sampleStep(rng *rand.Rand, env Env) int64 {
 	return 1 + rng.Int64N(env.Span-1)
 }
 
-type bitFlipModel struct{}
-
-func (bitFlipModel) Kind() ModelKind { return ModelRegisterBitFlip }
-func (bitFlipModel) Sample(rng *rand.Rand, env Env) Injection {
-	return Injection{
-		Model: ModelRegisterBitFlip,
-		Step:  sampleStep(rng, env),
-		Mask:  1 << rng.UintN(64),
+// sample draws one injection of the given kind from the per-run PRNG.
+// Each kind's draws keep a fixed order, so a (seed, run index) pair
+// always yields the same injection; calls in a composite literal run left
+// to right, so field order is draw order. An unknown kind draws a
+// register bit flip.
+func sample(kind ModelKind, rng *rand.Rand, env Env) Injection {
+	switch kind {
+	case ModelRegisterBurst:
+		// The width (2–4 adjacent bits) and position come before the step.
+		width := 2 + rng.UintN(3)
+		pos := rng.UintN(64)
+		mask := (uint64(1)<<width - 1) << pos // truncates at bit 63
+		return Injection{Model: kind, Step: sampleStep(rng, env), Mask: mask}
+	case ModelMemoryWord:
+		// The segment coin comes first: half the draws land in the global
+		// segment (the data the program actually computes on), the rest
+		// anywhere, including stack, undo log and untouched words.
+		hi := env.MemWords
+		if rng.UintN(2) == 0 && env.GlobalEnd > 2 {
+			hi = env.GlobalEnd
+		}
+		if hi < 2 {
+			hi = 2
+		}
+		return Injection{Model: kind, Step: sampleStep(rng, env), Addr: 1 + rng.Int64N(hi-1), Mask: 1 << rng.UintN(64)}
+	case ModelControlFlow:
+		return Injection{Model: kind, Step: sampleStep(rng, env)}
+	case ModelBoundary:
+		return Injection{Model: kind, Step: sampleStep(rng, env), Mask: 1 << rng.UintN(64)}
+	case ModelNested:
+		return Injection{Model: kind, Step: sampleStep(rng, env), Mask: 1 << rng.UintN(64),
+			After: 1, NestedMask: 1 << rng.UintN(64)}
 	}
-}
-
-type burstModel struct{}
-
-func (burstModel) Kind() ModelKind { return ModelRegisterBurst }
-func (burstModel) Sample(rng *rand.Rand, env Env) Injection {
-	width := 2 + rng.UintN(3) // 2..4 adjacent bits
-	pos := rng.UintN(64)
-	mask := (uint64(1)<<width - 1) << pos // truncates at bit 63
-	return Injection{
-		Model: ModelRegisterBurst,
-		Step:  sampleStep(rng, env),
-		Mask:  mask,
-	}
-}
-
-type memWordModel struct{}
-
-func (memWordModel) Kind() ModelKind { return ModelMemoryWord }
-func (memWordModel) Sample(rng *rand.Rand, env Env) Injection {
-	// Bias half the draws into the global segment (the data the program
-	// actually computes on); the rest cover the whole address space,
-	// including stack, undo log and untouched words.
-	hi := env.MemWords
-	if rng.UintN(2) == 0 && env.GlobalEnd > 2 {
-		hi = env.GlobalEnd
-	}
-	if hi < 2 {
-		hi = 2
-	}
-	return Injection{
-		Model: ModelMemoryWord,
-		Step:  sampleStep(rng, env),
-		Addr:  1 + rng.Int64N(hi-1),
-		Mask:  1 << rng.UintN(64),
-	}
-}
-
-type controlFlowModel struct{}
-
-func (controlFlowModel) Kind() ModelKind { return ModelControlFlow }
-func (controlFlowModel) Sample(rng *rand.Rand, env Env) Injection {
-	return Injection{Model: ModelControlFlow, Step: sampleStep(rng, env)}
-}
-
-type boundaryModel struct{}
-
-func (boundaryModel) Kind() ModelKind { return ModelBoundary }
-func (boundaryModel) Sample(rng *rand.Rand, env Env) Injection {
-	return Injection{
-		Model: ModelBoundary,
-		Step:  sampleStep(rng, env),
-		Mask:  1 << rng.UintN(64),
-	}
-}
-
-type nestedModel struct{}
-
-func (nestedModel) Kind() ModelKind { return ModelNested }
-func (nestedModel) Sample(rng *rand.Rand, env Env) Injection {
-	return Injection{
-		Model:      ModelNested,
-		Step:       sampleStep(rng, env),
-		Mask:       1 << rng.UintN(64),
-		After:      1,
-		NestedMask: 1 << rng.UintN(64),
-	}
+	return Injection{Model: ModelRegisterBitFlip, Step: sampleStep(rng, env), Mask: 1 << rng.UintN(64)}
 }
 
 // Arm schedules inj on a fresh machine.

@@ -46,7 +46,7 @@ func TestWorkloadCampaigns(t *testing.T) {
 			{SchemeCheckpointLog, Apply(base, SchemeCheckpointLog)},
 			{SchemeTMR, Apply(base, SchemeTMR)},
 		} {
-			res, err := Campaign(tc.p, tc.s, 25, args...)
+			res, err := campaign(tc.p, tc.s, 25, args...)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, tc.s, err)
 			}
@@ -112,7 +112,7 @@ func TestPureCallsRecovery(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		ip := Apply(p, SchemeIdempotence)
-		res, err := Campaign(ip, SchemeIdempotence, 25, args...)
+		res, err := campaign(ip, SchemeIdempotence, 25, args...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

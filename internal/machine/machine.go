@@ -572,11 +572,14 @@ func (m *Machine) detectErr() error {
 	return ErrDetectedUnrecoverable
 }
 
-// Run executes the program with up to four integer arguments, returning
-// the value of r0 at HALT.
+// MaxArgs is the number of integer arguments Run passes in registers.
+const MaxArgs = 4
+
+// Run executes the program with up to MaxArgs integer arguments,
+// returning the value of r0 at HALT.
 func (m *Machine) Run(args ...uint64) (uint64, error) {
 	for i, a := range args {
-		if i >= 4 {
+		if i >= MaxArgs {
 			return 0, errors.New("machine: more than 4 integer arguments")
 		}
 		m.Regs[i] = a

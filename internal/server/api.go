@@ -27,7 +27,7 @@ import (
 // with 400 before touching the pipeline).
 const (
 	maxSourceBytes  = 1 << 20
-	maxArgs         = 8
+	maxArgs         = machine.MaxArgs
 	minMemWords     = 64
 	maxMemWords     = 1 << 22
 	defaultMemWords = 65536
@@ -299,13 +299,9 @@ func (r *CompileRequest) RouteKey() buildcache.Key {
 }
 
 // RouteKey returns the buildcache content key this request's build
-// would use. The scheme decides the idempotent-compilation bit exactly
-// as doSimulate does.
+// would use.
 func (r *SimulateRequest) RouteKey() buildcache.Key {
-	idem := r.Scheme == "idem"
-	mo := r.Options.moduleOptions(idem)
-	mo.Idempotent = idem
-	return routeKey(r.Workload, r.Source, r.MemWords, mo)
+	return routeKey(r.Workload, r.Source, r.MemWords, r.buildOptions())
 }
 
 // routeKey resolves (workload|source, memWords) the way resolveWorkload
@@ -396,28 +392,27 @@ type SimulateReport struct {
 	AvgPathLen float64 `json:"avg_path_len,omitempty"`
 }
 
-// schemeSetup maps a scheme name to its instrumentation and machine
-// configuration (mirrors cmd/idemsim).
-func schemeSetup(name string) (fault.Scheme, bool, machine.Config, *httpError) {
-	var cfg machine.Config
-	switch name {
-	case "", "none":
-		return 0, false, cfg, nil
-	case "dmr":
-		return fault.SchemeDMR, true, cfg, nil
-	case "tmr":
-		cfg.Recovery = machine.RecoverTMR
-		return fault.SchemeTMR, true, cfg, nil
-	case "cl":
-		cfg.Recovery = machine.RecoverCheckpointLog
-		return fault.SchemeCheckpointLog, true, cfg, nil
-	case "idem":
-		cfg.Recovery = machine.RecoverIdempotence
-		cfg.BufferStores = true
-		return fault.SchemeIdempotence, true, cfg, nil
-	default:
-		return 0, false, cfg, badRequest("unknown scheme %q (none, dmr, tmr, cl, idem)", name)
+// scheme resolves the request's recovery scheme; apply is false when it
+// runs without one ("" or none).
+func (r *SimulateRequest) scheme() (s fault.Scheme, apply bool, he *httpError) {
+	if r.Scheme == "" || r.Scheme == "none" {
+		return 0, false, nil
 	}
+	s, ok := fault.ParseScheme(r.Scheme)
+	if !ok {
+		return 0, false, badRequest("unknown scheme %q (none, dmr, tmr, cl, idem)", r.Scheme)
+	}
+	return s, true, nil
+}
+
+// buildOptions is the build the request simulates: the scheme decides
+// the idempotent-compilation bit. doSimulate and RouteKey both use it.
+func (r *SimulateRequest) buildOptions() codegen.ModuleOptions {
+	s, ok := fault.ParseScheme(r.Scheme)
+	idem := ok && s.Idempotent()
+	mo := r.Options.moduleOptions(idem)
+	mo.Idempotent = idem
+	return mo
 }
 
 // ---------------------------------------------------------------------

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"idemproc/internal/buildcache"
-	"idemproc/internal/fault"
 )
 
 func TestRouteKeyMatchesCacheKey(t *testing.T) {
@@ -48,14 +47,7 @@ func TestRouteKeyMatchesCacheKey(t *testing.T) {
 		if he != nil {
 			t.Fatalf("simulate %d: resolve: %v", i, he)
 		}
-		schemeID, apply, _, he := schemeSetup(req.Scheme)
-		if he != nil {
-			t.Fatalf("simulate %d: scheme: %v", i, he)
-		}
-		idem := apply && schemeID == fault.SchemeIdempotence
-		mo := req.Options.moduleOptions(idem)
-		mo.Idempotent = idem
-		want := buildcache.KeyOf(wk, mo)
+		want := buildcache.KeyOf(wk, req.buildOptions())
 		if got := req.RouteKey(); got != want {
 			t.Errorf("simulate %d: RouteKey %+v != cache key %+v", i, got, want)
 		}

@@ -463,7 +463,7 @@ func (s *Server) doSimulate(ctx context.Context, req *SimulateRequest) (*Simulat
 	if he != nil {
 		return nil, he
 	}
-	schemeID, apply, cfg, he := schemeSetup(req.Scheme)
+	scheme, apply, he := req.scheme()
 	if he != nil {
 		return nil, he
 	}
@@ -482,25 +482,25 @@ func (s *Server) doSimulate(ctx context.Context, req *SimulateRequest) (*Simulat
 		injs = append(injs, inj)
 	}
 
-	idem := schemeID == fault.SchemeIdempotence && apply
-	mo := req.Options.moduleOptions(idem)
-	mo.Idempotent = idem
+	mo := req.buildOptions()
 	p, _, err := s.engine.Build(ctx, wk, mo)
 	if err != nil {
 		return nil, err
 	}
+	var cfg machine.Config
 	if apply {
 		// The instrumented copy is private to this request, so its
 		// predecode memo goes with it; otherwise the global memo pins every
 		// copy ever simulated. The cached build's own memo stays: the
 		// compile cache made it at insert and charges it to the entry.
-		if q := fault.Apply(p, schemeID); q != p {
+		if q := fault.Apply(p, scheme); q != p {
 			p = q
 			defer machine.DropPredecode(q)
 		}
+		cfg = scheme.Config()
 	}
 
-	cfg.TrackPaths = req.TrackPaths || idem
+	cfg.TrackPaths = req.TrackPaths || mo.Idempotent
 	cfg.Cache = machine.DefaultCache()
 	cfg.MaxSteps = s.cfg.MaxSimSteps
 	if req.MaxSteps > 0 && req.MaxSteps < cfg.MaxSteps {

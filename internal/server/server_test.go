@@ -388,35 +388,40 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// validationCase is one malformed request and the status it must get
+// from a server with MaxBodyBytes 4096 and MaxBatchUnits 4.
+type validationCase struct {
+	name, path, body string
+	want             int
+}
+
+var validationCases = []validationCase{
+	{"unknown workload", "/v1/compile", `{"workload": "nope"}`, 400},
+	{"workload and source", "/v1/compile", `{"workload": "mcf", "source": "func main() int { return 0; }"}`, 400},
+	{"neither workload nor source", "/v1/compile", `{}`, 400},
+	{"unknown field", "/v1/compile", `{"workload": "mcf", "bogus": 1}`, 400},
+	{"invalid json", "/v1/compile", `{`, 400},
+	{"trailing data", "/v1/compile", `{"workload": "mcf"} {"workload": "mcf"}`, 400},
+	{"unparsable source", "/v1/compile", `{"source": "func main("}`, 400},
+	{"mem_words too small", "/v1/compile", `{"workload": "mcf", "mem_words": 1}`, 400},
+	{"body too large", "/v1/compile", `{"source": "` + strings.Repeat("x", 8192) + `"}`, 413},
+	{"bad scheme", "/v1/simulate", `{"workload": "mcf", "scheme": "magic"}`, 400},
+	{"too many args", "/v1/simulate", `{"workload": "mcf", "args": [1, 2, 3, 4, 5]}`, 400},
+	{"explicit idempotent", "/v1/simulate", `{"workload": "mcf", "scheme": "idem", "options": {"idempotent": true}}`, 400},
+	{"bad injection model", "/v1/simulate", `{"workload": "mcf", "injections": [{"model": "gremlin", "step": 1}]}`, 400},
+	{"empty batch", "/v1/batch", `{"units": []}`, 400},
+	{"oversized batch", "/v1/batch", `{"units": [{"compile":{"workload":"mcf"}},{"compile":{"workload":"mcf"}},{"compile":{"workload":"mcf"}},{"compile":{"workload":"mcf"}},{"compile":{"workload":"mcf"}}]}`, 400},
+	{"ambiguous unit", "/v1/batch", `{"units": [{"compile": {"workload": "mcf"}, "simulate": {"workload": "mcf"}}]}`, 400},
+	{"empty unit", "/v1/batch", `{"units": [{}]}`, 400},
+}
+
 // TestValidation covers the request-validation surface.
 func TestValidation(t *testing.T) {
 	s := New(Config{MaxBodyBytes: 4096, MaxBatchUnits: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	big := `{"source": "` + strings.Repeat("x", 8192) + `"}`
-	cases := []struct {
-		name, path, body string
-		want             int
-	}{
-		{"unknown workload", "/v1/compile", `{"workload": "nope"}`, 400},
-		{"workload and source", "/v1/compile", `{"workload": "mcf", "source": "func main() int { return 0; }"}`, 400},
-		{"neither workload nor source", "/v1/compile", `{}`, 400},
-		{"unknown field", "/v1/compile", `{"workload": "mcf", "bogus": 1}`, 400},
-		{"invalid json", "/v1/compile", `{`, 400},
-		{"trailing data", "/v1/compile", `{"workload": "mcf"} {"workload": "mcf"}`, 400},
-		{"unparsable source", "/v1/compile", `{"source": "func main("}`, 400},
-		{"mem_words too small", "/v1/compile", `{"workload": "mcf", "mem_words": 1}`, 400},
-		{"body too large", "/v1/compile", big, 413},
-		{"bad scheme", "/v1/simulate", `{"workload": "mcf", "scheme": "magic"}`, 400},
-		{"explicit idempotent", "/v1/simulate", `{"workload": "mcf", "scheme": "idem", "options": {"idempotent": true}}`, 400},
-		{"bad injection model", "/v1/simulate", `{"workload": "mcf", "injections": [{"model": "gremlin", "step": 1}]}`, 400},
-		{"empty batch", "/v1/batch", `{"units": []}`, 400},
-		{"oversized batch", "/v1/batch", `{"units": [{"compile":{"workload":"mcf"}},{"compile":{"workload":"mcf"}},{"compile":{"workload":"mcf"}},{"compile":{"workload":"mcf"}},{"compile":{"workload":"mcf"}}]}`, 400},
-		{"ambiguous unit", "/v1/batch", `{"units": [{"compile": {"workload": "mcf"}, "simulate": {"workload": "mcf"}}]}`, 400},
-		{"empty unit", "/v1/batch", `{"units": [{}]}`, 400},
-	}
-	for _, tc := range cases {
+	for _, tc := range validationCases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, b := postJSON(t, ts.Client(), ts.URL+tc.path, []byte(tc.body))
 			if code != tc.want {
@@ -439,6 +444,49 @@ func TestValidation(t *testing.T) {
 		}
 		if got := resp.Header.Get("Allow"); got != http.MethodPost {
 			t.Errorf("Allow header %q, want POST", got)
+		}
+	})
+}
+
+// FuzzDecodeBatch feeds untrusted bytes through the /v1/batch and
+// /v1/jobs decoder and admission check, then every unit through the
+// checks doCompile and doSimulate make before they build, and finally
+// its RouteKey. None of it may panic.
+func FuzzDecodeBatch(f *testing.F) {
+	for _, tc := range validationCases {
+		f.Add([]byte(tc.body))
+		switch tc.path {
+		case "/v1/compile":
+			f.Add([]byte(`{"units": [{"compile": ` + tc.body + `}]}`))
+		case "/v1/simulate":
+			f.Add([]byte(`{"units": [{"simulate": ` + tc.body + `}]}`))
+		}
+	}
+	f.Add([]byte(`{"units": [
+		{"compile": {"workload": "mcf", "options": {"core": {"max_region_size": 16}}}},
+		{"simulate": {"workload": "mcf", "scheme": "idem", "args": [40],
+			"injections": [{"model": "nested", "step": 100, "mask": 8, "after": 1, "nested_mask": 4}]}},
+		{"simulate": {"source": "func main(int n) int { return n; }", "scheme": "cl", "mem_words": 4096}}
+	]}`))
+	s := &Server{cfg: Config{MaxBatchUnits: 4}.withDefaults()}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req BatchRequest
+		if decodeJSONBytes(body, &req) != nil || s.validateBatch(&req) != nil {
+			return
+		}
+		for _, u := range req.Units {
+			if c := u.Compile; c != nil {
+				resolveWorkload(c.Workload, c.Source, c.MemWords, nil)
+				c.RouteKey()
+			}
+			if r := u.Simulate; r != nil {
+				resolveWorkload(r.Workload, r.Source, r.MemWords, r.Args)
+				r.scheme()
+				for _, is := range r.Injections {
+					is.parse()
+				}
+				r.RouteKey()
+			}
 		}
 	})
 }
