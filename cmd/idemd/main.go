@@ -25,13 +25,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -47,10 +43,6 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	os.Exit(realMain(os.Args[1:], os.Stderr, sigs))
 }
-
-// exitHardStop distinguishes a forced shutdown (second signal while
-// draining) from a clean drain (0) and an error (1) for supervisors.
-const exitHardStop = 3
 
 // realMain is main with injectable args, log stream and signal channel
 // so tests can assert on exit codes and drain behavior.
@@ -124,81 +116,5 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 	// zero recompiles on top of zero re-executed units.
 	srv.RecoverJobs()
 
-	if *pprofAddr != "" {
-		// Profiling stays off the service listener: the side mux carries
-		// only pprof, so the main port's surface is unchanged and a
-		// firewall can treat the two differently.
-		pa, closePprof, err := server.ServePprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintf(stderr, "idemd: pprof: %v\n", err)
-			return 1
-		}
-		defer closePprof()
-		logf("idemd: pprof listening on http://%s/debug/pprof/", pa)
-	}
-
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "idemd: listen: %v\n", err)
-		return 1
-	}
-	if *addrFile != "" {
-		// Write-then-rename so a polling script never reads a partial
-		// address.
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(l.Addr().String()+"\n"), 0o644); err != nil {
-			fmt.Fprintf(stderr, "idemd: addr-file: %v\n", err)
-			l.Close()
-			return 1
-		}
-		if err := os.Rename(tmp, *addrFile); err != nil {
-			fmt.Fprintf(stderr, "idemd: addr-file: %v\n", err)
-			l.Close()
-			return 1
-		}
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(l) }()
-
-	select {
-	case err := <-serveErr:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(stderr, "idemd: serve: %v\n", err)
-			return 1
-		}
-		return 0
-	case <-sigs:
-	}
-
-	// First signal: graceful drain in the background so a second signal
-	// can still be heard. In-flight requests run to completion (up to
-	// -drain-timeout); a second signal force-closes everything —
-	// connection teardown cancels request contexts, which preempts any
-	// running simulations within the poll budget.
-	logf("idemd: draining (timeout %s)", *drainTimeout)
-	drainDone := make(chan int, 1)
-	go func() {
-		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		code := 0
-		if err := srv.Shutdown(dctx); err != nil {
-			fmt.Fprintf(stderr, "idemd: drain: %v\n", err)
-			code = 1
-		}
-		if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(stderr, "idemd: serve: %v\n", err)
-			code = 1
-		}
-		drainDone <- code
-	}()
-	select {
-	case code := <-drainDone:
-		logf("idemd: stopped")
-		return code
-	case <-sigs:
-		fmt.Fprintln(stderr, "idemd: second signal during drain, forcing exit")
-		srv.Close()
-		return exitHardStop
-	}
+	return server.RunDaemon("idemd", srv, *addr, *addrFile, *pprofAddr, *drainTimeout, stderr, sigs)
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"idemproc/internal/metrics"
+	"idemproc/internal/server"
 )
 
 // launch runs realMain in a goroutine against a fresh port and waits
@@ -323,8 +324,8 @@ func TestSecondSignalForcesHardExit(t *testing.T) {
 	// open); the second must force the hard exit immediately.
 	sigs <- syscall.SIGTERM
 	sigs <- syscall.SIGTERM
-	if code := waitExit(t, exit, 20*time.Second); code != exitHardStop {
-		t.Fatalf("hard exit code = %d, want %d", code, exitHardStop)
+	if code := waitExit(t, exit, 20*time.Second); code != server.ExitHardStop {
+		t.Fatalf("hard exit code = %d, want %d", code, server.ExitHardStop)
 	}
 	// The abandoned request observes a transport error, not a response.
 	if err := <-reqErr; err == nil {

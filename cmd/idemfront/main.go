@@ -13,23 +13,22 @@
 //	idemfront -backends 127.0.0.1:7777,127.0.0.1:7778,127.0.0.1:7779
 //	idemfront -addr 127.0.0.1:0 -addr-file /tmp/idemfront.addr -backends ...
 //
-// Endpoints: POST /v1/compile, /v1/simulate, /v1/batch; GET /healthz,
-// /readyz (503 while draining or with zero healthy backends), /metrics
-// (fleet-level: per-backend traffic, ring generation, rebalances,
-// failovers). See docs/sharding.md for the ring algorithm and the
-// determinism contract, docs/service.md for the request schema.
+// Endpoints: POST /v1/compile, /v1/simulate, /v1/batch, /v1/jobs; GET
+// /v1/jobs/{id} (long-poll), /v1/jobs/{id}/stream (NDJSON), DELETE
+// /v1/jobs/{id}; GET /healthz, /readyz (503 while draining or with zero
+// healthy backends), /metrics (fleet-level: per-backend traffic, ring
+// generation, rebalances, failovers). The /v1 routes run idemd's own
+// method filter, limits and job readers (internal/server). See
+// docs/sharding.md for the ring algorithm and the determinism contract,
+// docs/service.md for the request schema.
 // SIGINT/SIGTERM drain gracefully; a second signal forces exit 3, the
 // same contract idemd honors.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -46,9 +45,6 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	os.Exit(realMain(os.Args[1:], os.Stderr, sigs))
 }
-
-// exitHardStop matches idemd: second signal while draining.
-const exitHardStop = 3
 
 // realMain is main with injectable args, log stream and signal channel
 // so tests can assert on exit codes and drain behavior.
@@ -86,9 +82,8 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 	}
 
 	logf := func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }
-	cfgLogf := logf
 	if *quiet {
-		cfgLogf = func(string, ...any) {}
+		logf = func(string, ...any) {}
 	}
 	front, err := shard.New(shard.Config{
 		Backends:       reps,
@@ -96,88 +91,12 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 		RequestTimeout: *reqTimeout,
 		MaxJobs:        *maxJobs,
 		JobTTL:         *jobTTL,
-		Logf:           cfgLogf,
+		Logf:           logf,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "idemfront: %v\n", err)
 		return 1
 	}
 
-	if *pprofAddr != "" {
-		pa, closePprof, err := server.ServePprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintf(stderr, "idemfront: pprof: %v\n", err)
-			front.Close()
-			return 1
-		}
-		defer closePprof()
-		logf("idemfront: pprof listening on http://%s/debug/pprof/", pa)
-	}
-
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "idemfront: listen: %v\n", err)
-		front.Close()
-		return 1
-	}
-	if *addrFile != "" {
-		// Write-then-rename so a polling script never reads a partial
-		// address.
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(l.Addr().String()+"\n"), 0o644); err != nil {
-			fmt.Fprintf(stderr, "idemfront: addr-file: %v\n", err)
-			l.Close()
-			front.Close()
-			return 1
-		}
-		if err := os.Rename(tmp, *addrFile); err != nil {
-			fmt.Fprintf(stderr, "idemfront: addr-file: %v\n", err)
-			l.Close()
-			front.Close()
-			return 1
-		}
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- front.Serve(l) }()
-
-	select {
-	case err := <-serveErr:
-		front.Close()
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(stderr, "idemfront: serve: %v\n", err)
-			return 1
-		}
-		return 0
-	case <-sigs:
-	}
-
-	// First signal: graceful drain in the background so a second signal
-	// can still be heard — same protocol as idemd, so supervisors and
-	// smoke scripts treat the two tiers uniformly.
-	logf("idemfront: draining (timeout %s)", *drainTimeout)
-	drainDone := make(chan int, 1)
-	go func() {
-		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		code := 0
-		if err := front.Shutdown(dctx); err != nil {
-			fmt.Fprintf(stderr, "idemfront: drain: %v\n", err)
-			code = 1
-		}
-		if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(stderr, "idemfront: serve: %v\n", err)
-			code = 1
-		}
-		drainDone <- code
-	}()
-	select {
-	case code := <-drainDone:
-		logf("idemfront: stopped")
-		return code
-	case <-sigs:
-		fmt.Fprintln(stderr, "idemfront: second signal during drain, forcing exit")
-		front.Close()
-		return exitHardStop
-	}
+	return server.RunDaemon("idemfront", front, *addr, *addrFile, *pprofAddr, *drainTimeout, stderr, sigs)
 }

@@ -194,3 +194,47 @@ func TestPprofSideListener(t *testing.T) {
 	sigs <- syscall.SIGTERM
 	waitExit(t, exit, 10*time.Second)
 }
+
+// TestSecondSignalForcesHardExit: a request parked at its backend holds
+// the drain open; the second SIGTERM must cut it short with the hard-
+// exit code instead of waiting out the drain timeout, as idemd does.
+func TestSecondSignalForcesHardExit(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/compile" {
+			arrived <- struct{}{}
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+		}
+	}))
+	t.Cleanup(backend.Close)
+	t.Cleanup(func() { close(release) })
+	addr, sigs, exit := launch(t, io.Discard, "-backends", strings.TrimPrefix(backend.URL, "http://"),
+		"-drain-timeout", "5m")
+
+	reqErr := make(chan error, 1)
+	go func() {
+		resp, err := http.Post("http://"+addr+"/v1/compile", "application/json", strings.NewReader(`{}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+		reqErr <- err
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the request never reached the backend")
+	}
+
+	sigs <- syscall.SIGTERM
+	sigs <- syscall.SIGTERM
+	if code := waitExit(t, exit, 10*time.Second); code != server.ExitHardStop {
+		t.Fatalf("hard exit code = %d, want %d", code, server.ExitHardStop)
+	}
+	if err := <-reqErr; err == nil {
+		t.Error("in-flight request completed cleanly despite the forced exit")
+	}
+}

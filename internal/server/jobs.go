@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"idemproc/internal/jobs"
+	"idemproc/internal/metrics"
 )
 
 // SubmitResponse is the POST /v1/jobs body.
@@ -58,24 +59,24 @@ func (s *Server) runJobUnit(ctx context.Context, unit json.RawMessage, index int
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// The raw body is read up front: it is both the validation input and
 	// the journal payload (recovery re-derives the units from it).
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeHTTPErr(w, &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes)})
+			WriteHTTPErr(w, &httpError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("body exceeds %d bytes", MaxBodyBytes)})
 			return
 		}
-		writeHTTPErr(w, badRequest("reading body: %v", err))
+		WriteHTTPErr(w, badRequest("reading body: %v", err))
 		return
 	}
 	var req BatchRequest
 	if he := decodeJSONBytes(body, &req); he != nil {
-		writeHTTPErr(w, he)
+		WriteHTTPErr(w, he)
 		return
 	}
-	if he := s.validateBatch(&req); he != nil {
-		writeHTTPErr(w, he)
+	if he := validateBatch(&req); he != nil {
+		WriteHTTPErr(w, he)
 		return
 	}
 	// Second parse extracts the units as raw bytes: the runner hands
@@ -84,31 +85,111 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Units []json.RawMessage `json:"units"`
 	}
 	if err := json.Unmarshal(body, &raw); err != nil || len(raw.Units) != len(req.Units) {
-		writeHTTPErr(w, badRequest("invalid JSON body"))
+		WriteHTTPErr(w, badRequest("invalid JSON body"))
 		return
 	}
 
 	j, err := s.jobs.Submit(body, raw.Units)
 	if err != nil {
-		if errors.Is(err, jobs.ErrTableFull) || errors.Is(err, jobs.ErrClosed) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err.Error())
-			return
-		}
-		writeHTTPErr(w, err)
+		WriteHTTPErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, SubmitResponse{ID: j.ID(), Units: j.Units(), State: j.State().String()})
 }
 
-// jobFromRequest resolves {id} or writes the canonical 404.
-func (s *Server) jobFromRequest(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
-	id := r.PathValue("id")
-	j, ok := s.jobs.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
+// JobHandler serves GET /v1/jobs/{id}, a long-poll for the results past
+// ?cursor= that parks up to ?wait= milliseconds (at most JobPollMax),
+// and DELETE /v1/jobs/{id}, which cancels, from m's job table. When
+// chunks is non-nil it observes each non-empty poll's result count under
+// mode "poll". idemd and idemfront both serve their job tables through
+// it, so the two answer every read with the same bytes.
+func JobHandler(m *jobs.Manager, chunks *metrics.Histograms) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if r.Method == http.MethodDelete {
+			// One lookup: a job the reaper removes between a Get and a
+			// Cancel would leave nothing to answer with.
+			j, ok := m.Cancel(id)
+			if !ok {
+				writeUnknownJob(w, id)
+				return
+			}
+			writeJSON(w, http.StatusOK, CancelResponse{ID: j.ID(), State: j.State().String()})
+			return
+		}
+		j, ok := m.Get(id)
+		if !ok {
+			writeUnknownJob(w, id)
+			return
+		}
+		cursor, he := parseCursor(r, j.Units())
+		if he != nil {
+			WriteHTTPErr(w, he)
+			return
+		}
+		var wait time.Duration
+		if q := r.URL.Query().Get("wait"); q != "" {
+			ms, err := strconv.Atoi(q)
+			if err != nil || ms < 0 {
+				WriteHTTPErr(w, badRequest("wait must be a non-negative duration in milliseconds"))
+				return
+			}
+			// Cap before converting: a wait past time.Duration's range
+			// must park like any other over-cap wait, not wrap negative.
+			wait = time.Duration(min(ms, int(JobPollMax/time.Millisecond))) * time.Millisecond
+		}
+		rep := j.Poll(r.Context(), cursor, wait)
+		if n := len(rep.Results); n > 0 && chunks != nil {
+			chunks.Observe(float64(n), "poll")
+		}
+		writeJSON(w, http.StatusOK, rep)
 	}
-	return j, ok
+}
+
+// JobStreamHandler serves GET /v1/jobs/{id}/stream from m's job table:
+// NDJSON results in strict index order from ?cursor=, each chunk flushed
+// as it lands. When chunks is non-nil it observes each chunk's result
+// count under mode "stream".
+func JobStreamHandler(m *jobs.Manager, chunks *metrics.Histograms) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		j, ok := m.Get(id)
+		if !ok {
+			writeUnknownJob(w, id)
+			return
+		}
+		cursor, he := parseCursor(r, j.Units())
+		if he != nil {
+			WriteHTTPErr(w, he)
+			return
+		}
+		flusher, _ := w.(http.Flusher)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		// From here the status is committed; a broken stream is signaled
+		// by the connection, and the client resumes with ?cursor=.
+		_, _ = j.Stream(r.Context(), cursor, func(chunk [][]byte) error {
+			var buf bytes.Buffer
+			for _, line := range chunk {
+				buf.Write(line)
+				buf.WriteByte('\n')
+			}
+			if _, err := w.Write(buf.Bytes()); err != nil {
+				return err
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			if chunks != nil {
+				chunks.Observe(float64(len(chunk)), "stream")
+			}
+			return nil
+		})
+	}
+}
+
+func writeUnknownJob(w http.ResponseWriter, id string) {
+	WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 }
 
 // parseCursor validates ?cursor=N against [0, units].
@@ -122,73 +203,6 @@ func parseCursor(r *http.Request, units int) (int, *httpError) {
 		return 0, badRequest("cursor must be an integer in [0, %d]", units)
 	}
 	return c, nil
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFromRequest(w, r)
-	if !ok {
-		return
-	}
-	if r.Method == http.MethodDelete {
-		j, _ = s.jobs.Cancel(j.ID())
-		writeJSON(w, http.StatusOK, CancelResponse{ID: j.ID(), State: j.State().String()})
-		return
-	}
-
-	cursor, he := parseCursor(r, j.Units())
-	if he != nil {
-		writeHTTPErr(w, he)
-		return
-	}
-	var wait time.Duration
-	if q := r.URL.Query().Get("wait"); q != "" {
-		ms, err := strconv.Atoi(q)
-		if err != nil || ms < 0 {
-			writeHTTPErr(w, badRequest("wait must be a non-negative duration in milliseconds"))
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > s.cfg.JobPollMax {
-			wait = s.cfg.JobPollMax
-		}
-	}
-	rep := j.Poll(r.Context(), cursor, wait)
-	if n := len(rep.Results); n > 0 {
-		s.metrics.Chunks.Observe(float64(n), "poll")
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFromRequest(w, r)
-	if !ok {
-		return
-	}
-	cursor, he := parseCursor(r, j.Units())
-	if he != nil {
-		writeHTTPErr(w, he)
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	// From here the status is committed; a broken stream is signaled by
-	// the connection, and the client resumes with ?cursor=.
-	_, _ = j.Stream(r.Context(), cursor, func(chunk [][]byte) error {
-		var buf bytes.Buffer
-		for _, line := range chunk {
-			buf.Write(line)
-			buf.WriteByte('\n')
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		s.metrics.Chunks.Observe(float64(len(chunk)), "stream")
-		return nil
-	})
 }
 
 // decodeJSONBytes is decodeJSON over an in-memory body: same strictness,

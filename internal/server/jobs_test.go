@@ -17,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"idemproc/internal/jobs"
 )
 
 // jobBatchBody is a mixed batch: compiles, simulates across schemes, and
@@ -243,6 +245,32 @@ func TestJobCursorValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("DELETE unknown: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestJobPollHugeWaitParks: a wait past time.Duration's range is capped
+// like any long wait, so the poll parks (here until the request context
+// ends) instead of overflowing into an immediate empty answer.
+func TestJobPollHugeWaitParks(t *testing.T) {
+	m := jobs.NewManager(jobs.Config{}, nil, nil)
+	defer m.Close(context.Background())
+	j, err := m.Track(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const park = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), park)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID()+"?wait=10000000000000", nil).WithContext(ctx)
+	req.SetPathValue("id", j.ID())
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	JobHandler(m, nil)(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d body %s", rec.Code, rec.Body)
+	}
+	if d := time.Since(start); d < park {
+		t.Errorf("poll returned after %v, want it parked for the request's %v", d, park)
 	}
 }
 

@@ -48,7 +48,7 @@ func warmSlow(t *testing.T, ts *httptest.Server) {
 // step loop exited on the deadline, within its instruction budget —
 // the budget itself is pinned by the machine-level preemption tests.
 func TestSimulateTimeoutPreemptsRun(t *testing.T) {
-	s := New(Config{RequestTimeout: 30 * time.Millisecond, PreemptEvery: 2048})
+	s := New(Config{RequestTimeout: 30 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -77,7 +77,7 @@ func TestSimulateTimeoutPreemptsRun(t *testing.T) {
 // TestClientCancelPreemptsRun: client disconnection (not just the
 // server deadline) propagates into the step loop.
 func TestClientCancelPreemptsRun(t *testing.T) {
-	s := New(Config{PreemptEvery: 2048})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	warmSlow(t, ts)
@@ -116,7 +116,7 @@ func TestClientCancelPreemptsRun(t *testing.T) {
 // — preemption reaches through the engine pool, not just the
 // single-request path.
 func TestBatchCancellationPreemptsUnits(t *testing.T) {
-	s := New(Config{Workers: 4, PreemptEvery: 2048})
+	s := New(Config{Workers: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	warmSlow(t, ts)

@@ -26,33 +26,23 @@ import (
 )
 
 // Config sizes the front tier. Zero values select the documented
-// defaults.
+// defaults. The body, batch and long-poll bounds are the replicas' own
+// (server.MaxBodyBytes, MaxBatchUnits, JobPollMax).
 type Config struct {
 	// Backends are the replica addresses (host:port). At least one.
 	Backends []string
 	// HealthInterval is the /readyz poll period (default 250ms).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one readiness probe (default 2s).
-	HealthTimeout time.Duration
 	// RequestTimeout is the per-request deadline at the front (default
 	// 60s — above the replica default so a replica-side 503 surfaces
 	// before the front gives up; <0 disables).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 8 MiB, matching the
-	// replica default so oversize rejections read identically).
-	MaxBodyBytes int64
-	// MaxBatchUnits bounds the batches the front will split (default
-	// 256, the replica default). Larger batches are forwarded unsplit
-	// and rejected canonically by a replica.
-	MaxBatchUnits int
 	// MaxJobs bounds the front-side job table (default 64). Each front
 	// job fans out per-owner sub-jobs to the replicas.
 	MaxJobs int
 	// JobTTL is how long a terminal front job stays queryable (default
 	// 10m, matching the replica default).
 	JobTTL time.Duration
-	// JobPollMax caps one GET /v1/jobs/{id} long-poll (default 25s).
-	JobPollMax time.Duration
 	// Logf receives lifecycle and rebalance lines (default: discard).
 	Logf func(format string, args ...any)
 }
@@ -61,26 +51,17 @@ func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 250 * time.Millisecond
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 60 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatchUnits <= 0 {
-		c.MaxBatchUnits = 256
-	}
-	if c.JobPollMax <= 0 {
-		c.JobPollMax = 25 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
+
+// healthTimeout bounds one readiness probe.
+const healthTimeout = 2 * time.Second
 
 // backend is one replica as the router sees it: its address and the
 // router's current health belief.
@@ -132,6 +113,9 @@ func New(cfg Config) (*Front, error) {
 		mux:     http.NewServeMux(),
 		stop:    make(chan struct{}),
 	}
+	// Made here, not in Serve, so a Shutdown or Close that lands before
+	// Serve starts still reaches it: Serve then returns at once.
+	f.httpSrv = &http.Server{Handler: f.mux, ReadHeaderTimeout: 10 * time.Second}
 	// The front's job table tracks externally fed jobs only (no engine,
 	// no journal — durability lives replica-side, where the work runs).
 	f.jobs = jobs.NewManager(jobs.Config{
@@ -144,15 +128,26 @@ func New(cfg Config) (*Front, error) {
 		b.healthy.Store(true)
 		f.backends[id] = b
 	}
+	// The probes and /metrics stay outside the /v1 middleware, so the
+	// front's page counts only the /v1 traffic it serves.
 	f.mux.HandleFunc("/healthz", f.handleHealthz)
 	f.mux.HandleFunc("/readyz", f.handleReadyz)
 	f.mux.HandleFunc("/metrics", f.handleMetrics)
-	f.mux.HandleFunc("/v1/compile", f.proxySingle("/v1/compile"))
-	f.mux.HandleFunc("/v1/simulate", f.proxySingle("/v1/simulate"))
-	f.mux.HandleFunc("/v1/batch", f.handleBatch)
-	f.mux.HandleFunc("/v1/jobs", f.handleJobSubmit)
-	f.mux.HandleFunc("/v1/jobs/{id}", f.handleJob)
-	f.mux.HandleFunc("/v1/jobs/{id}/stream", f.handleJobStream)
+	get, post := []string{http.MethodGet}, []string{http.MethodPost}
+	for _, rt := range []struct {
+		path    string
+		methods []string
+		h       http.HandlerFunc
+	}{
+		{"/v1/compile", post, f.proxySingle("/v1/compile")},
+		{"/v1/simulate", post, f.proxySingle("/v1/simulate")},
+		{"/v1/batch", post, f.handleBatch},
+		{"/v1/jobs", post, f.handleJobSubmit},
+		{"/v1/jobs/{id}", []string{http.MethodGet, http.MethodDelete}, server.JobHandler(f.jobs, nil)},
+		{"/v1/jobs/{id}/stream", get, server.JobStreamHandler(f.jobs, nil)},
+	} {
+		f.mux.Handle(rt.path, server.Instrument(rt.path, rt.methods, &f.metrics.InFlight, f.metrics.Observe, rt.h))
+	}
 
 	f.wg.Add(1)
 	go f.healthLoop()
@@ -174,7 +169,6 @@ func (f *Front) Jobs() *jobs.Manager { return f.jobs }
 // Serve accepts connections on l until Shutdown; returns
 // http.ErrServerClosed after a clean drain.
 func (f *Front) Serve(l net.Listener) error {
-	f.httpSrv = &http.Server{Handler: f.mux, ReadHeaderTimeout: 10 * time.Second}
 	f.cfg.Logf("idemfront: listening on %s, %d backends", l.Addr(), f.ring.Size())
 	return f.httpSrv.Serve(l)
 }
@@ -189,10 +183,7 @@ func (f *Front) Shutdown(ctx context.Context) error {
 	// cancels its replica sub-job) and wakes parked pollers/streamers so
 	// their in-flight requests can complete inside the drain window.
 	f.jobs.Stop()
-	var err error
-	if f.httpSrv != nil {
-		err = f.httpSrv.Shutdown(ctx)
-	}
+	err := f.httpSrv.Shutdown(ctx)
 	if jerr := f.jobs.Close(ctx); jerr != nil && err == nil {
 		err = jerr
 	}
@@ -206,10 +197,7 @@ func (f *Front) Close() error {
 	f.draining.Store(true)
 	f.stopOnce.Do(func() { close(f.stop) })
 	f.jobs.Stop()
-	var err error
-	if f.httpSrv != nil {
-		err = f.httpSrv.Close()
-	}
+	err := f.httpSrv.Close()
 	f.wg.Wait()
 	return err
 }
@@ -245,7 +233,7 @@ func (f *Front) sweep() {
 }
 
 func (f *Front) probe(b *backend) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/readyz", nil)
 	if err != nil {
@@ -323,51 +311,47 @@ func (f *Front) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprint(w, f.metrics.Render(f.healthSnapshot(), f.jobs.Stats()))
 }
 
-// respond writes one front-level response and records it.
-func (f *Front) respond(w http.ResponseWriter, path string, code int, body []byte) {
-	f.metrics.ObservePath(path, code)
+// respond writes one front-level response: a replica's body verbatim,
+// or one the front encoded the way a replica would.
+func respond(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(body)
 }
 
-func (f *Front) respondError(w http.ResponseWriter, path string, code int, msg string) {
-	b, _ := json.Marshal(struct {
-		Error string `json:"error"`
-	}{msg})
-	f.respond(w, path, code, append(b, '\n'))
-}
-
-// admit performs the front-level request preamble shared by all /v1
-// paths: method filter (same 405 body a replica writes) and a bounded
-// body read (same 413 text, same default bound). It returns ok=false
-// after writing the response itself.
-func (f *Front) admit(w http.ResponseWriter, r *http.Request, path string) (body []byte, done func(), ctx context.Context, ok bool) {
-	f.metrics.InFlight.Add(1)
-	if r.Method != http.MethodPost {
-		defer f.metrics.InFlight.Add(-1)
-		w.Header().Set("Allow", http.MethodPost)
-		f.respondError(w, path, http.StatusMethodNotAllowed, fmt.Sprintf("method %s not allowed", r.Method))
-		return nil, nil, nil, false
-	}
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
+// admit reads the bounded request body (the replica's bound and 413
+// text) and applies the front's request deadline. The method filter ran
+// in server.Instrument. It returns ok=false after writing the response
+// itself.
+func (f *Front) admit(w http.ResponseWriter, r *http.Request) (body []byte, ctx context.Context, cancel context.CancelFunc, ok bool) {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 	if err != nil {
-		defer f.metrics.InFlight.Add(-1)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			f.respondError(w, path, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", f.cfg.MaxBodyBytes))
+			server.WriteError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("body exceeds %d bytes", server.MaxBodyBytes))
 		} else {
-			f.respondError(w, path, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+			server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
 		}
 		return nil, nil, nil, false
 	}
-	ctx = r.Context()
-	cancel := func() {}
+	ctx, cancel = r.Context(), func() {}
 	if f.cfg.RequestTimeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, f.cfg.RequestTimeout)
 	}
-	return b, func() { cancel(); f.metrics.InFlight.Add(-1) }, ctx, true
+	return b, ctx, cancel, true
+}
+
+// forward routes body to key's ring owner and relays the answer, or a
+// 503 when no replica served it.
+func (f *Front) forward(w http.ResponseWriter, ctx context.Context, path string, body []byte, key string) {
+	status, resp, err := f.route(ctx, path, body, key)
+	if err != nil {
+		server.WriteError(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("no replica served the request: %v", err))
+		return
+	}
+	respond(w, status, resp)
 }
 
 // ---------------------------------------------------------------------
@@ -375,22 +359,16 @@ func (f *Front) admit(w http.ResponseWriter, r *http.Request, path string) (body
 
 func (f *Front) proxySingle(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, done, ctx, ok := f.admit(w, r, path)
+		body, ctx, cancel, ok := f.admit(w, r)
 		if !ok {
 			return
 		}
-		defer done()
+		defer cancel()
 		key, parsed := routeKeyFor(path, body)
 		if !parsed {
 			f.metrics.RawRouted.Add(1)
 		}
-		status, resp, err := f.route(ctx, path, body, key)
-		if err != nil {
-			f.respondError(w, path, http.StatusServiceUnavailable,
-				fmt.Sprintf("no replica served the request: %v", err))
-			return
-		}
-		f.respond(w, path, status, resp)
+		f.forward(w, ctx, path, body, key)
 	}
 }
 
@@ -555,25 +533,19 @@ type rawBatchResult struct {
 
 func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	const path = "/v1/batch"
-	body, done, ctx, ok := f.admit(w, r, path)
+	body, ctx, cancel, ok := f.admit(w, r)
 	if !ok {
 		return
 	}
-	defer done()
+	defer cancel()
 
 	groups, splittable := f.splitBatch(body)
 	if !splittable {
-		// Invalid shape (or beyond the split bound): forward unsplit so a
+		// Invalid shape (or beyond the batch bound): forward unsplit so a
 		// replica produces the canonical error — or the canonical success
 		// for the shapes the splitter declines but replicas accept.
 		f.metrics.RawRouted.Add(1)
-		status, resp, err := f.route(ctx, path, body, rawKey(body))
-		if err != nil {
-			f.respondError(w, path, http.StatusServiceUnavailable,
-				fmt.Sprintf("no replica served the request: %v", err))
-			return
-		}
-		f.respond(w, path, status, resp)
+		f.forward(w, ctx, path, body, rawKey(body))
 		return
 	}
 
@@ -607,21 +579,21 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	merged := make([]rawBatchResult, total)
 	for _, g := range groups {
 		if g.err != nil {
-			f.respondError(w, path, http.StatusServiceUnavailable,
+			server.WriteError(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("sub-batch failed on every replica: %v", g.err))
 			return
 		}
 		if g.status != http.StatusOK {
-			// A replica rejected a sub-batch the splitter considered valid
-			// (e.g. a stricter replica-side bound): surface its response.
-			f.respond(w, path, g.status, g.resp)
+			// No owner accepted the sub-batch (each shed it, or a replica
+			// rejected it): surface the replica's response.
+			respond(w, g.status, g.resp)
 			return
 		}
 		var sub struct {
 			Results []rawBatchResult `json:"results"`
 		}
 		if err := json.Unmarshal(g.resp, &sub); err != nil || len(sub.Results) != len(g.indices) {
-			f.respondError(w, path, http.StatusBadGateway,
+			server.WriteError(w, http.StatusBadGateway,
 				fmt.Sprintf("sub-batch response malformed: %d results for %d units", len(sub.Results), len(g.indices)))
 			return
 		}
@@ -634,10 +606,10 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Results []rawBatchResult `json:"results"`
 	}{Results: merged})
 	if err != nil {
-		f.respondError(w, path, http.StatusInternalServerError, "response encoding failed")
+		server.WriteError(w, http.StatusInternalServerError, "response encoding failed")
 		return
 	}
-	f.respond(w, path, http.StatusOK, append(out, '\n'))
+	respond(w, http.StatusOK, append(out, '\n'))
 }
 
 // splitBatch parses a batch body and groups its units by ring owner.
@@ -653,7 +625,7 @@ func (f *Front) splitBatch(body []byte) ([]*batchGroup, bool) {
 	if strictUnmarshal(body, &outer) != nil {
 		return nil, false
 	}
-	if len(outer.Units) == 0 || len(outer.Units) > f.cfg.MaxBatchUnits {
+	if len(outer.Units) == 0 || len(outer.Units) > server.MaxBatchUnits {
 		return nil, false
 	}
 	groups := map[string]*batchGroup{}

@@ -421,79 +421,79 @@ func TestFrontJobCancelDuringSubmit(t *testing.T) {
 	t.Fatal("the replica's sub-job was never canceled")
 }
 
-// TestFrontJobValidation pins the front's error surface to the replica
-// texts: unknown handles, cursor bounds, method filters, and the
-// canonical replica answer for unsplittable submissions.
+// TestFrontJobValidation pins the front's job error surface to a
+// replica's, byte for byte: unknown handles, cursor and wait bounds,
+// the method filter, and the canonical replica answer for submissions
+// the splitter declines.
 func TestFrontJobValidation(t *testing.T) {
 	_, refAddr := newReplica(t)
 	refURL := "http://" + refAddr
-	_, addr := newReplica(t)
-	_, url := newFront(t, []string{addr}, func(c *Config) { c.MaxBatchUnits = 2 })
+	rs, addr := newReplica(t)
+	_, url := newFront(t, []string{addr}, nil)
+
+	type answer struct {
+		status int
+		allow  string
+		body   string
+	}
+	do := func(method, url string) answer {
+		t.Helper()
+		req, err := http.NewRequest(method, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return answer{resp.StatusCode, resp.Header.Get("Allow"), string(b)}
+	}
+	same := func(what string, front, ref answer, want int) {
+		t.Helper()
+		if front != ref || front.status != want {
+			t.Errorf("%s: front %+v, replica %+v, want status %d", what, front, ref, want)
+		}
+	}
 
 	// Unknown handle: poll, stream, cancel.
-	for _, path := range []string{"/v1/jobs/zzz", "/v1/jobs/zzz/stream"} {
-		resp, err := http.Get(url + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(b), `unknown job \"zzz\"`) {
-			t.Fatalf("GET %s: status %d body %s", path, resp.StatusCode, b)
-		}
+	for _, rq := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/jobs/zzz"},
+		{http.MethodGet, "/v1/jobs/zzz/stream"},
+		{http.MethodDelete, "/v1/jobs/zzz"},
+	} {
+		same(rq.method+" "+rq.path, do(rq.method, url+rq.path), do(rq.method, refURL+rq.path), http.StatusNotFound)
 	}
 
-	// A submit that the splitter declines for shape reasons gets the
-	// byte-identical replica error.
-	badBody := []byte(`{"units": []}`)
-	fStatus, fResp := postBody(t, url+"/v1/jobs", badBody)
-	rStatus, rResp := postBody(t, refURL+"/v1/jobs", badBody)
-	if fStatus != rStatus || !bytes.Equal(fResp, rResp) {
-		t.Fatalf("unsplittable submit: front (%d, %s) vs replica (%d, %s)", fStatus, fResp, rStatus, rResp)
+	// Submits the splitter declines forward unsplit, so the front answers
+	// with the replica's bytes and mints no replica-side handle: an
+	// invalid shape, and a batch one unit over the shared bound.
+	units := make([]server.BatchUnit, server.MaxBatchUnits+1)
+	for i := range units {
+		units[i].Compile = &server.CompileRequest{Workload: "mcf"}
+	}
+	for _, body := range [][]byte{[]byte(`{"units": []}`), mustJSON(t, &server.BatchRequest{Units: units})} {
+		fStatus, fResp := postBody(t, url+"/v1/jobs", body)
+		rStatus, rResp := postBody(t, refURL+"/v1/jobs", body)
+		if fStatus != http.StatusBadRequest || fStatus != rStatus || !bytes.Equal(fResp, rResp) {
+			t.Errorf("unsplittable submit: front (%d, %s) vs replica (%d, %s)", fStatus, fResp, rStatus, rResp)
+		}
+	}
+	if n := rs.Jobs().Stats().Tracked; n != 0 {
+		t.Errorf("replica holds %d jobs after rejected submits", n)
 	}
 
-	// Beyond the front's split bound: rejected at the front with the
-	// replica's message shape, no replica-side handle minted.
-	big := mustJSON(t, &server.BatchRequest{Units: []server.BatchUnit{
+	// One-unit jobs on both for the cursor, wait and method checks.
+	body := mustJSON(t, &server.BatchRequest{Units: []server.BatchUnit{
 		{Compile: &server.CompileRequest{Source: srcVariant(0)}},
-		{Compile: &server.CompileRequest{Source: srcVariant(1)}},
-		{Compile: &server.CompileRequest{Source: srcVariant(2)}},
 	}})
-	status, resp := postBody(t, url+"/v1/jobs", big)
-	if status != http.StatusBadRequest || !strings.Contains(string(resp), "batch exceeds 2 units") {
-		t.Fatalf("oversize submit: status %d body %s", status, resp)
-	}
-
-	// A real job for cursor/method checks.
-	sub := submitFrontJob(t, url, mustJSON(t, &server.BatchRequest{Units: []server.BatchUnit{
-		{Compile: &server.CompileRequest{Source: srcVariant(0)}},
-	}}))
-	rep := pollFrontJob(t, url, sub.ID, 0, 5000)
-	if rep.State != "done" {
-		t.Fatalf("job state %q", rep.State)
-	}
+	fID := submitFrontJob(t, url, body).ID
+	rID := submitFrontJob(t, refURL, body).ID
 	for _, q := range []string{"cursor=2", "cursor=-1", "cursor=abc", "wait=abc", "wait=-5"} {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s?%s", url, sub.ID, q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET ?%s: status %d, want 400", q, resp.StatusCode)
-		}
+		same("GET ?"+q, do(http.MethodGet, url+"/v1/jobs/"+fID+"?"+q),
+			do(http.MethodGet, refURL+"/v1/jobs/"+rID+"?"+q), http.StatusBadRequest)
 	}
-	req, err := http.NewRequest(http.MethodPatch, url+"/v1/jobs/"+sub.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusMethodNotAllowed || resp2.Header.Get("Allow") != "GET, DELETE" {
-		t.Fatalf("PATCH: status %d Allow %q", resp2.StatusCode, resp2.Header.Get("Allow"))
-	}
+	same("PATCH", do(http.MethodPatch, url+"/v1/jobs/"+fID),
+		do(http.MethodPatch, refURL+"/v1/jobs/"+rID), http.StatusMethodNotAllowed)
 }

@@ -9,9 +9,12 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -377,6 +380,37 @@ func TestFrontFailsOverWithoutRetrying(t *testing.T) {
 				t.Errorf("failovers = %d, want 1", n)
 			}
 		})
+	}
+}
+
+// TestShutdownBeforeServe: a drain that lands before Serve starts, as a
+// signal right after the daemon loop writes its -addr-file can, still
+// stops each service: Serve then returns ErrServerClosed at once
+// instead of serving on with nothing left to stop it.
+func TestShutdownBeforeServe(t *testing.T) {
+	f, err := New(Config{Backends: []string{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, svc := range []server.Service{server.New(server.Config{}), f} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Shutdown(context.Background()); err != nil {
+			t.Fatalf("%T: Shutdown: %v", svc, err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- svc.Serve(l) }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, http.ErrServerClosed) {
+				t.Errorf("%T: Serve returned %v, want ErrServerClosed", svc, err)
+			}
+		case <-time.After(5 * time.Second):
+			svc.Close()
+			t.Fatalf("%T: Serve still running after Shutdown", svc)
+		}
 	}
 }
 

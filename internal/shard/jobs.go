@@ -10,14 +10,11 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"idemproc/internal/jobs"
@@ -38,12 +35,11 @@ const subJobSubmitTimeout = 10 * time.Second
 // split exactly like /v1/batch, mint a front-side handle immediately,
 // and let one merger goroutine per sub-batch feed the tracked job.
 func (f *Front) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	const path = "/v1/jobs"
-	body, done, ctx, ok := f.admit(w, r, path)
+	body, ctx, cancel, ok := f.admit(w, r)
 	if !ok {
 		return
 	}
-	defer done()
+	defer cancel()
 
 	groups, splittable := f.splitBatch(body)
 	if !splittable {
@@ -57,13 +53,7 @@ func (f *Front) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := f.jobs.Track(total)
 	if err != nil {
-		if errors.Is(err, jobs.ErrTableFull) || errors.Is(err, jobs.ErrClosed) {
-			// Same shed contract as a replica: bounded table, retry hint.
-			w.Header().Set("Retry-After", "1")
-			f.respondError(w, path, http.StatusTooManyRequests, err.Error())
-			return
-		}
-		f.respondError(w, path, http.StatusInternalServerError, err.Error())
+		server.WriteHTTPErr(w, err)
 		return
 	}
 	for _, g := range groups {
@@ -71,40 +61,27 @@ func (f *Front) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		go f.runGroup(j, g)
 	}
 	b, _ := json.Marshal(server.SubmitResponse{ID: j.ID(), Units: total, State: j.State().String()})
-	f.respond(w, path, http.StatusOK, append(b, '\n'))
+	respond(w, http.StatusOK, append(b, '\n'))
 }
 
 // forwardUnsplittableJob handles the bodies the splitter declines. The
-// replica validation rules are a superset of the splitter's, so these
-// forward unsplit purely to fetch the canonical replica error — except
-// the front's own split bound, which the front enforces itself (with
-// the replica's own message shape) rather than minting a replica-side
-// handle it could never serve.
+// front and the replicas share the batch rules and bounds, so these
+// forward unsplit purely to fetch the canonical replica error.
 func (f *Front) forwardUnsplittableJob(w http.ResponseWriter, ctx context.Context, body []byte) {
 	const path = "/v1/jobs"
-	var outer struct {
-		Units []json.RawMessage `json:"units"`
-	}
-	if strictUnmarshal(body, &outer) == nil && len(outer.Units) > f.cfg.MaxBatchUnits {
-		f.respondError(w, path, http.StatusBadRequest,
-			fmt.Sprintf("batch exceeds %d units", f.cfg.MaxBatchUnits))
-		return
-	}
 	f.metrics.RawRouted.Add(1)
 	status, resp, err := f.route(ctx, path, body, rawKey(body))
-	if err != nil {
-		f.respondError(w, path, http.StatusServiceUnavailable,
+	switch {
+	case err != nil:
+		server.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("no replica served the request: %v", err))
-		return
-	}
-	if status == http.StatusOK {
-		// Unreachable when front and replica validation agree; never hand
+	case status == http.StatusOK:
+		// Unreachable while front and replica validation agree; never hand
 		// out a replica-scoped handle (its TTL reaps the stray job).
-		f.respondError(w, path, http.StatusBadGateway,
-			"replica accepted a job the front cannot track")
-		return
+		server.WriteError(w, http.StatusBadGateway, "replica accepted a job the front cannot track")
+	default:
+		respond(w, status, resp)
 	}
-	f.respond(w, path, status, resp)
 }
 
 // runGroup is one sub-batch's merger: submit the group's still-missing
@@ -286,115 +263,4 @@ func firstLine(b []byte) string {
 		}
 	}
 	return string(b)
-}
-
-// ---------------------------------------------------------------------
-// Front-side job reads: same endpoints, texts and semantics as a
-// replica, served from the front's own job table.
-
-// handleJob serves GET (long-poll) and DELETE (cancel) for a front job.
-func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
-	const path = "/v1/jobs/{id}"
-	f.metrics.InFlight.Add(1)
-	defer f.metrics.InFlight.Add(-1)
-	if r.Method != http.MethodGet && r.Method != http.MethodDelete {
-		w.Header().Set("Allow", "GET, DELETE")
-		f.respondError(w, path, http.StatusMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed", r.Method))
-		return
-	}
-	j, ok := f.jobFromRequest(w, r, path)
-	if !ok {
-		return
-	}
-	if r.Method == http.MethodDelete {
-		j, _ = f.jobs.Cancel(j.ID())
-		b, _ := json.Marshal(server.CancelResponse{ID: j.ID(), State: j.State().String()})
-		f.respond(w, path, http.StatusOK, append(b, '\n'))
-		return
-	}
-
-	cursor, ok := f.parseJobCursor(w, r, path, j.Units())
-	if !ok {
-		return
-	}
-	var wait time.Duration
-	if q := r.URL.Query().Get("wait"); q != "" {
-		ms, err := strconv.Atoi(q)
-		if err != nil || ms < 0 {
-			f.respondError(w, path, http.StatusBadRequest,
-				"wait must be a non-negative duration in milliseconds")
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > f.cfg.JobPollMax {
-			wait = f.cfg.JobPollMax
-		}
-	}
-	rep := j.Poll(r.Context(), cursor, wait)
-	b, _ := json.Marshal(rep)
-	f.respond(w, path, http.StatusOK, append(b, '\n'))
-}
-
-// handleJobStream serves GET /v1/jobs/{id}/stream: NDJSON results in
-// strict index order, resumable with ?cursor=.
-func (f *Front) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	const path = "/v1/jobs/{id}/stream"
-	f.metrics.InFlight.Add(1)
-	defer f.metrics.InFlight.Add(-1)
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		f.respondError(w, path, http.StatusMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed", r.Method))
-		return
-	}
-	j, ok := f.jobFromRequest(w, r, path)
-	if !ok {
-		return
-	}
-	cursor, ok := f.parseJobCursor(w, r, path, j.Units())
-	if !ok {
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	f.metrics.ObservePath(path, http.StatusOK)
-	_, _ = j.Stream(r.Context(), cursor, func(chunk [][]byte) error {
-		var buf bytes.Buffer
-		for _, line := range chunk {
-			buf.Write(line)
-			buf.WriteByte('\n')
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-}
-
-func (f *Front) jobFromRequest(w http.ResponseWriter, r *http.Request, path string) (*jobs.Job, bool) {
-	id := r.PathValue("id")
-	j, ok := f.jobs.Get(id)
-	if !ok {
-		f.respondError(w, path, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
-	}
-	return j, ok
-}
-
-func (f *Front) parseJobCursor(w http.ResponseWriter, r *http.Request, path string, units int) (int, bool) {
-	q := r.URL.Query().Get("cursor")
-	if q == "" {
-		return 0, true
-	}
-	c, err := strconv.Atoi(q)
-	if err != nil || c < 0 || c > units {
-		f.respondError(w, path, http.StatusBadRequest,
-			fmt.Sprintf("cursor must be an integer in [0, %d]", units))
-		return 0, false
-	}
-	return c, true
 }

@@ -61,8 +61,10 @@ func (m *Metrics) ObserveBackend(id string, d time.Duration, failed bool) {
 	m.backendSeconds.Add(d.Seconds(), id)
 }
 
-// ObservePath records one front-level response by path and status.
-func (m *Metrics) ObservePath(path string, code int) {
+// Observe records one front-level response by path and status, for
+// server.Instrument. The front keeps no latency histogram (the replicas
+// time the work), so d goes unused.
+func (m *Metrics) Observe(path string, code int, _ time.Duration) {
 	m.requests.Add(1, path, strconv.Itoa(code))
 }
 

@@ -39,7 +39,7 @@ func TestFrontMetricsPageGolden(t *testing.T) {
 		{"/v1/simulate", 200}, {"/v1/simulate", 503}, {"/v1/batch", 200},
 		{"/v1/jobs", 202}, {"/v1/jobs/{id}", 200},
 	} {
-		m.ObservePath(o.path, o.code)
+		m.Observe(o.path, o.code, 0)
 	}
 	m.RingGen.Add(3)
 	m.Rebalances.Add(2)
