@@ -6,11 +6,10 @@
 // emitted instruction stream) is a latent nondeterminism bug, even when
 // today's runtime happens to iterate small maps stably.
 //
-// The linter flags every `range` over a map inside the pass packages
-// (internal/{ssa,cfg,dataflow,alias,redelim,multicut,regalloc,codegen,core}),
-// the translation validator (internal/verify), the simulator side
-// (internal/{machine,limit,experiments,fault}) and the /metrics renderer
-// (internal/metrics) whose body writes an order-sensitive sink:
+// The linter flags every `range` over a map, in every package of the
+// module, whose body writes an order-sensitive sink. A package is a
+// directory holding a non-test .go file; testdata, hidden directories
+// and nested modules (bench/ has its own go.mod) are skipped. The sinks:
 //
 //   - appends to a slice declared outside the loop,
 //   - builds a string (+=, or Write* on a strings.Builder/bytes.Buffer
@@ -38,40 +37,25 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// defaultTargets are the compiler-pass packages whose output feeds the
-// deterministic build contract (docs/determinism: same module, same
-// options, same instruction stream), the validator whose verdicts on
-// that output must be just as reproducible, the simulator side whose
-// output feeds the machine digests and the figure tables, the /metrics
-// renderer, whose pages must diff cleanly scrape to scrape, the
-// serving packages (idemd's handlers, the front tier, the job manager),
-// whose response and stream bytes are the byte-identity contract,
-// idemload, whose pass digest and fault schedule the smokes pin, and the
-// two table printers, idemsim's campaign summary and idembench's figures.
-var defaultTargets = []string{
-	"internal/ssa", "internal/cfg", "internal/dataflow", "internal/alias",
-	"internal/redelim", "internal/multicut", "internal/regalloc",
-	"internal/codegen", "internal/core", "internal/verify",
-	"internal/machine", "internal/limit", "internal/experiments",
-	"internal/fault", "internal/metrics",
-	"internal/server", "internal/shard", "internal/jobs",
-	"cmd/idemload", "cmd/idemsim", "cmd/idembench",
-}
-
 func main() {
 	root := flag.String("root", ".", "repository root (directory containing go.mod)")
 	flag.Parse()
 	targets := flag.Args()
+	var err error
 	if len(targets) == 0 {
-		targets = defaultTargets
+		targets, err = modulePackages(*root)
 	}
-	findings, err := run(*root, targets)
+	var findings []string
+	if err == nil {
+		findings, err = run(*root, targets)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "idemlint:", err)
 		os.Exit(2)
@@ -99,6 +83,43 @@ func run(root string, targets []string) ([]string, error) {
 	}
 	sort.Strings(findings)
 	return findings, nil
+}
+
+// modulePackages lists the package directories of the module at root,
+// relative to root, in lexical order: every directory holding a
+// non-test .go file, except under testdata, hidden directories and
+// nested modules.
+func modulePackages(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != root {
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		ents, err := os.ReadDir(path)
+		if err != nil {
+			return err
+		}
+		for _, e := range ents {
+			if n := e.Name(); !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+				rel, err := filepath.Rel(root, path)
+				if err != nil {
+					return err
+				}
+				dirs = append(dirs, rel)
+				break
+			}
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 // loader type-checks idemproc packages from source, resolving stdlib

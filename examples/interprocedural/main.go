@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"idemproc/internal/codegen"
 	"idemproc/internal/core"
@@ -26,9 +27,13 @@ func main() {
 	fmt.Println("swaptions: a Monte-Carlo kernel whose hot loop calls the pure helpers lcg/simulate")
 	fmt.Println()
 
-	pure := core.PureFunctions(w.Module())
+	var pure []string
+	for name := range core.PureFunctions(w.Module()) {
+		pure = append(pure, name)
+	}
+	sort.Strings(pure)
 	fmt.Print("memory-free functions found: ")
-	for name := range pure {
+	for _, name := range pure {
 		fmt.Printf("@%s ", name)
 	}
 	fmt.Println()
