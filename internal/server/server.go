@@ -19,10 +19,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -367,23 +369,85 @@ func WriteHTTPErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeJSON strictly parses the request body into v.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) *httpError {
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// ---------------------------------------------------------------------
+// Admission: the /v1 body reader, decoder and batch parser. idemd and
+// idemfront both admit bodies with them, so a body that fails to read,
+// decode or validate gets the same answer from either.
+
+// ReadBody reads a /v1 request body under MaxBodyBytes. Its error is an
+// answer for WriteHTTPErr: a 413 past the bound, a 400 for a body that
+// fails to read (a malformed chunked encoding, a short body).
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
+			return nil, &httpError{status: http.StatusRequestEntityTooLarge,
 				msg: fmt.Sprintf("body exceeds %d bytes", MaxBodyBytes)}
 		}
+		return nil, badRequest("reading body: %v", err)
+	}
+	return body, nil
+}
+
+// DecodeJSON strictly decodes body into v: unknown fields, and anything
+// but whitespace after the one JSON value, are 400s.
+func DecodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		return badRequest("invalid JSON body: %v", err)
 	}
-	if dec.More() {
+	// Not dec.More, which reports a trailing ']' or '}' as the end.
+	if _, err := dec.Token(); err != io.EOF {
 		return badRequest("trailing data after JSON body")
 	}
 	return nil
+}
+
+// readJSON reads a /v1 request body and strictly decodes it into v.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := ReadBody(w, r)
+	if err != nil {
+		return err
+	}
+	return DecodeJSON(body, v)
+}
+
+// ParseBatch is the one /v1/batch and /v1/jobs body parser (a job is a
+// batch with a handle, so both accept the same bodies). It returns the
+// units and each unit's own bytes. The whole body is decoded strictly
+// first, so a malformed body gets the decoder's error; each unit is then
+// decoded from its own bytes, because a whole-body decode merges the
+// elements of a repeated "units" key, and a unit must mean what its
+// bytes say wherever they run.
+func ParseBatch(body []byte) ([]BatchUnit, []json.RawMessage, error) {
+	if err := DecodeJSON(body, new(BatchRequest)); err != nil {
+		return nil, nil, err
+	}
+	var raw struct {
+		Units []json.RawMessage `json:"units"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		return nil, nil, badRequest("invalid JSON body: %v", err)
+	}
+	n := len(raw.Units)
+	if n == 0 {
+		return nil, nil, badRequest("batch has no units")
+	}
+	if n > MaxBatchUnits {
+		return nil, nil, badRequest("batch exceeds %d units", MaxBatchUnits)
+	}
+	units := make([]BatchUnit, n)
+	for i, u := range raw.Units {
+		if err := DecodeJSON(u, &units[i]); err != nil {
+			return nil, nil, err
+		}
+		if (units[i].Compile == nil) == (units[i].Simulate == nil) {
+			return nil, nil, badRequest("unit %d: exactly one of compile or simulate is required", i)
+		}
+	}
+	return units, raw.Units, nil
 }
 
 // ---------------------------------------------------------------------
@@ -414,8 +478,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
-	if he := decodeJSON(w, r, &req); he != nil {
-		WriteHTTPErr(w, he)
+	if err := readJSON(w, r, &req); err != nil {
+		WriteHTTPErr(w, err)
 		return
 	}
 	rep, err := s.doCompile(r.Context(), &req)
@@ -445,8 +509,8 @@ func (s *Server) doCompile(ctx context.Context, req *CompileRequest) (*CompileRe
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if he := decodeJSON(w, r, &req); he != nil {
-		WriteHTTPErr(w, he)
+	if err := readJSON(w, r, &req); err != nil {
+		WriteHTTPErr(w, err)
 		return
 	}
 	rep, err := s.doSimulate(r.Context(), &req)
@@ -561,25 +625,6 @@ func schemeName(s string) string {
 	return s
 }
 
-// validateBatch applies the shared /v1/batch and /v1/jobs admission
-// rules — identical on purpose: a job is a batch with a handle, so the
-// same body must be accepted or rejected identically by both.
-func validateBatch(req *BatchRequest) *httpError {
-	n := len(req.Units)
-	if n == 0 {
-		return badRequest("batch has no units")
-	}
-	if n > MaxBatchUnits {
-		return badRequest("batch exceeds %d units", MaxBatchUnits)
-	}
-	for i, u := range req.Units {
-		if (u.Compile == nil) == (u.Simulate == nil) {
-			return badRequest("unit %d: exactly one of compile or simulate is required", i)
-		}
-	}
-	return nil
-}
-
 // runUnit executes one batch unit. It is the one unit runner behind
 // /v1/batch and /v1/jobs, which is what keeps a job's result bytes
 // identical to the batch's. A unit failure lands in its own slot.
@@ -599,16 +644,17 @@ func (s *Server) runUnit(ctx context.Context, u BatchUnit, index int) BatchResul
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if he := decodeJSON(w, r, &req); he != nil {
-		WriteHTTPErr(w, he)
+	body, err := ReadBody(w, r)
+	if err != nil {
+		WriteHTTPErr(w, err)
 		return
 	}
-	if he := validateBatch(&req); he != nil {
-		WriteHTTPErr(w, he)
+	units, _, err := ParseBatch(body)
+	if err != nil {
+		WriteHTTPErr(w, err)
 		return
 	}
-	n := len(req.Units)
+	n := len(units)
 
 	// Fan the units onto the engine pool. Per-unit failures are recorded
 	// in their slot (fn always returns nil), so one broken unit cannot
@@ -616,7 +662,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// pool width — the same determinism contract as the figure drivers.
 	results := make([]BatchResult, n)
 	_ = s.engine.ForEach(r.Context(), n, func(ctx context.Context, i int) error {
-		results[i] = s.runUnit(ctx, req.Units[i], i)
+		results[i] = s.runUnit(ctx, units[i], i)
 		return nil
 	})
 	if err := r.Context().Err(); err != nil {

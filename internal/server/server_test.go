@@ -7,6 +7,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -448,12 +449,12 @@ func TestValidation(t *testing.T) {
 	})
 }
 
-// FuzzDecodeBatch feeds untrusted bytes through the /v1/batch and
-// /v1/jobs decoder and admission check, then every unit through the
-// checks doCompile and doSimulate make before they build, and finally
-// its RouteKey. None of it may panic, and every accepted body must
-// re-encode to JSON that decodes strictly and re-encodes to the same
-// bytes.
+// FuzzDecodeBatch feeds untrusted bytes through ParseBatch, the
+// /v1/batch and /v1/jobs parser, then every unit through the checks
+// doCompile and doSimulate make before they build, and finally its
+// RouteKey. None of it may panic. Every accepted body must re-encode to
+// JSON that ParseBatch accepts and that re-encodes to the same bytes,
+// and every unit's own bytes must encode it.
 func FuzzDecodeBatch(f *testing.F) {
 	for _, tc := range validationCases {
 		if len(tc.body) > MaxBodyBytes {
@@ -484,22 +485,28 @@ func FuzzDecodeBatch(f *testing.F) {
 		"injections": [{"model": "mem", "step": 7, "mask": 1, "addr": 12, "after": 2, "nested_mask": 3}],
 		"watchdog_ref": 4096, "max_steps": 100000}}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req BatchRequest
-		if decodeJSONBytes(body, &req) != nil || validateBatch(&req) != nil {
+		units, raw, err := ParseBatch(body)
+		if err != nil {
 			return
 		}
-		enc, err := json.Marshal(&req)
+		if len(raw) != len(units) {
+			t.Fatalf("%d units, %d unit bodies", len(units), len(raw))
+		}
+		for i, u := range units {
+			var again BatchUnit
+			if err := DecodeJSON(raw[i], &again); err != nil || !bytes.Equal(marshal(t, &again), marshal(t, &u)) {
+				t.Fatalf("unit %d's bytes %s do not decode to it (%v)", i, raw[i], err)
+			}
+		}
+		enc := marshal(t, &BatchRequest{Units: units})
+		again, _, err := ParseBatch(enc)
 		if err != nil {
-			t.Fatalf("re-encode: %v", err)
+			t.Fatalf("re-encoded body %s does not parse: %v", enc, err)
 		}
-		var again BatchRequest
-		if he := decodeJSONBytes(enc, &again); he != nil {
-			t.Fatalf("re-encoded body %s does not decode: %s", enc, he.msg)
+		if enc2 := marshal(t, &BatchRequest{Units: again}); !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the body:\n %s\n %s", enc, enc2)
 		}
-		if enc2, err := json.Marshal(&again); err != nil || !bytes.Equal(enc, enc2) {
-			t.Fatalf("round trip changed the body:\n %s\n %s (%v)", enc, enc2, err)
-		}
-		for _, u := range req.Units {
+		for _, u := range units {
 			if c := u.Compile; c != nil {
 				resolveWorkload(c.Workload, c.Source, c.MemWords, nil)
 				c.RouteKey()
@@ -514,6 +521,50 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBodyAdmission pins what the shared admission code answers: a body
+// that fails to read gets one 400 on every /v1 POST route, nothing but
+// whitespace may follow the JSON value, and a batch unit is what its own
+// bytes say, also when a repeated "units" key merges a whole-body decode.
+func TestBodyAdmission(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var first []byte
+	for _, path := range []string{"/v1/compile", "/v1/simulate", "/v1/batch", "/v1/jobs"} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: idemd\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{}\r\n0\r\n\r\n", path)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		conn.Close()
+		if first == nil {
+			first = b
+		}
+		if resp.StatusCode != http.StatusBadRequest || !bytes.HasPrefix(b, []byte(`{"error":"reading body: `)) || !bytes.Equal(b, first) {
+			t.Errorf("%s, bad chunk length: status %d body %s, want 400 and %s", path, resp.StatusCode, b, first)
+		}
+	}
+
+	for _, body := range []string{`{"workload": "mcf"}]`, `{"workload": "mcf"}}`, `{"workload": "mcf"} ]x`} {
+		code, b := postJSON(t, ts.Client(), ts.URL+"/v1/compile", []byte(body))
+		if code != http.StatusBadRequest || !bytes.Contains(b, []byte("trailing data after JSON body")) {
+			t.Errorf("%s: status %d body %s, want trailing data", body, code, b)
+		}
+	}
+
+	units, raw, err := ParseBatch([]byte(`{"units": [{"compile": {"workload": "mcf"}}], "units": [{"simulate": {"workload": "mcf"}}]}`))
+	if err != nil || len(units) != 1 || units[0].Compile != nil || string(raw[0]) != `{"simulate": {"workload": "mcf"}}` {
+		t.Errorf("repeated units key: %+v %s (%v), want the second array's one simulate unit", units, raw, err)
+	}
 }
 
 // TestMachineErrorIs200: a run that fail-stops (detected fault, no

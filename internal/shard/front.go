@@ -7,10 +7,7 @@ package shard
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -202,9 +199,6 @@ func (f *Front) Close() error {
 	return err
 }
 
-// Draining reports whether Shutdown has begun.
-func (f *Front) Draining() bool { return f.draining.Load() }
-
 // ---------------------------------------------------------------------
 // Health.
 
@@ -235,17 +229,8 @@ func (f *Front) sweep() {
 func (f *Front) probe(b *backend) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	status, _, err := f.call(ctx, http.MethodGet, b.base+"/readyz", nil)
+	return err == nil && status == http.StatusOK
 }
 
 // setHealth records a health transition: the ring generation advances
@@ -319,99 +304,60 @@ func respond(w http.ResponseWriter, code int, body []byte) {
 	w.Write(body)
 }
 
-// admit reads the bounded request body (the replica's bound and 413
-// text) and applies the front's request deadline. The method filter ran
-// in server.Instrument. It returns ok=false after writing the response
-// itself.
-func (f *Front) admit(w http.ResponseWriter, r *http.Request) (body []byte, ctx context.Context, cancel context.CancelFunc, ok bool) {
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			server.WriteError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", server.MaxBodyBytes))
-		} else {
-			server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		}
-		return nil, nil, nil, false
-	}
-	ctx, cancel = r.Context(), func() {}
+// deadline bounds a request's context by the front's RequestTimeout.
+func (f *Front) deadline(r *http.Request) (context.Context, context.CancelFunc) {
 	if f.cfg.RequestTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.RequestTimeout)
+		return context.WithTimeout(r.Context(), f.cfg.RequestTimeout)
 	}
-	return b, ctx, cancel, true
-}
-
-// forward routes body to key's ring owner and relays the answer, or a
-// 503 when no replica served it.
-func (f *Front) forward(w http.ResponseWriter, ctx context.Context, path string, body []byte, key string) {
-	status, resp, err := f.route(ctx, path, body, key)
-	if err != nil {
-		server.WriteError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("no replica served the request: %v", err))
-		return
-	}
-	respond(w, status, resp)
+	return context.WithCancel(r.Context())
 }
 
 // ---------------------------------------------------------------------
 // Single-key proxying (/v1/compile, /v1/simulate).
 
+// proxySingle reads and decodes the body with idemd's code, so a body
+// that fails either gets a replica's answer from the front itself, and
+// sends the rest to its content key's ring owner. The method filter ran
+// in server.Instrument.
 func (f *Front) proxySingle(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, ctx, cancel, ok := f.admit(w, r)
-		if !ok {
+		body, err := server.ReadBody(w, r)
+		var key string
+		if err == nil {
+			key, err = routeKeyFor(path, body)
+		}
+		if err != nil {
+			server.WriteHTTPErr(w, err)
 			return
 		}
+		ctx, cancel := f.deadline(r)
 		defer cancel()
-		key, parsed := routeKeyFor(path, body)
-		if !parsed {
-			f.metrics.RawRouted.Add(1)
+		status, resp, err := f.route(ctx, path, body, key)
+		if err != nil {
+			server.WriteError(w, http.StatusServiceUnavailable,
+				fmt.Sprintf("no replica served the request: %v", err))
+			return
 		}
-		f.forward(w, ctx, path, body, key)
+		respond(w, status, resp)
 	}
 }
 
-// routeKeyFor computes the content routing key for a request body. A
-// body that does not parse as the path's request shape routes by its
-// hash instead — still deterministic, and the owning replica produces
-// the canonical error response for it.
-func routeKeyFor(path string, body []byte) (string, bool) {
-	switch path {
-	case "/v1/compile":
-		var req server.CompileRequest
-		if strictUnmarshal(body, &req) == nil {
-			return keyString(req.RouteKey()), true
-		}
-	case "/v1/simulate":
-		var req server.SimulateRequest
-		if strictUnmarshal(body, &req) == nil {
-			return keyString(req.RouteKey()), true
-		}
+// routeKeyFor strictly decodes a /v1/compile or /v1/simulate body and
+// returns its content routing key.
+func routeKeyFor(path string, body []byte) (string, error) {
+	var req interface{ RouteKey() buildcache.Key } = &server.CompileRequest{}
+	if path == "/v1/simulate" {
+		req = &server.SimulateRequest{}
 	}
-	return rawKey(body), false
+	if err := server.DecodeJSON(body, req); err != nil {
+		return "", err
+	}
+	return keyString(req.RouteKey()), nil
 }
 
 // keyString flattens a buildcache key into the ring's key space.
 func keyString(k buildcache.Key) string {
 	return k.Workload + "|" + strconv.Itoa(k.MemWords) + "|" + k.Options
-}
-
-func rawKey(body []byte) string {
-	sum := sha256.Sum256(body)
-	return "raw|" + hex.EncodeToString(sum[:16])
-}
-
-func strictUnmarshal(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data")
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -481,27 +427,32 @@ func (f *Front) candidates(prefs []string) []*backend {
 // send posts body to one backend once and records the outcome.
 func (f *Front) send(ctx context.Context, b *backend, path string, body []byte) (int, []byte, error) {
 	start := time.Now()
-	status, resp, err := post(ctx, f.client, b.base+path, body)
+	status, resp, err := f.call(ctx, http.MethodPost, b.base+path, body)
 	f.metrics.ObserveBackend(b.id, time.Since(start), err != nil || status >= 500)
 	return status, resp, err
 }
 
-func post(ctx context.Context, client *http.Client, url string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// call sends one request to a replica and reads the whole answer. A
+// non-nil body goes as JSON.
+func (f *Front) call(ctx context.Context, method, url string, body []byte) (int, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return 0, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, b, nil
+	return resp.StatusCode, b, err
 }
 
 // ---------------------------------------------------------------------
@@ -533,21 +484,13 @@ type rawBatchResult struct {
 
 func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	const path = "/v1/batch"
-	body, ctx, cancel, ok := f.admit(w, r)
-	if !ok {
+	groups, total, err := f.readBatch(w, r)
+	if err != nil {
+		server.WriteHTTPErr(w, err)
 		return
 	}
+	ctx, cancel := f.deadline(r)
 	defer cancel()
-
-	groups, splittable := f.splitBatch(body)
-	if !splittable {
-		// Invalid shape (or beyond the batch bound): forward unsplit so a
-		// replica produces the canonical error — or the canonical success
-		// for the shapes the splitter declines but replicas accept.
-		f.metrics.RawRouted.Add(1)
-		f.forward(w, ctx, path, body, rawKey(body))
-		return
-	}
 
 	// Fan the sub-batches out concurrently; each group fails over
 	// independently (any replica can compute any unit).
@@ -572,10 +515,6 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Re-assemble in original index order. A group that no replica could
 	// serve fails the whole batch: partial output would not be
 	// byte-stable, and the determinism contract is the product.
-	total := 0
-	for _, g := range groups {
-		total += len(g.indices)
-	}
 	merged := make([]rawBatchResult, total)
 	for _, g := range groups {
 		if g.err != nil {
@@ -612,38 +551,35 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	respond(w, http.StatusOK, append(out, '\n'))
 }
 
-// splitBatch parses a batch body and groups its units by ring owner.
-// It declines (ok=false) anything it cannot prove it will reassemble
-// byte-identically: unparseable envelopes, unknown fields, unit counts
-// outside the replica contract, or units without exactly one of
-// compile/simulate — those forward unsplit and get the canonical
-// replica answer.
-func (f *Front) splitBatch(body []byte) ([]*batchGroup, bool) {
-	var outer struct {
-		Units []json.RawMessage `json:"units"`
+// readBatch reads and parses a /v1/batch or /v1/jobs body with idemd's
+// code, so a body that fails to read, decode or validate gets a
+// replica's answer from the front itself, and groups the units by ring
+// owner. It returns the groups and the unit count.
+func (f *Front) readBatch(w http.ResponseWriter, r *http.Request) ([]*batchGroup, int, error) {
+	body, err := server.ReadBody(w, r)
+	if err != nil {
+		return nil, 0, err
 	}
-	if strictUnmarshal(body, &outer) != nil {
-		return nil, false
+	units, raw, err := server.ParseBatch(body)
+	if err != nil {
+		return nil, 0, err
 	}
-	if len(outer.Units) == 0 || len(outer.Units) > server.MaxBatchUnits {
-		return nil, false
-	}
+	return f.splitBatch(units, raw), len(units), nil
+}
+
+// splitBatch groups parsed units by their content key's ring owner,
+// keeping each unit's index and bytes, in first-seen owner order.
+func (f *Front) splitBatch(units []server.BatchUnit, raw []json.RawMessage) []*batchGroup {
 	groups := map[string]*batchGroup{}
 	var order []*batchGroup
-	for i, raw := range outer.Units {
-		var u server.BatchUnit
-		if strictUnmarshal(raw, &u) != nil {
-			return nil, false
+	for i, u := range units {
+		var k buildcache.Key
+		if u.Compile != nil {
+			k = u.Compile.RouteKey()
+		} else {
+			k = u.Simulate.RouteKey()
 		}
-		var key string
-		switch {
-		case u.Compile != nil && u.Simulate == nil:
-			key = keyString(u.Compile.RouteKey())
-		case u.Simulate != nil && u.Compile == nil:
-			key = keyString(u.Simulate.RouteKey())
-		default:
-			return nil, false
-		}
+		key := keyString(k)
 		owner := f.ring.Owner(key)
 		g := groups[owner]
 		if g == nil {
@@ -652,7 +588,7 @@ func (f *Front) splitBatch(body []byte) ([]*batchGroup, bool) {
 			order = append(order, g)
 		}
 		g.indices = append(g.indices, i)
-		g.units = append(g.units, raw)
+		g.units = append(g.units, raw[i])
 	}
-	return order, true
+	return order
 }

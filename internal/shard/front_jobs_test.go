@@ -423,8 +423,8 @@ func TestFrontJobCancelDuringSubmit(t *testing.T) {
 
 // TestFrontJobValidation pins the front's job error surface to a
 // replica's, byte for byte: unknown handles, cursor and wait bounds,
-// the method filter, and the canonical replica answer for submissions
-// the splitter declines.
+// the method filter, and the answer to submissions the shared batch
+// parser rejects.
 func TestFrontJobValidation(t *testing.T) {
 	_, refAddr := newReplica(t)
 	refURL := "http://" + refAddr
@@ -466,9 +466,10 @@ func TestFrontJobValidation(t *testing.T) {
 		same(rq.method+" "+rq.path, do(rq.method, url+rq.path), do(rq.method, refURL+rq.path), http.StatusNotFound)
 	}
 
-	// Submits the splitter declines forward unsplit, so the front answers
-	// with the replica's bytes and mints no replica-side handle: an
-	// invalid shape, and a batch one unit over the shared bound.
+	// Submits the shared batch parser rejects get the replica's bytes
+	// from the front's own copy of the parser, and mint no replica-side
+	// handle: an invalid shape, and a batch one unit over the shared
+	// bound.
 	units := make([]server.BatchUnit, server.MaxBatchUnits+1)
 	for i := range units {
 		units[i].Compile = &server.CompileRequest{Workload: "mcf"}

@@ -25,10 +25,8 @@ type Metrics struct {
 	// Rebalances counts the health transitions that changed it.
 	RingGen, Rebalances atomic.Int64
 	// Failovers counts requests rerouted off their ring owner, NoReplica
-	// requests that exhausted every backend, and RawRouted requests
-	// routed by body hash because they did not parse as a known request
-	// shape (the owning replica produces the canonical error for them).
-	Failovers, NoReplica, RawRouted atomic.Int64
+	// requests that exhausted every backend.
+	Failovers, NoReplica atomic.Int64
 	// SubBatches counts sub-batches fanned out to backends, SubJobs
 	// sub-jobs submitted by job mergers, and SubJobRetries sub-jobs
 	// resubmitted to another backend after a replica-side failure.
@@ -90,7 +88,6 @@ func (m *Metrics) Render(healthy map[string]bool, js jobs.Stats) string {
 	w.Counter("idemfront_rebalance_total", "Health transitions that changed the effective replica set.", float64(m.Rebalances.Load()))
 	w.Counter("idemfront_failover_total", "Requests rerouted off their ring owner.", float64(m.Failovers.Load()))
 	w.Counter("idemfront_no_replica_total", "Requests that exhausted every backend.", float64(m.NoReplica.Load()))
-	w.Counter("idemfront_raw_routed_total", "Requests routed by body hash (unparseable shape; replica answers canonically).", float64(m.RawRouted.Load()))
 	w.Counter("idemfront_sub_batches_total", "Sub-batches fanned out to backends by /v1/batch splitting.", float64(m.SubBatches.Load()))
 	w.Counter("idemfront_sub_jobs_total", "Sub-jobs submitted to backends by /v1/jobs mergers.", float64(m.SubJobs.Load()))
 	w.Counter("idemfront_sub_job_retries_total", "Sub-jobs resubmitted to another backend after a replica failure.", float64(m.SubJobRetries.Load()))

@@ -45,7 +45,6 @@ func TestFrontMetricsPageGolden(t *testing.T) {
 	m.Rebalances.Add(2)
 	m.Failovers.Add(3)
 	m.NoReplica.Add(1)
-	m.RawRouted.Add(2)
 	m.SubBatches.Add(4)
 	m.SubJobs.Add(2)
 	m.SubJobRetries.Add(1)
