@@ -32,6 +32,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -110,65 +111,66 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// decodeArtifact verifies the header against key and returns the
-// payload. Any mismatch or framing problem returns an error; the caller
-// treats every error as "not cached".
-func decodeArtifact(key Key, data []byte) ([]byte, error) {
-	if len(data) < len(artifactMagic) || string(data[:len(artifactMagic)]) != artifactMagic {
-		return nil, fmt.Errorf("bad magic")
+// parseArtifact checks an artifact's framing (magic, codec version,
+// header, payload length and checksum) and returns the key it was
+// written for and its payload. Any framing problem is an error; load
+// also compares the key, Scan needs only the framing.
+func parseArtifact(data []byte) (key Key, payload []byte, err error) {
+	if !bytes.HasPrefix(data, []byte(artifactMagic)) {
+		return key, nil, errors.New("bad magic")
 	}
 	data = data[len(artifactMagic):]
-	next := func() (string, error) {
-		n, k := binary.Uvarint(data)
-		if k <= 0 || uint64(len(data)-k) < n {
-			return "", fmt.Errorf("truncated header")
+	uvarint := func() (uint64, bool) {
+		v, k := binary.Uvarint(data)
+		if k <= 0 {
+			return 0, false
 		}
-		s := string(data[k : k+int(n)])
-		data = data[k+int(n):]
-		return s, nil
+		data = data[k:]
+		return v, true
 	}
-	ver, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("truncated version")
+	str := func() (string, bool) {
+		n, ok := uvarint()
+		if !ok || uint64(len(data)) < n {
+			return "", false
+		}
+		s := string(data[:n])
+		data = data[n:]
+		return s, true
 	}
-	data = data[k:]
+	ver, ok := uvarint()
+	if !ok {
+		return key, nil, errors.New("truncated version")
+	}
 	if ver != codegen.CodecVersion {
-		return nil, fmt.Errorf("codec version %d, want %d", ver, codegen.CodecVersion)
+		return key, nil, fmt.Errorf("codec version %d, want %d", ver, codegen.CodecVersion)
 	}
-	workload, err := next()
-	if err != nil {
-		return nil, err
+	if key.Workload, ok = str(); !ok {
+		return key, nil, errors.New("truncated workload")
 	}
 	mem, k := binary.Varint(data)
 	if k <= 0 {
-		return nil, fmt.Errorf("truncated memWords")
+		return key, nil, errors.New("truncated memWords")
 	}
 	data = data[k:]
-	options, err := next()
-	if err != nil {
-		return nil, err
+	key.MemWords = int(mem)
+	if key.Options, ok = str(); !ok {
+		return key, nil, errors.New("truncated fingerprint")
 	}
-	if workload != key.Workload || int(mem) != key.MemWords || options != key.Options {
-		return nil, fmt.Errorf("key mismatch (stale artifact)")
+	plen, ok := uvarint()
+	if !ok {
+		return key, nil, errors.New("truncated payload length")
 	}
-	plen, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("truncated payload length")
-	}
-	data = data[k:]
 	if len(data) < sha256.Size {
-		return nil, fmt.Errorf("truncated checksum")
+		return key, nil, errors.New("truncated checksum")
 	}
-	want := data[:sha256.Size]
-	payload := data[sha256.Size:]
+	payload = data[sha256.Size:]
 	if uint64(len(payload)) != plen {
-		return nil, fmt.Errorf("payload is %d bytes, header says %d", len(payload), plen)
+		return key, nil, fmt.Errorf("payload is %d bytes, header says %d", len(payload), plen)
 	}
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], want) {
-		return nil, fmt.Errorf("payload checksum mismatch")
+	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], data[:sha256.Size]) {
+		return key, nil, errors.New("payload checksum mismatch")
 	}
-	return payload, nil
+	return key, payload, nil
 }
 
 // load tries to serve key from disk. ok is false on any failure —
@@ -183,7 +185,10 @@ func (d *Disk) load(key Key) (p *codegen.Program, st *codegen.BuildStats, ok boo
 		d.misses.Add(1)
 		return nil, nil, false
 	}
-	payload, err := decodeArtifact(key, data)
+	got, payload, err := parseArtifact(data)
+	if err == nil && got != key {
+		err = errors.New("key mismatch (stale artifact)")
+	}
 	if err == nil {
 		p, st, err = codegen.DecodeProgram(payload)
 	}
@@ -293,7 +298,7 @@ func (d *Disk) Scan() ScanResult {
 		}
 		data, err := os.ReadFile(path)
 		if err == nil {
-			err = verifyFraming(data)
+			_, _, err = parseArtifact(data)
 		}
 		if err != nil {
 			res.Corrupt++
@@ -306,58 +311,4 @@ func (d *Disk) Scan() ScanResult {
 		return nil
 	})
 	return res
-}
-
-// verifyFraming checks an artifact's magic, version, header framing and
-// payload checksum without requiring the cache key or decoding the
-// payload.
-func verifyFraming(data []byte) error {
-	if len(data) < len(artifactMagic) || string(data[:len(artifactMagic)]) != artifactMagic {
-		return fmt.Errorf("bad magic")
-	}
-	data = data[len(artifactMagic):]
-	ver, k := binary.Uvarint(data)
-	if k <= 0 {
-		return fmt.Errorf("truncated version")
-	}
-	data = data[k:]
-	if ver != codegen.CodecVersion {
-		return fmt.Errorf("codec version %d", ver)
-	}
-	skipString := func() error {
-		n, k := binary.Uvarint(data)
-		if k <= 0 || uint64(len(data)-k) < n {
-			return fmt.Errorf("truncated header")
-		}
-		data = data[k+int(n):]
-		return nil
-	}
-	if err := skipString(); err != nil { // workload
-		return err
-	}
-	if _, k := binary.Varint(data); k <= 0 { // memWords
-		return fmt.Errorf("truncated memWords")
-	} else {
-		data = data[k:]
-	}
-	if err := skipString(); err != nil { // fingerprint
-		return err
-	}
-	plen, k := binary.Uvarint(data)
-	if k <= 0 {
-		return fmt.Errorf("truncated payload length")
-	}
-	data = data[k:]
-	if len(data) < sha256.Size {
-		return fmt.Errorf("truncated checksum")
-	}
-	payload := data[sha256.Size:]
-	if uint64(len(payload)) != plen {
-		return fmt.Errorf("payload length mismatch")
-	}
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], data[:sha256.Size]) {
-		return fmt.Errorf("payload checksum mismatch")
-	}
-	return nil
 }

@@ -329,3 +329,29 @@ func TestDiskTierWithEviction(t *testing.T) {
 		t.Fatalf("evicted key did not hit disk: %d -> %d disk hits", before.DiskHits, after.DiskHits)
 	}
 }
+
+// FuzzParseArtifact: the artifact header is read back from disk, so
+// parseArtifact sees whatever bytes a file holds. It may not panic, and
+// an accepted artifact's key and payload, framed again, must parse back
+// to the same key and payload.
+func FuzzParseArtifact(f *testing.F) {
+	key := Key{Workload: "mcf", MemWords: 65536, Options: "idem=true;maxregion=0"}
+	good := encodeArtifact(key, []byte("payload bytes"))
+	f.Add(good)
+	f.Add(encodeArtifact(Key{}, nil))
+	f.Add(encodeArtifact(Key{Workload: "src-0123", MemWords: -1}, []byte{0}))
+	f.Add(good[:len(good)-1])
+	f.Add(good[:len(artifactMagic)+3])
+	f.Add([]byte(artifactMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k, payload, err := parseArtifact(data)
+		if err != nil {
+			return
+		}
+		k2, payload2, err := parseArtifact(encodeArtifact(k, payload))
+		if err != nil || k2 != k || !bytes.Equal(payload2, payload) {
+			t.Fatalf("re-framed artifact parses to %+v, %q (%v), want %+v, %q", k2, payload2, err, k, payload)
+		}
+	})
+}
