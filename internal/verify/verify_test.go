@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"idemproc/internal/codegen"
@@ -223,7 +225,8 @@ func TestMutationBadBranch(t *testing.T) {
 
 // FuzzVerifyArtifact: idemd re-verifies artifacts it reads back from
 // disk, so Verify and Render see whatever bytes DecodeProgram accepts.
-// Neither may panic.
+// Neither may panic. Every accepted artifact must also re-encode to
+// bytes that decode to the same program and stats.
 func FuzzVerifyArtifact(f *testing.F) {
 	for _, name := range []string{"mcf", "bzip2"} {
 		w, _ := workloads.ByName(name)
@@ -258,10 +261,35 @@ func FuzzVerifyArtifact(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, _, err := codegen.DecodeProgram(data)
+		p, st, err := codegen.DecodeProgram(data)
 		if err != nil {
 			return
 		}
 		Verify(p).Render(p)
+		enc := codegen.EncodeProgram(p, st)
+		p2, st2, err := codegen.DecodeProgram(enc)
+		if err != nil {
+			t.Fatalf("re-encoded artifact does not decode: %v", err)
+		}
+		// The encodings compare the float fields bit for bit; DeepEqual,
+		// which never equates NaNs, compares the rest with them cleared.
+		if !bytes.Equal(codegen.EncodeProgram(p2, st2), enc) {
+			t.Fatal("re-encoded artifact decodes to a different encoding")
+		}
+		clearFloats(p, st)
+		clearFloats(p2, st2)
+		if !reflect.DeepEqual(p, p2) || !reflect.DeepEqual(st, st2) {
+			t.Fatalf("re-encoded artifact decodes to a different program or stats")
+		}
 	})
+}
+
+// clearFloats zeroes the float fields of a program and its stats.
+func clearFloats(p *codegen.Program, st *codegen.BuildStats) {
+	for i := range p.Instrs {
+		p.Instrs[i].FImm = 0
+	}
+	for _, fc := range st.Construction {
+		fc.Stats.AvgRegionSize = 0
+	}
 }
