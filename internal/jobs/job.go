@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -170,37 +171,18 @@ func (j *Job) preload(index int, result []byte) {
 	}
 }
 
-// doCancel transitions to StateCanceled: the unit contexts are canceled
-// (running simulations preempt within the poll budget), waiters wake,
-// and the journal is deleted — a canceled job must stay canceled across
-// restarts. Returns false if the job was already terminal.
-func (j *Job) doCancel() bool {
-	j.mu.Lock()
-	if j.state != StateRunning {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = StateCanceled
-	j.doneAt = time.Now()
-	jr := j.jr
-	j.jr = nil
-	j.broadcast()
-	j.mu.Unlock()
-
-	j.cancel()
-	jr.remove()
-	j.m.canceled.Add(1)
-	return true
-}
-
-// Fail transitions an externally fed job to StateFailed with a message.
-func (j *Job) Fail(msg string) {
+// finish moves a running job to a terminal state (StateCanceled or
+// StateFailed, with msg): waiters wake, the unit contexts are canceled
+// (running simulations preempt within the poll budget), the journal is
+// deleted, so a terminal job stays terminal across restarts, and n
+// counts the transition. A job already terminal is left as it is.
+func (j *Job) finish(state State, msg string, n *atomic.Int64) {
 	j.mu.Lock()
 	if j.state != StateRunning {
 		j.mu.Unlock()
 		return
 	}
-	j.state = StateFailed
+	j.state = state
 	j.errMsg = msg
 	j.doneAt = time.Now()
 	jr := j.jr
@@ -210,8 +192,11 @@ func (j *Job) Fail(msg string) {
 
 	j.cancel()
 	jr.remove()
-	j.m.failed.Add(1)
+	n.Add(1)
 }
+
+// Fail transitions an externally fed job to StateFailed with a message.
+func (j *Job) Fail(msg string) { j.finish(StateFailed, msg, &j.m.failed) }
 
 // release closes the journal handle without touching the file (shutdown
 // path: the journal must survive for the restart to resume from).

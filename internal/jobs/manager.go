@@ -236,7 +236,7 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 	if !ok {
 		return nil, false
 	}
-	j.doCancel()
+	j.finish(StateCanceled, "", &m.canceled)
 	return j, true
 }
 
