@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check vet check lint test fuzz race race-fault bench bench-sim bench-ledger serve-smoke chaos-smoke persist-smoke shard-smoke jobs-smoke verify-smoke ci
+.PHONY: all build fmt-check vet check lint test fuzz race race-fault bench bench-ledger serve-smoke chaos-smoke persist-smoke shard-smoke jobs-smoke verify-smoke ci
 
 all: build
 
@@ -123,32 +123,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-sim measures the raw simulator engine (the hot loop every figure
-# driver funnels through) and writes the headline numbers to
-# BENCH_sim.json: ns per simulated instruction, instructions per second,
-# heap allocations per step (contract: ~0), ns per instruction of a
-# fault-free and a faulted mcf run under idempotence recovery, and the
-# warm end-to-end cost of the most simulation-heavy figure (Fig. 8).
-BENCH_SIM_COUNT ?= 2
-bench-sim: build
-	@$(GO) test -run '^$$' -bench 'BenchmarkMachineStep$$|BenchmarkMachineFaulted$$|BenchmarkFig8PathCDF$$' \
-		-benchtime $(BENCH_SIM_COUNT)x -benchmem . | tee BENCH_sim.txt
-	@awk ' \
-		/^BenchmarkMachineStep/ { for (i=1; i<=NF; i++) { \
-			if ($$i == "ns/step") ns = $$(i-1); \
-			if ($$i == "Minstr/sec") mi = $$(i-1); \
-			if ($$i == "allocs/step") as = $$(i-1); } } \
-		/^BenchmarkMachineFaulted\/free/ { for (i=1; i<=NF; i++) \
-			if ($$i == "ns/step") free = $$(i-1); } \
-		/^BenchmarkMachineFaulted\/flip/ { for (i=1; i<=NF; i++) \
-			if ($$i == "ns/step") flip = $$(i-1); } \
-		/^BenchmarkFig8PathCDF/ { for (i=1; i<=NF; i++) \
-			if ($$i == "ns/op") fig8 = $$(i-1); } \
-		END { printf "{\n  \"machine_step\": {\"ns_per_step\": %s, \"instrs_per_sec\": %.0f, \"allocs_per_step\": %s},\n  \"machine_faulted\": {\"free_ns_per_step\": %s, \"flip_ns_per_step\": %s},\n  \"fig8_path_cdf\": {\"ns_per_op\": %s}\n}\n", ns, mi * 1e6, as, free, flip, fig8 }' \
-		BENCH_sim.txt > BENCH_sim.json
-	@rm -f BENCH_sim.txt
-	@echo "wrote BENCH_sim.json:"; cat BENCH_sim.json
 
 # bench-ledger runs the repository benchmark (bench/run.sh: the figures,
 # compile, serve and churn workloads, see bench/README.md) three times
