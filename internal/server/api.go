@@ -288,8 +288,9 @@ func ReportForBuild(w workloads.Workload, mo codegen.ModuleOptions, st *codegen.
 // distinct compile and the fleet's caches partition the working set.
 // RouteKey mirrors the key derivation inside doCompile/doSimulate —
 // workload resolution, memWords defaulting, options fingerprint — but
-// performs no validation: an invalid request still gets a deterministic
-// key, and the replica it lands on produces the canonical error.
+// performs no validation: a request that decodes but fails validation
+// still gets a deterministic key, and the replica it lands on produces
+// the canonical error.
 // TestRouteKeyMatchesCacheKey pins the mirror against the real path.
 
 // RouteKey returns the buildcache content key this request's build
