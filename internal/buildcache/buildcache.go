@@ -205,7 +205,6 @@ func (c *Cache) build(e *entry, w workloads.Workload, mo codegen.ModuleOptions) 
 		if compiled {
 			c.compileNanos.Add(time.Since(start).Nanoseconds())
 		}
-		close(e.done)
 
 		c.mu.Lock()
 		// The entry may have raced with an eviction sweep only after
@@ -217,6 +216,9 @@ func (c *Cache) build(e *entry, w workloads.Workload, mo codegen.ModuleOptions) 
 			c.evict()
 		}
 		c.mu.Unlock()
+		// Publish only now: a caller that returns from Compile finds the
+		// entry on the LRU and its cost in Stats().BytesInUse.
+		close(e.done)
 	}()
 
 	// Second tier: a valid persisted artifact serves the miss without

@@ -278,6 +278,49 @@ func TestCancelAbandonsInflightCompile(t *testing.T) {
 	}
 }
 
+// TestCompilePublishesAfterInsert holds the cache lock from the moment
+// a compile's entry is registered until the compile has finished, and
+// checks that Compile does not return meanwhile: the result is published
+// only after the entry is on the LRU, so a Stats read right after
+// Compile returns counts the entry's bytes.
+func TestCompilePublishesAfterInsert(t *testing.T) {
+	w := testWorkload(t)
+	c := New()
+	mo := codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()}
+
+	returned := make(chan error, 1)
+	go func() {
+		_, _, err := c.Compile(context.Background(), w, mo)
+		returned <- err
+	}()
+	for {
+		c.mu.Lock()
+		if _, ok := c.entries[KeyOf(w, mo)]; ok {
+			break // registered; keep holding c.mu
+		}
+		c.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	// The compile takes no lock; its time is added just before build
+	// publishes.
+	for c.compileNanos.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-returned:
+		c.mu.Unlock()
+		t.Fatal("Compile returned before its entry was inserted into the LRU")
+	case <-time.After(100 * time.Millisecond):
+	}
+	c.mu.Unlock()
+	if err := <-returned; err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.BytesInUse == 0 {
+		t.Fatalf("bytes in use %d right after Compile returned", st.BytesInUse)
+	}
+}
+
 // TestBoundedEviction drives distinct configurations through a cache
 // whose byte bound fits roughly one program and asserts LRU eviction:
 // evictions observed, occupancy bounded, evicted keys recompile (miss)
