@@ -12,6 +12,8 @@ import (
 
 	"idemproc/internal/buildcache"
 	"idemproc/internal/codegen"
+	"idemproc/internal/fault"
+	"idemproc/internal/limit"
 	"idemproc/internal/machine"
 	"idemproc/internal/workloads"
 )
@@ -80,14 +82,75 @@ func (e *Engine) Build(ctx context.Context, w workloads.Workload, mo codegen.Mod
 	return p, st, nil
 }
 
-// Run executes a (possibly cached, shared) program for workload w on a
-// fresh machine, accounting the wall time to the simulate stage.
-func (e *Engine) Run(p *codegen.Program, w workloads.Workload, cfg machine.Config) (*machine.Machine, error) {
-	start := time.Now()
-	m, err := run(p, w, cfg)
-	e.simNanos.Add(time.Since(start).Nanoseconds())
-	e.simRuns.Add(1)
-	return m, err
+// conf is one configuration a figure driver simulates its workloads
+// under: the build, the recovery scheme that instruments it (nil runs
+// the build as compiled), the machine configuration, and whether a
+// limit-study tracker observes the run (Fig. 4).
+type conf struct {
+	mo         codegen.ModuleOptions
+	scheme     *fault.Scheme
+	cfg        machine.Config
+	limitStudy bool
+}
+
+// simRun is what a driver reads from one simulation. It is copied out of
+// the machine and the tracker, so a slot pins neither one's memory.
+type simRun struct {
+	machine.Stats
+	limits [3]limit.Result
+}
+
+// simulate runs every (workload, configuration) pair as its own pool
+// unit and returns runs[i][j], ws[i] under confs[j]. Units are ordered
+// workload-major, so one workload's costly runs start side by side
+// instead of queueing behind each other. Unit k builds its program
+// through the cache, runs it on a fresh machine with the drivers' L1
+// cache, and copies the run into its own slot; the caller aggregates
+// the slots in index order, which reads the same at any pool width.
+func (e *Engine) simulate(ws []workloads.Workload, confs ...conf) ([][]simRun, error) {
+	n := len(confs)
+	runs := make([][]simRun, len(ws))
+	for i := range runs {
+		runs[i] = make([]simRun, n)
+	}
+	err := e.ForEach(context.Background(), len(ws)*n, func(ctx context.Context, k int) error {
+		w, c := ws[k/n], confs[k%n]
+		p, _, err := e.Build(ctx, w, c.mo)
+		if err != nil {
+			return err
+		}
+		if c.scheme != nil {
+			// The instrumented copy is this unit's alone, so its predecode
+			// memo goes with it; otherwise the global memo pins every copy
+			// ever simulated.
+			p = fault.Apply(p, *c.scheme)
+			defer machine.DropPredecode(p)
+		}
+		var tr *limit.Tracker
+		if c.limitStudy {
+			tr = limit.NewTracker()
+			c.cfg.Tracer = tr
+		}
+		c.cfg.Cache = machine.DefaultCache()
+		start := time.Now()
+		m := machine.New(p, c.cfg)
+		_, err = m.Run(w.Args...)
+		e.simNanos.Add(time.Since(start).Nanoseconds())
+		e.simRuns.Add(1)
+		if err != nil {
+			return fmt.Errorf("%s: %w", w.Name, err)
+		}
+		r := &runs[k/n][k%n]
+		r.Stats = m.Stats
+		if tr != nil {
+			r.limits = tr.Results()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return runs, nil
 }
 
 // RunMachine executes an already-prepared machine (configuration set,

@@ -8,24 +8,80 @@ import (
 	"testing"
 )
 
-// TestEngineDeterministicAcrossWidths runs a build+simulate figure on a
-// serial and a wide engine and asserts byte-identical formatted output
-// (the engine's core contract; the cmd/idembench golden test covers the
-// same property end-to-end through the CLI).
+// TestEngineDeterministicAcrossWidths runs every driver on a serial and
+// a three-wide engine and asserts byte-identical formatted output (the
+// engine's core contract; the cmd/idembench golden test covers the same
+// property end-to-end through the CLI). Each driver must also run
+// exactly one simulation per (workload, configuration) unit: a split
+// may neither drop nor repeat one.
 func TestEngineDeterministicAcrossWidths(t *testing.T) {
-	ws := subset(t, "mcf", "lbm", "blackscholes", "bzip2")
-	var outs [2]string
-	for i, workers := range []int{1, 8} {
+	ws := subset(t, "blackscholes", "libquantum", "milc")
+	n := int64(len(ws))
+	drivers := []struct {
+		name string
+		sims int64
+		run  func(e *Engine) (string, error)
+	}{
+		{"Table2", 0, func(e *Engine) (string, error) {
+			rows, err := e.Table2(ws)
+			return FormatTable2(rows), err
+		}},
+		{"Fig4", n, func(e *Engine) (string, error) { return formatted(e.Fig4(ws)) }},
+		{"Fig8", n, func(e *Engine) (string, error) {
+			rows, err := e.Fig8(ws)
+			return FormatFig8(rows), err
+		}},
+		{"Fig9", 2 * n, func(e *Engine) (string, error) { return formatted(e.Fig9(ws)) }},
+		{"Fig10", 2 * n, func(e *Engine) (string, error) { return formatted(e.Fig10(ws)) }},
+		{"Fig12", 4 * n, func(e *Engine) (string, error) { return formatted(e.Fig12(ws)) }},
+		{"Characteristics", 0, func(e *Engine) (string, error) {
+			rows, err := e.Characteristics(ws)
+			return FormatCharacteristics(rows), err
+		}},
+		{"AblationLoopHeuristic", 2 * n, func(e *Engine) (string, error) { return formattedAblation(e.AblationLoopHeuristic(ws)) }},
+		{"AblationUnroll", 2 * n, func(e *Engine) (string, error) { return formattedAblation(e.AblationUnroll(ws)) }},
+		{"AblationRedElim", 0, func(e *Engine) (string, error) { return formattedAblation(e.AblationRedElim(ws)) }},
+		{"AblationRegalloc", 2 * n, func(e *Engine) (string, error) { return formattedAblation(e.AblationRegalloc(ws)) }},
+		{"AblationPureCalls", 2 * n, func(e *Engine) (string, error) { return formattedAblation(e.AblationPureCalls(ws)) }},
+		{"RegionSizeSweep", 3, func(e *Engine) (string, error) {
+			pts, err := e.RegionSizeSweep(ws[0], []int{0, 8})
+			return FormatSweep(ws[0].Name, pts), err
+		}},
+	}
+	var outs [2][]string
+	for k, workers := range []int{1, 3} {
 		e := NewEngine(workers)
-		res, err := e.Fig10(ws)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		e.Strict = true
+		for _, d := range drivers {
+			before := e.Timing().SimRuns
+			out, err := d.run(e)
+			if err != nil {
+				t.Fatalf("%s at workers=%d: %v", d.name, workers, err)
+			}
+			if got := e.Timing().SimRuns - before; got != d.sims {
+				t.Errorf("%s at workers=%d ran %d simulations, want %d", d.name, workers, got, d.sims)
+			}
+			outs[k] = append(outs[k], out)
 		}
-		outs[i] = res.Format()
 	}
-	if outs[0] != outs[1] {
-		t.Fatalf("Fig10 output differs between workers=1 and workers=8:\n--- 1 ---\n%s\n--- 8 ---\n%s", outs[0], outs[1])
+	for i, d := range drivers {
+		if outs[0][i] != outs[1][i] {
+			t.Errorf("%s output differs between workers=1 and workers=3:\n--- 1 ---\n%s\n--- 3 ---\n%s", d.name, outs[0][i], outs[1][i])
+		}
 	}
+}
+
+// formatted renders a driver's result, or passes its error on.
+func formatted[T interface{ Format() string }](res T, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return res.Format(), nil
+}
+
+// formattedAblation renders an ablation's rows, or passes its error on.
+func formattedAblation(rows []AblationRow, err error) (string, error) {
+	return FormatAblation("ablation", "on", "off", rows), err
 }
 
 // TestEngineCacheSharedAcrossFigures checks that one engine compiles at

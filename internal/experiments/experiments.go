@@ -5,15 +5,14 @@
 // reports (geometric means, per-suite splits); Format* helpers render the
 // same series the paper plots.
 //
-// Drivers are methods on Engine (see engine.go): (workload × config)
-// build/run units fan out over a bounded worker pool, compiles are
-// memoized in a shared content-keyed cache, and aggregation happens in
-// deterministic index order so tables are byte-identical for any worker
-// count; NewEngine(1) runs them serially.
+// Drivers are methods on Engine (see engine.go): every (workload,
+// configuration) simulation is its own unit on a bounded worker pool,
+// compiles are memoized in a shared content-keyed cache, and aggregation
+// happens in deterministic index order so tables are byte-identical for
+// any worker count; NewEngine(1) runs them serially.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -67,21 +66,26 @@ func clampNote(clamped int) string {
 	return fmt.Sprintf("WARNING: %d degenerate geomean input(s) clamped to %g — inspect the rows above\n", clamped, geomeanEps)
 }
 
-// run executes a program for workload w and returns the machine. All
-// experiment timing uses the gem5-like L1 cache configuration.
-func run(p *codegen.Program, w workloads.Workload, cfg machine.Config) (*machine.Machine, error) {
-	if cfg.Cache.Sets == 0 {
-		cfg.Cache = machine.DefaultCache()
-	}
-	m := machine.New(p, cfg)
-	if _, err := m.Run(w.Args...); err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	return m, nil
+// conventional and idempotent are the paper's two builds of a workload,
+// both with the paper's region-construction options.
+func conventional() codegen.ModuleOptions {
+	return codegen.ModuleOptions{Core: core.DefaultOptions()}
 }
 
-// defaultCore is the paper's configuration.
-func defaultCore() core.Options { return core.DefaultOptions() }
+func idempotent() codegen.ModuleOptions {
+	return codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()}
+}
+
+// schemeBuild is the build a recovery scheme instruments.
+func schemeBuild(s fault.Scheme) codegen.ModuleOptions {
+	if s.Idempotent() {
+		return idempotent()
+	}
+	return conventional()
+}
+
+// trackPaths runs an idempotent build with its path-length histogram on.
+var trackPaths = machine.Config{BufferStores: true, TrackPaths: true}
 
 // ---------------------------------------------------------------------
 // Figure 4: the limit study.
@@ -103,34 +107,32 @@ type Fig4Result struct {
 	Clamped int
 }
 
-// Fig4 runs the limit study over the given workloads (conventional
-// binaries, dynamic clobber tracking).
+// fig4Conf is the limit study's run: the conventional binary under
+// dynamic clobber tracking.
+var fig4Conf = conf{mo: conventional(), limitStudy: true}
+
+// Fig4 runs the limit study over the given workloads.
 func (e *Engine) Fig4(ws []workloads.Workload) (*Fig4Result, error) {
-	rows := make([]Fig4Row, len(ws))
-	err := e.ForEach(context.Background(), len(ws), func(ctx context.Context, i int) error {
-		w := ws[i]
-		p, _, err := e.Build(ctx, w, codegen.ModuleOptions{Core: defaultCore()})
-		if err != nil {
-			return err
-		}
-		tr := limit.NewTracker()
-		if _, err := e.Run(p, w, machine.Config{Tracer: tr}); err != nil {
-			return err
-		}
-		r := Fig4Row{Name: w.Name, Suite: w.Suite}
-		for c, lr := range tr.Results() {
-			r.Avg[c] = lr.AvgPathLen
-		}
-		rows[i] = r
-		return nil
-	})
+	runs, err := e.simulate(ws, fig4Conf)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig4Result{Rows: rows}
+	return e.fig4Result(ws, runs)
+}
+
+// fig4Result reads the limit study from each workload's first run and
+// takes the geomeans; a strict engine fails when one clamps.
+func (e *Engine) fig4Result(ws []workloads.Workload, runs [][]simRun) (*Fig4Result, error) {
+	res := &Fig4Result{Rows: make([]Fig4Row, len(ws))}
+	for i, w := range ws {
+		res.Rows[i] = Fig4Row{Name: w.Name, Suite: w.Suite}
+		for c, lr := range runs[i][0].limits {
+			res.Rows[i].Avg[c] = lr.AvgPathLen
+		}
+	}
 	for c := 0; c < 3; c++ {
-		vals := make([]float64, len(rows))
-		for i, r := range rows {
+		vals := make([]float64, len(ws))
+		for i, r := range res.Rows {
 			vals[i] = r.Avg[c]
 		}
 		var cl int
@@ -174,34 +176,27 @@ type Fig8Row struct {
 	FracUnder10, FracUnder100 float64
 }
 
+// fig8Conf is the constructed binary's run with path tracking.
+var fig8Conf = conf{mo: idempotent(), cfg: trackPaths}
+
 // Fig8 measures the constructed binaries' dynamic path distributions.
 func (e *Engine) Fig8(ws []workloads.Workload) ([]Fig8Row, error) {
-	rows := make([]Fig8Row, len(ws))
-	err := e.ForEach(context.Background(), len(ws), func(ctx context.Context, i int) error {
-		w := ws[i]
-		p, _, err := e.Build(ctx, w, codegen.ModuleOptions{Idempotent: true, Core: defaultCore()})
-		if err != nil {
-			return err
-		}
-		m, err := e.Run(p, w, machine.Config{BufferStores: true, TrackPaths: true})
-		if err != nil {
-			return err
-		}
-		lens, cdf := m.Stats.WeightedPathCDF()
-		row := Fig8Row{Name: w.Name, Suite: w.Suite, Lens: lens, CDF: cdf}
-		for j, l := range lens {
-			if l <= 10 {
-				row.FracUnder10 = cdf[j]
-			}
-			if l <= 100 {
-				row.FracUnder100 = cdf[j]
-			}
-		}
-		rows[i] = row
-		return nil
-	})
+	runs, err := e.simulate(ws, fig8Conf)
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]Fig8Row, len(ws))
+	for i, w := range ws {
+		lens, cdf := runs[i][0].WeightedPathCDF()
+		rows[i] = Fig8Row{Name: w.Name, Suite: w.Suite, Lens: lens, CDF: cdf}
+		for j, l := range lens {
+			if l <= 10 {
+				rows[i].FracUnder10 = cdf[j]
+			}
+			if l <= 100 {
+				rows[i].FracUnder100 = cdf[j]
+			}
+		}
 	}
 	return rows, nil
 }
@@ -243,25 +238,24 @@ type Fig9Result struct {
 	Clamped int
 }
 
-// Fig9 runs both measurements. Both sub-studies share the engine's
-// compile cache, so the conventional and idempotent binaries are each
-// built at most once across Fig4/Fig8/Fig9.
+// Fig9 runs Fig. 4's and Fig. 8's measurements as one set of units.
+// Both share the engine's compile cache, so the conventional and
+// idempotent binaries are each built at most once across Fig4/Fig8/Fig9.
 func (e *Engine) Fig9(ws []workloads.Workload) (*Fig9Result, error) {
-	ideal, err := e.Fig4(ws)
+	runs, err := e.simulate(ws, fig4Conf, fig8Conf)
 	if err != nil {
 		return nil, err
 	}
-	built, err := e.Fig8(ws)
+	ideal, err := e.fig4Result(ws, runs)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig9Result{}
 	var cons, ide []float64
 	for i, w := range ws {
-		avg := weightedAvg(built[i].Lens, built[i].CDF)
 		row := Fig9Row{
 			Name: w.Name, Suite: w.Suite,
-			Constructed: avg,
+			Constructed: weightedAvg(runs[i][1].WeightedPathCDF()),
 			Ideal:       ideal.Rows[i].Avg[limit.SemanticCalls],
 		}
 		res.Rows = append(res.Rows, row)
@@ -349,37 +343,22 @@ type Fig10Result struct {
 
 // Fig10 measures both binaries for every workload.
 func (e *Engine) Fig10(ws []workloads.Workload) (*Fig10Result, error) {
-	rows := make([]Fig10Row, len(ws))
-	err := e.ForEach(context.Background(), len(ws), func(ctx context.Context, i int) error {
-		w := ws[i]
-		pb, _, err := e.Build(ctx, w, codegen.ModuleOptions{Core: defaultCore()})
-		if err != nil {
-			return err
-		}
-		pi, _, err := e.Build(ctx, w, codegen.ModuleOptions{Idempotent: true, Core: defaultCore()})
-		if err != nil {
-			return err
-		}
-		mb, err := e.Run(pb, w, machine.Config{})
-		if err != nil {
-			return err
-		}
-		mi, err := e.Run(pi, w, machine.Config{BufferStores: true})
-		if err != nil {
-			return err
-		}
-		row := Fig10Row{
-			Name: w.Name, Suite: w.Suite,
-			BaseCycles: mb.Stats.Cycles, IdemCycles: mi.Stats.Cycles,
-			BaseInstrs: mb.Stats.DynInstrs, IdemInstrs: mi.Stats.DynInstrs,
-		}
-		row.TimePct = 100 * (float64(mi.Stats.Cycles)/float64(mb.Stats.Cycles) - 1)
-		row.InstrPct = 100 * (float64(mi.Stats.DynInstrs)/float64(mb.Stats.DynInstrs) - 1)
-		rows[i] = row
-		return nil
-	})
+	runs, err := e.simulate(ws,
+		conf{mo: conventional()},
+		conf{mo: idempotent(), cfg: machine.Config{BufferStores: true}})
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]Fig10Row, len(ws))
+	for i, w := range ws {
+		mb, mi := &runs[i][0], &runs[i][1]
+		rows[i] = Fig10Row{
+			Name: w.Name, Suite: w.Suite,
+			TimePct:    100 * (float64(mi.Cycles)/float64(mb.Cycles) - 1),
+			InstrPct:   100 * (float64(mi.DynInstrs)/float64(mb.DynInstrs) - 1),
+			BaseCycles: mb.Cycles, IdemCycles: mi.Cycles,
+			BaseInstrs: mb.DynInstrs, IdemInstrs: mi.DynInstrs,
+		}
 	}
 
 	res := &Fig10Result{
@@ -460,39 +439,23 @@ type Fig12Result struct {
 
 // Fig12 builds and times all four configurations per workload.
 func (e *Engine) Fig12(ws []workloads.Workload) (*Fig12Result, error) {
+	confs := make([]conf, len(fault.Schemes)) // DMR, TMR, CL, IDEM
+	for k, s := range fault.Schemes {
+		confs[k] = conf{mo: schemeBuild(s), scheme: &s, cfg: s.Config()}
+	}
+	runs, err := e.simulate(ws, confs...)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig12Row, len(ws))
-	err := e.ForEach(context.Background(), len(ws), func(ctx context.Context, i int) error {
-		w := ws[i]
-		base, _, err := e.Build(ctx, w, codegen.ModuleOptions{Core: defaultCore()})
-		if err != nil {
-			return err
-		}
-		idem, _, err := e.Build(ctx, w, codegen.ModuleOptions{Idempotent: true, Core: defaultCore()})
-		if err != nil {
-			return err
-		}
-		var cycles []int64 // in fault.Schemes order: DMR, TMR, CL, IDEM
-		for _, s := range fault.Schemes {
-			p := base
-			if s.Idempotent() {
-				p = idem
-			}
-			m, err := e.Run(fault.Apply(p, s), w, s.Config())
-			if err != nil {
-				return err
-			}
-			cycles = append(cycles, m.Stats.Cycles)
-		}
-		pct := func(k int) float64 { return 100 * (float64(cycles[k])/float64(cycles[0]) - 1) }
+	for i, w := range ws {
+		dmr := float64(runs[i][0].Cycles)
+		pct := func(k int) float64 { return 100 * (float64(runs[i][k].Cycles)/dmr - 1) }
 		rows[i] = Fig12Row{
 			Name: w.Name, Suite: w.Suite,
 			TMRPct: pct(1), CLPct: pct(2), IdemPct: pct(3),
-			DMRCycles: cycles[0],
+			DMRCycles: runs[i][0].Cycles,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	res := &Fig12Result{Rows: rows}

@@ -128,48 +128,34 @@ type AblationRow struct {
 // AblationLoopHeuristic compares average dynamic path lengths with the
 // §4.3 loop-nesting heuristic on vs off.
 func (e *Engine) AblationLoopHeuristic(ws []workloads.Workload) ([]AblationRow, error) {
-	return e.pathLenAblation(ws, func(on bool) core.Options {
-		o := core.DefaultOptions()
-		o.LoopHeuristic = on
-		return o
-	})
+	return e.ablation(ws, func(on bool) codegen.ModuleOptions {
+		mo := idempotent()
+		mo.Core.LoopHeuristic = on
+		return mo
+	}, trackPaths, (*machine.Stats).AvgPathLen)
 }
 
 // AblationUnroll compares average dynamic path lengths with the §5 loop
 // unroll on vs off.
 func (e *Engine) AblationUnroll(ws []workloads.Workload) ([]AblationRow, error) {
-	return e.pathLenAblation(ws, func(on bool) core.Options {
-		o := core.DefaultOptions()
-		o.UnrollLoops = on
-		return o
-	})
+	return e.ablation(ws, func(on bool) codegen.ModuleOptions {
+		mo := idempotent()
+		mo.Core.UnrollLoops = on
+		return mo
+	}, trackPaths, (*machine.Stats).AvgPathLen)
 }
 
-func (e *Engine) pathLenAblation(ws []workloads.Workload, opt func(bool) core.Options) ([]AblationRow, error) {
-	rows := make([]AblationRow, len(ws))
-	err := e.ForEach(context.Background(), len(ws), func(ctx context.Context, i int) error {
-		w := ws[i]
-		row := AblationRow{Name: w.Name}
-		for _, on := range []bool{true, false} {
-			p, _, err := e.Build(ctx, w, codegen.ModuleOptions{Idempotent: true, Core: opt(on)})
-			if err != nil {
-				return err
-			}
-			m, err := e.Run(p, w, machine.Config{BufferStores: true, TrackPaths: true})
-			if err != nil {
-				return err
-			}
-			if on {
-				row.On = m.Stats.AvgPathLen()
-			} else {
-				row.Off = m.Stats.AvgPathLen()
-			}
-		}
-		rows[i] = row
-		return nil
-	})
+// ablation simulates every workload twice, built with the design choice
+// on (mo(true)) and off (mo(false)), and reads metric from each run.
+func (e *Engine) ablation(ws []workloads.Workload, mo func(on bool) codegen.ModuleOptions,
+	cfg machine.Config, metric func(*machine.Stats) float64) ([]AblationRow, error) {
+	runs, err := e.simulate(ws, conf{mo: mo(true), cfg: cfg}, conf{mo: mo(false), cfg: cfg})
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]AblationRow, len(ws))
+	for i, w := range ws {
+		rows[i] = AblationRow{Name: w.Name, On: metric(&runs[i][0].Stats), Off: metric(&runs[i][1].Stats)}
 	}
 	return rows, nil
 }
@@ -212,34 +198,11 @@ func (e *Engine) AblationRedElim(ws []workloads.Workload) ([]AblationRow, error)
 // AblationRegalloc isolates the §4.4 allocation constraint: same cuts and
 // MARKs, allocation constraint on vs off, measured in cycles.
 func (e *Engine) AblationRegalloc(ws []workloads.Workload) ([]AblationRow, error) {
-	rows := make([]AblationRow, len(ws))
-	err := e.ForEach(context.Background(), len(ws), func(ctx context.Context, i int) error {
-		w := ws[i]
-		row := AblationRow{Name: w.Name}
-		for _, constrained := range []bool{true, false} {
-			p, _, err := e.Build(ctx, w, codegen.ModuleOptions{
-				Idempotent: true, Core: defaultCore(), RelaxedAlloc: !constrained,
-			})
-			if err != nil {
-				return err
-			}
-			m, err := e.Run(p, w, machine.Config{BufferStores: true})
-			if err != nil {
-				return err
-			}
-			if constrained {
-				row.On = float64(m.Stats.Cycles)
-			} else {
-				row.Off = float64(m.Stats.Cycles)
-			}
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return e.ablation(ws, func(constrained bool) codegen.ModuleOptions {
+		mo := idempotent()
+		mo.RelaxedAlloc = !constrained
+		return mo
+	}, machine.Config{BufferStores: true}, func(s *machine.Stats) float64 { return float64(s.Cycles) })
 }
 
 // FormatAblation renders an ablation table.
@@ -282,7 +245,7 @@ func (e *Engine) Characteristics(ws []workloads.Workload) ([]CharacteristicsRow,
 	rows := make([]CharacteristicsRow, len(ws))
 	err := e.ForEach(context.Background(), len(ws), func(ctx context.Context, i int) error {
 		w := ws[i]
-		_, st, err := e.Build(ctx, w, codegen.ModuleOptions{Idempotent: true, Core: defaultCore()})
+		_, st, err := e.Build(ctx, w, idempotent())
 		if err != nil {
 			return err
 		}
@@ -333,30 +296,9 @@ func FormatCharacteristics(rows []CharacteristicsRow) string {
 // average dynamic path length with regions spanning memory-free callees
 // vs the strictly intra-procedural default.
 func (e *Engine) AblationPureCalls(ws []workloads.Workload) ([]AblationRow, error) {
-	rows := make([]AblationRow, len(ws))
-	err := e.ForEach(context.Background(), len(ws), func(ctx context.Context, i int) error {
-		w := ws[i]
-		row := AblationRow{Name: w.Name}
-		for _, on := range []bool{true, false} {
-			p, _, err := e.Build(ctx, w, codegen.ModuleOptions{Idempotent: true, Core: defaultCore(), PureCalls: on})
-			if err != nil {
-				return err
-			}
-			m, err := e.Run(p, w, machine.Config{BufferStores: true, TrackPaths: true})
-			if err != nil {
-				return err
-			}
-			if on {
-				row.On = m.Stats.AvgPathLen()
-			} else {
-				row.Off = m.Stats.AvgPathLen()
-			}
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return e.ablation(ws, func(on bool) codegen.ModuleOptions {
+		mo := idempotent()
+		mo.PureCalls = on
+		return mo
+	}, trackPaths, (*machine.Stats).AvgPathLen)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"idemproc/internal/codegen"
 	"idemproc/internal/fault"
 	"idemproc/internal/workloads"
 )
@@ -80,18 +79,10 @@ func (e *Engine) Resilience(ctx context.Context, ws []workloads.Workload, runs i
 	}
 	counts := map[string]int{}
 	for _, w := range ws {
-		base, _, err := e.Build(ctx, w, codegen.ModuleOptions{Core: defaultCore()})
-		if err != nil {
-			return nil, err
-		}
-		idem, _, err := e.Build(ctx, w, codegen.ModuleOptions{Idempotent: true, Core: defaultCore()})
-		if err != nil {
-			return nil, err
-		}
 		for _, s := range fault.Schemes {
-			p := base
-			if s.Idempotent() {
-				p = idem
+			p, _, err := e.Build(ctx, w, schemeBuild(s))
+			if err != nil {
+				return nil, err
 			}
 			cr, err := fault.RunCampaign(ctx, fault.Apply(p, s), fault.Spec{
 				Scheme:  s,

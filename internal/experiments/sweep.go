@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"idemproc/internal/codegen"
-	"idemproc/internal/core"
-	"idemproc/internal/machine"
 	"idemproc/internal/workloads"
 )
 
@@ -30,48 +26,34 @@ type SweepPoint struct {
 	ReexecCostPct float64
 }
 
-// RegionSizeSweep measures the trade-off curve for one workload, fanning
-// the per-size build/run units out over the engine's pool.
+// RegionSizeSweep measures the trade-off curve for one workload: the
+// conventional baseline and each size are units on the engine's pool.
 func (e *Engine) RegionSizeSweep(w workloads.Workload, sizes []int) ([]SweepPoint, error) {
-	base, _, err := e.Build(context.Background(), w, codegen.ModuleOptions{Core: defaultCore()})
+	confs := []conf{{mo: conventional()}}
+	for _, size := range sizes {
+		mo := idempotent()
+		mo.Core.MaxRegionSize = size
+		confs = append(confs, conf{mo: mo, cfg: trackPaths})
+	}
+	runs, err := e.simulate([]workloads.Workload{w}, confs...)
 	if err != nil {
 		return nil, err
 	}
-	mb, err := e.Run(base, w, machine.Config{})
-	if err != nil {
-		return nil, err
-	}
-	baseCycles := float64(mb.Stats.Cycles)
-
+	baseCycles := float64(runs[0][0].Cycles)
 	out := make([]SweepPoint, len(sizes))
-	err = e.ForEach(context.Background(), len(sizes), func(ctx context.Context, i int) error {
-		opts := core.DefaultOptions()
-		opts.MaxRegionSize = sizes[i]
-		p, _, err := e.Build(ctx, w, codegen.ModuleOptions{Idempotent: true, Core: opts})
-		if err != nil {
-			return err
-		}
-		m, err := e.Run(p, w, machine.Config{BufferStores: true, TrackPaths: true})
-		if err != nil {
-			return err
-		}
-		pt := SweepPoint{
-			MaxRegionSize: sizes[i],
-			AvgPathLen:    m.Stats.AvgPathLen(),
-			TimeOvhPct:    100 * (float64(m.Stats.Cycles)/baseCycles - 1),
+	for i, size := range sizes {
+		r := &runs[0][i+1]
+		out[i] = SweepPoint{
+			MaxRegionSize: size,
+			AvgPathLen:    r.AvgPathLen(),
+			TimeOvhPct:    100 * (float64(r.Cycles)/baseCycles - 1),
 		}
 		// Re-execution cost proxy: the average dynamic path length is the
 		// expected re-executed instruction count per recovery (uniform
 		// failure point over a path re-executes half of it on average,
 		// but detection occurs at the end of the region in the worst
 		// case; use the full path as the conservative estimate).
-		faultFree := float64(m.Stats.DynInstrs)
-		pt.ReexecCostPct = 100 * 100 * pt.AvgPathLen / faultFree
-		out[i] = pt
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out[i].ReexecCostPct = 100 * 100 * out[i].AvgPathLen / float64(r.DynInstrs)
 	}
 	return out, nil
 }
