@@ -1,7 +1,8 @@
 // Command idembench regenerates the paper's tables and figures over the
-// workload suite and prints them as text tables. Build/run units fan out
-// over a worker pool with a shared compile cache (see docs/experiments.md),
-// and output is byte-identical for any -workers value.
+// workload suite and prints them as text tables. Every (workload,
+// configuration) simulation is a unit on a worker pool with a shared
+// compile cache (see docs/experiments.md), and output is byte-identical
+// for any -workers value.
 //
 //	idembench -all                        # everything
 //	idembench -all -workers 8 -timing     # parallel, with a stage breakdown
@@ -15,6 +16,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,6 +84,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		ws = []workloads.Workload{w}
 	}
+	// The sweep is per-workload: it shows two representatives, or the
+	// explicitly selected workload. -all skips it when the selection has
+	// neither; an explicit -sweep reports that as its error.
+	var sweepWs []workloads.Workload
+	for _, w := range ws {
+		if *bench != "" || w.Name == "gcc" || w.Name == "lbm" {
+			sweepWs = append(sweepWs, w)
+		}
+	}
 
 	figures := []figure{
 		{"table2", *all || *table2, func(e *experiments.Engine) (string, error) {
@@ -137,7 +148,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return experiments.FormatCharacteristics(rows), nil
 		}},
 		{"ablations", *all || *ablate, runAblations(ws)},
-		{"sweep", *all || *sweep, runSweep(ws, *bench)},
+		{"sweep", *sweep || (*all && len(sweepWs) > 0), runSweep(sweepWs)},
 		// -resilience is opt-in only (not part of -all): campaigns run
 		// 4 schemes × N injections per workload and dominate the runtime.
 		{"resilience", *resil, func(e *experiments.Engine) (string, error) {
@@ -237,28 +248,22 @@ func runAblations(ws []workloads.Workload) func(e *experiments.Engine) (string, 
 	}
 }
 
-// runSweep renders the §6.2 region-size sweep for the representative
-// workloads (or the explicitly selected one).
-func runSweep(ws []workloads.Workload, bench string) func(e *experiments.Engine) (string, error) {
+// runSweep renders the §6.2 region-size sweep for each of ws.
+func runSweep(ws []workloads.Workload) func(e *experiments.Engine) (string, error) {
 	return func(e *experiments.Engine) (string, error) {
+		if len(ws) == 0 {
+			return "", errors.New("no representative workload in selection (use -workload)")
+		}
 		var out string
-		first := true
-		for _, w := range ws {
-			if w.Name != "gcc" && w.Name != "lbm" && bench == "" {
-				continue // the sweep is per-workload; show two representatives
-			}
+		for i, w := range ws {
 			pts, err := e.RegionSizeSweep(w, []int{0, 128, 32, 8, 4})
 			if err != nil {
 				return "", err
 			}
-			if !first {
+			if i > 0 {
 				out += "\n"
 			}
-			first = false
 			out += experiments.FormatSweep(w.Name, pts)
-		}
-		if out == "" {
-			return "", fmt.Errorf("sweep: no representative workload in selection (use -workload)")
 		}
 		// Trim trailing newline; the caller Fprintln's.
 		if n := len(out); n > 0 && out[n-1] == '\n' {

@@ -50,11 +50,32 @@ func TestErrorCollectionKeepsCompletedTables(t *testing.T) {
 	if !strings.Contains(stdout, "Table 2") {
 		t.Errorf("completed Table 2 missing from stdout:\n%s", stdout)
 	}
-	if !strings.Contains(stderr, "idembench: sweep:") {
-		t.Errorf("stderr does not name the failing figure:\n%s", stderr)
+	if !strings.Contains(stderr, "idembench: sweep: no representative workload in selection") {
+		t.Errorf("stderr does not name the failing figure and its cause:\n%s", stderr)
+	}
+	if strings.Contains(stderr, "sweep: sweep:") {
+		t.Errorf("stderr repeats the figure name:\n%s", stderr)
 	}
 	if !strings.Contains(stderr, "1 of 2 requested experiments failed") {
 		t.Errorf("stderr missing failure summary:\n%s", stderr)
+	}
+}
+
+// TestAllSkipsSweepWithoutWorkload checks that -all over a selection
+// with no sweep representative (PARSEC has neither gcc nor lbm) prints
+// every other table and succeeds, where an explicit -sweep would fail.
+func TestAllSkipsSweepWithoutWorkload(t *testing.T) {
+	code, stdout, stderr := runMain(t, "-all", "-suite", "PARSEC")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, stderr)
+	}
+	if strings.Contains(stdout, "Region-size sweep") {
+		t.Errorf("-all ran the sweep without a workload to run it on:\n%s", stdout)
+	}
+	for _, want := range []string{"Table 2", "Figure 4", "Figure 12", "Ablation: pure-call extension"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout missing %q", want)
+		}
 	}
 }
 
