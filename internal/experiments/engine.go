@@ -120,11 +120,7 @@ func (e *Engine) simulate(ws []workloads.Workload, confs ...conf) ([][]simRun, e
 			return err
 		}
 		if c.scheme != nil {
-			// The instrumented copy is this unit's alone, so its predecode
-			// memo goes with it; otherwise the global memo pins every copy
-			// ever simulated.
 			p = fault.Apply(p, *c.scheme)
-			defer machine.DropPredecode(p)
 		}
 		var tr *limit.Tracker
 		if c.limitStudy {

@@ -3,9 +3,15 @@ package experiments
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"idemproc/internal/codegen"
+	"idemproc/internal/fault"
+	"idemproc/internal/workloads"
 )
 
 // TestEngineDeterministicAcrossWidths runs every driver on a serial and
@@ -113,6 +119,55 @@ func TestEngineCacheSharedAcrossFigures(t *testing.T) {
 	}
 	if afterFig12.SimRuns <= afterFig10.SimRuns {
 		t.Fatal("Fig12 reported no simulator runs")
+	}
+}
+
+// TestDroppedProgramsAreCollectable: nothing outside an engine pins the
+// programs its cache compiled, and nothing pins the instrumented copy a
+// resilience campaign runs (Engine.Resilience's path), so each is freed
+// with its last reference.
+func TestDroppedProgramsAreCollectable(t *testing.T) {
+	ctx := context.Background()
+	ws := []workloads.Workload{shrink(subset(t, "blackscholes")[0], 4)}
+	e := NewEngine(1)
+	if _, err := e.Fig12(ws); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := e.Build(ctx, ws[0], idempotent())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fault.SchemeIdempotence
+	q := fault.Apply(p, s)
+	if _, err := fault.RunCampaign(ctx, q, fault.Spec{Scheme: s, Runs: 4, Seed: 1, Workers: 1, Args: ws[0].Args}); err != nil {
+		t.Fatal(err)
+	}
+	compiled, instrumented := collectable(p), collectable(q)
+	e, p, q = nil, nil, nil
+	if !compiled() {
+		t.Error("compiled program is still reachable after its engine was dropped")
+	}
+	if !instrumented() {
+		t.Error("instrumented copy is still reachable after its campaign")
+	}
+}
+
+// collectable watches p through a finalizer. The check it returns runs
+// the collector until p is freed, and reports false if p outlives a few
+// rounds. The caller must drop its own references first.
+func collectable(p *codegen.Program) func() bool {
+	freed := make(chan struct{})
+	runtime.SetFinalizer(p, func(*codegen.Program) { close(freed) })
+	return func() bool {
+		for i := 0; i < 5; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				return true
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		return false
 	}
 }
 

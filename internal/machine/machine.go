@@ -5,13 +5,13 @@
 // with taint-based DMR detection, and the three recovery schemes of §6.3.
 //
 // The execution core is a predecoded, allocation-free hot loop (see
-// predecode.go and docs/machine.md): programs are decoded once into
-// dense operand-resolved records, the functional core and the pipeline
-// model share one flat 48-register file (times three banks for the
-// DMR/TMR shadow copies in the timing model), load forwarding out of the
-// region store buffer is O(1) through a last-writer index, and the fault
-// machinery — including the golden-mirror maintenance DMR detection is
-// built on — costs nothing until the first scheduled event's step is
+// predecode.go and docs/machine.md): each Machine decodes its program
+// once into dense operand-resolved records, the functional core and the
+// pipeline model share one flat 48-register file (times three banks for
+// the DMR/TMR shadow copies in the timing model), load forwarding out of
+// the region store buffer is O(1) through a last-writer index, and the
+// fault machinery — including the golden-mirror maintenance DMR detection
+// is built on — costs nothing until the first scheduled event's step is
 // reached, and nothing again once every injected fault has resolved.
 package machine
 
@@ -189,7 +189,7 @@ type Machine struct {
 
 	Stats Stats
 
-	// code is the shared predecoded program (see predecode.go).
+	// code is this machine's predecoded program (see predecode.go).
 	code *Code
 
 	// Pipeline model state.
@@ -323,8 +323,8 @@ func (m *Machine) BindContext(ctx context.Context) {
 	m.nextPoll = m.Stats.DynInstrs + m.pollStride
 }
 
-// New creates a machine for p. The predecoded form of p is shared with
-// every other Machine running the same Program (see Predecode).
+// New creates a machine for p. It decodes p (see Predecode), and the
+// machine keeps the decoded form for its own lifetime.
 func New(p *codegen.Program, cfg Config) *Machine {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 500_000_000

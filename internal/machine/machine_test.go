@@ -2,7 +2,9 @@ package machine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"idemproc/internal/codegen"
 	"idemproc/internal/core"
@@ -87,6 +89,41 @@ func TestRunSimpleLoop(t *testing.T) {
 	}
 	if len(mi.Stats.PathLens) == 0 {
 		t.Fatal("path tracking produced no samples")
+	}
+}
+
+// TestDroppedMachineFreesProgram: a Machine owns its decoded program,
+// so once a machine that has run is dropped, nothing keeps its Program
+// reachable.
+func TestDroppedMachineFreesProgram(t *testing.T) {
+	p := compile(t, sumSrc, "sum", true)
+	m := New(p, Config{BufferStores: true, TrackPaths: true})
+	if _, err := m.Run(16); err != nil {
+		t.Fatal(err)
+	}
+	freed := collectable(p)
+	p, m = nil, nil
+	if !freed() {
+		t.Fatal("program is still reachable after its machine was dropped")
+	}
+}
+
+// collectable watches p through a finalizer. The check it returns runs
+// the collector until p is freed, and reports false if p outlives a few
+// rounds. The caller must drop its own references first.
+func collectable(p *codegen.Program) func() bool {
+	freed := make(chan struct{})
+	runtime.SetFinalizer(p, func(*codegen.Program) { close(freed) })
+	return func() bool {
+		for i := 0; i < 5; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				return true
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		return false
 	}
 }
 

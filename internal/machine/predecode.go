@@ -2,7 +2,6 @@ package machine
 
 import (
 	"math"
-	"sync"
 
 	"idemproc/internal/codegen"
 	"idemproc/internal/isa"
@@ -13,11 +12,9 @@ import (
 // every instruction is resolved once into a dense decoded record with
 // operand bank indices, pipeline source/destination slots, latency and a
 // top-level dispatch kind all precomputed, following the predecode /
-// flat-state interpreter design of wazero. Programs are immutable after
-// Link (see the codegen.Program immutability contract), so the decoded
-// form is memoized per Program and shared by every Machine — including
-// concurrent experiment workers — without synchronization beyond the
-// cache lookup.
+// flat-state interpreter design of wazero. New decodes the program it
+// is given, and the Machine owns the decoded records for its lifetime,
+// so nothing outlives the Machine and nothing has to be released.
 
 // dKind is the top-level dispatch class of a decoded instruction.
 type dKind uint8
@@ -66,56 +63,25 @@ type decoded struct {
 	predTaken bool // static predictor: backward branches predicted taken
 }
 
-// Code is the predecoded form of one Program, shared read-only by every
-// Machine executing it.
+// Code is the predecoded form of one Program.
 type Code struct {
-	p   *codegen.Program
 	ops []decoded
 }
 
-// Program returns the linked program this code was decoded from.
-func (c *Code) Program() *codegen.Program { return c.p }
-
-// codeCache memoizes predecoded programs by Program identity. Programs
-// are immutable and bounded per process (each distinct compile produces
-// one), so pointer keying is sound and the cache stays small; holding
-// the Program alive also keeps its Code entry meaningful.
-var codeCache sync.Map // *codegen.Program -> *Code
-
-// Predecode returns the decoded form of p, computing it on first request
-// and serving the shared memoized Code afterwards. internal/buildcache
-// calls this at compile time so experiment workers find the decoded
-// program alongside the cached compile and never pay the pass on the
-// simulation path.
+// Predecode decodes p. New calls it once per Machine.
 func Predecode(p *codegen.Program) *Code {
-	if c, ok := codeCache.Load(p); ok {
-		return c.(*Code)
-	}
-	c := &Code{p: p, ops: make([]decoded, len(p.Instrs))}
+	c := &Code{ops: make([]decoded, len(p.Instrs))}
 	for i, in := range p.Instrs {
 		c.ops[i] = decodeOne(in, i)
 	}
-	// LoadOrStore keeps the winner unique under concurrent first decodes.
-	actual, _ := codeCache.LoadOrStore(p, c)
-	return actual.(*Code)
+	return c
 }
 
-// DropPredecode removes p's memoized decoded form, if any. The compile
-// cache calls this when it evicts a Program so the predecode memo does
-// not pin evicted Programs in memory forever; Machines already holding
-// the Code keep working (the Code itself is immutable), and a later
-// Predecode simply recomputes.
-func DropPredecode(p *codegen.Program) {
-	codeCache.Delete(p)
-}
-
-// Predecoded counts the programs whose decoded form is memoized. Tests
-// use it to prove that a code path does not grow the memo.
-func Predecoded() int {
-	n := 0
-	codeCache.Range(func(any, any) bool { n++; return true })
-	return n
-}
+// DropPredecode does nothing: no decoded program outlives its Machine.
+//
+// Deprecated: there is nothing to release; the benchmark module still
+// calls it.
+func DropPredecode(*codegen.Program) {}
 
 // decodeOne resolves one instruction at absolute index pc.
 func decodeOne(in isa.Instr, pc int) decoded {

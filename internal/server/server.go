@@ -554,14 +554,7 @@ func (s *Server) doSimulate(ctx context.Context, req *SimulateRequest) (*Simulat
 	}
 	var cfg machine.Config
 	if apply {
-		// The instrumented copy is private to this request, so its
-		// predecode memo goes with it; otherwise the global memo pins every
-		// copy ever simulated. The cached build's own memo stays: the
-		// compile cache made it at insert and charges it to the entry.
-		if q := fault.Apply(p, scheme); q != p {
-			p = q
-			defer machine.DropPredecode(q)
-		}
+		p = fault.Apply(p, scheme)
 		cfg = scheme.Config()
 	}
 

@@ -21,8 +21,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"idemproc/internal/machine"
 )
 
 // tinySource is a fast ad-hoc workload: main loops its argument times.
@@ -625,53 +623,5 @@ func TestMetricsCatalog(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
-	}
-}
-
-// TestInstrumentedSimulationsDropPredecode: a fault-instrumented
-// simulation runs a private copy of the cached build, and that copy's
-// predecode memo must not outlive the request, or idemd's memory grows
-// with every instrumented simulation it serves. /v1/simulate, /v1/batch
-// and job units all run doSimulate, so the two endpoints here cover all
-// three.
-//
-// machine.Predecoded counts a process-wide memo, so this test must not
-// run beside other tests of the package (none of them calls t.Parallel).
-// Each check still spans a single request, to keep the window small.
-func TestInstrumentedSimulationsDropPredecode(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	post := func(name, path string, body []byte) {
-		t.Helper()
-		if code, b := postJSON(t, ts.Client(), ts.URL+path, body); code != http.StatusOK {
-			t.Fatalf("%s: status %d body %s", name, code, b)
-		}
-	}
-	schemes := []string{"dmr", "tmr", "cl", "idem"}
-	// The first request per scheme compiles its build; the compile cache
-	// memoizes that predecode at insert, and it stays.
-	for _, sc := range schemes {
-		post("warm "+sc, "/v1/simulate", marshal(t, &SimulateRequest{Source: tinySource, Args: []uint64{5}, Scheme: sc}))
-	}
-	// Every later request must leave the memo as it found it.
-	check := func(name, path string, body []byte) {
-		t.Helper()
-		before := machine.Predecoded()
-		post(name, path, body)
-		if after := machine.Predecoded(); after != before {
-			t.Fatalf("%s grew the predecode memo from %d to %d programs", name, before, after)
-		}
-	}
-	for arg := uint64(6); arg < 11; arg++ {
-		var units []BatchUnit
-		for _, sc := range schemes {
-			req := &SimulateRequest{Source: tinySource, Args: []uint64{arg}, Scheme: sc}
-			check("simulate "+sc, "/v1/simulate", marshal(t, req))
-			units = append(units, BatchUnit{Simulate: req})
-		}
-		check("batch", "/v1/batch", marshal(t, &BatchRequest{Units: units}))
 	}
 }
