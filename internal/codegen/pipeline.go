@@ -3,11 +3,8 @@ package codegen
 import (
 	"fmt"
 
-	"idemproc/internal/alias"
 	"idemproc/internal/core"
 	"idemproc/internal/ir"
-	"idemproc/internal/redelim"
-	"idemproc/internal/ssa"
 )
 
 // BuildStats aggregates per-module compilation statistics. It is plain
@@ -106,46 +103,20 @@ func CompileModuleOpts(m *ir.Module, main string, memWords int, mo ModuleOptions
 	}
 	var funcs []*Compiled
 	for _, f := range m.Funcs {
-		var cuts map[*ir.Value]bool
-		if idem && opts.PureFuncs[f.Name] {
-			// Pure functions carry no marks: a fault inside one recovers
-			// to the caller's region entry and re-executes the call.
-			ssa.PromoteAllocas(f)
-			ssa.Build(f)
-			ssa.FoldConstants(f)
-			if opts.RedElim {
-				redelim.Run(f, alias.Compute(f))
-				ssa.PropagateCopies(f)
-				ssa.EliminateDeadValues(f)
-			}
-			c, err := Compile(f, globalBase, Options{})
-			if err != nil {
-				return nil, nil, fmt.Errorf("compile pure @%s: %w", f.Name, err)
-			}
-			st.SpillLoads += c.SpillLoads
-			st.SpillStores += c.SpillStores
-			st.FrameWords += c.FrameWords
-			funcs = append(funcs, c)
-			continue
-		}
 		var res *core.Result
-		if idem {
+		var cuts map[*ir.Value]bool
+		if idem && !opts.PureFuncs[f.Name] {
 			r, err := core.Construct(f, opts)
 			if err != nil {
 				return nil, nil, fmt.Errorf("construct @%s: %w", f.Name, err)
 			}
-			res = r
-			cuts = res.Cuts
+			res, cuts = r, r.Cuts
 		} else {
-			// The conventional flow: same mid-end, no region machinery.
-			ssa.PromoteAllocas(f)
-			ssa.Build(f)
-			ssa.FoldConstants(f)
-			if opts.RedElim {
-				redelim.Run(f, alias.Compute(f))
-				ssa.PropagateCopies(f)
-				ssa.EliminateDeadValues(f)
-			}
+			// The conventional flow, and pure functions in an idempotent
+			// build: the same mid-end, no region machinery. A pure function
+			// carries no marks; a fault inside one recovers to the caller's
+			// region entry and re-executes the call.
+			core.MidEnd(f, opts.RedElim)
 		}
 		c, err := Compile(f, globalBase, Options{Cuts: cuts, RelaxedAlloc: mo.RelaxedAlloc})
 		if err != nil {

@@ -144,24 +144,32 @@ type SelfDepInfo struct {
 	Unrolled bool
 }
 
+// MidEnd runs the mid-end every build shares on f, mutating it: alloca
+// promotion, SSA construction and constant folding, then, when redElim
+// is set, redundancy elimination (Fig. 5) and its clean-up. It returns
+// the number of promoted allocas and of forwarded loads and stores.
+func MidEnd(f *ir.Func, redElim bool) (promoted, forwarded int) {
+	promoted = ssa.PromoteAllocas(f)
+	ssa.Build(f)
+	ssa.FoldConstants(f)
+	if redElim {
+		rst := redelim.Run(f, alias.Compute(f))
+		forwarded = rst.ForwardedStores + rst.ForwardedLoads
+		ssa.PropagateCopies(f)
+		ssa.EliminateDeadValues(f)
+	}
+	return promoted, forwarded
+}
+
 // Construct runs the full §4 pipeline on f, mutating it (SSA conversion,
 // redundancy elimination, possible loop unrolling) and returning the cut
 // placement and region decomposition.
 func Construct(f *ir.Func, opts Options) (*Result, error) {
 	st := Stats{}
 
-	// §4.1 program transformation (plus the standard optimizing clean-up
-	// both pipelines share, so regions are constructed over the same code
-	// a conventional -O build would emit).
-	st.PromotedAllocas = ssa.PromoteAllocas(f)
-	ssa.Build(f)
-	ssa.FoldConstants(f)
-	if opts.RedElim {
-		rst := redelim.Run(f, alias.Compute(f))
-		st.ForwardedLoads = rst.ForwardedStores + rst.ForwardedLoads
-		ssa.PropagateCopies(f)
-		ssa.EliminateDeadValues(f)
-	}
+	// §4.1 program transformation, over the same mid-end a conventional
+	// build runs, so regions are constructed over the code it would emit.
+	st.PromotedAllocas, st.ForwardedLoads = MidEnd(f, opts.RedElim)
 
 	// First placement.
 	pl, err := place(f, opts)
