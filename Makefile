@@ -18,8 +18,12 @@ fmt-check:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The benchmark is a module of its own (bench/go.mod), which ./... does
+# not reach, so vet and test name it: an internal API change that breaks
+# the benchmark then fails here.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # lint runs go vet plus cmd/idemlint, the repo's own order-sensitivity
 # checker: analysis passes that range over maps while appending to
@@ -33,6 +37,7 @@ check: fmt-check lint
 
 test: check
 	$(GO) test ./...
+	$(GO) -C bench test ./...
 	$(MAKE) serve-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) persist-smoke
