@@ -75,10 +75,16 @@ func Compile(f *ir.Func, globalBase map[string]int64, opts Options) (*Compiled, 
 	ssa.Destruct(f)
 	f.Renumber()
 
+	// f does not change from here on, so one instruction graph serves
+	// every selection pass of the repair loop.
+	var g *core.InstrGraph
 	cuts := opts.Cuts
+	if cuts != nil {
+		g = core.BuildInstrGraph(f)
+	}
 	repairs := 0
 	for {
-		vf, posToIR, err := buildVF(f, cuts, globalBase)
+		vf, posToIR, err := buildVF(f, g, cuts, globalBase)
 		if err != nil {
 			return nil, err
 		}
@@ -115,9 +121,10 @@ func Compile(f *ir.Func, globalBase map[string]int64, opts Options) (*Compiled, 
 }
 
 // buildVF runs instruction selection over the (destructed) function and
-// registers region metadata. posToIR maps each virtual-code position back
-// to the IR instruction it implements (nil for marks).
-func buildVF(f *ir.Func, cuts map[*ir.Value]bool, globalBase map[string]int64) (*regalloc.VFunc, []*ir.Value, error) {
+// registers region metadata. g is f's instruction graph (nil when cuts is
+// nil). posToIR maps each virtual-code position back to the IR
+// instruction it implements (nil for marks).
+func buildVF(f *ir.Func, g *core.InstrGraph, cuts map[*ir.Value]bool, globalBase map[string]int64) (*regalloc.VFunc, []*ir.Value, error) {
 	vf := &regalloc.VFunc{Name: f.Name}
 	vregOf := map[string]regalloc.VReg{}
 	var floatReg []bool
@@ -145,38 +152,52 @@ func buildVF(f *ir.Func, cuts map[*ir.Value]bool, globalBase map[string]int64) (
 		}
 	}
 
-	// Selection. markPosOf records each cut's KMark (block, index) so
-	// regions can be registered after positions are final.
-	type bi struct{ b, i int }
-	markPosOf := map[*ir.Value]bi{}
-	valStart := map[*ir.Value]bi{}
-	valEnd := map[*ir.Value]bi{}
-	entryMark := cuts != nil
-
-	// The entry region's mark goes after the parameter moves: the moves
-	// re-read the argument registers, so restarting before them would
-	// require the caller's registers intact; restarting after them only
-	// requires the param vregs, which the §4.4 constraint preserves.
-	entryMarkAt := bi{-1, -1}
-	for bIdx, blk := range f.Blocks {
+	// Selection. Positions are global linear indices (block order,
+	// instruction order); posToIR grows by one entry per emitted
+	// instruction, so its length is the next position. In an idempotent
+	// build, code[p] records, for the instruction at graph position p, the
+	// position of the mark that opens its region (when it heads one) and
+	// the span of the code selected for it, so regions can be registered
+	// once selection is done.
+	type span struct{ mark, start, end int }
+	var code []span
+	if g != nil {
+		code = make([]span, len(g.Instrs))
+	}
+	var posToIR []*ir.Value
+	gp := 0 // graph position of the next real instruction
+	for _, blk := range f.Blocks {
 		vb := regalloc.VBlock{}
-		emit := func(in regalloc.VInstr) {
-			vb.Instrs = append(vb.Instrs, in)
+		emitMark := func() int {
+			vb.Instrs = append(vb.Instrs, regalloc.VInstr{Kind: regalloc.KMark, Rd: regalloc.NoVReg, Rs1: regalloc.NoVReg, Rs2: regalloc.NoVReg})
+			posToIR = append(posToIR, nil)
+			return len(posToIR) - 1
 		}
 		for _, v := range blk.Instrs {
-			if bIdx == 0 && entryMark && v.Op != ir.OpParam && entryMarkAt.b < 0 {
-				entryMarkAt = bi{0, len(vb.Instrs)}
-				emit(regalloc.VInstr{Kind: regalloc.KMark, Rd: regalloc.NoVReg, Rs1: regalloc.NoVReg, Rs2: regalloc.NoVReg})
+			inGraph := g != nil && gp < len(g.Instrs) && g.Instrs[gp] == v
+			// The entry region's mark goes before graph position 0, the
+			// first instruction after the parameter moves: the moves re-read
+			// the argument registers, so restarting before them would
+			// require the caller's registers intact; restarting after them
+			// only requires the param vregs, which the §4.4 constraint
+			// preserves.
+			if inGraph && gp == 0 {
+				code[gp].mark = emitMark()
 			}
 			if cuts[v] {
-				markPosOf[v] = bi{bIdx, len(vb.Instrs)}
-				emit(regalloc.VInstr{Kind: regalloc.KMark, Rd: regalloc.NoVReg, Rs1: regalloc.NoVReg, Rs2: regalloc.NoVReg})
+				code[gp].mark = emitMark()
 			}
-			valStart[v] = bi{bIdx, len(vb.Instrs)}
+			start, n := len(posToIR), len(vb.Instrs)
 			if err := selectInstr(f, v, &vb, vregFor, newVReg, allocaOff, globalBase); err != nil {
 				return nil, nil, err
 			}
-			valEnd[v] = bi{bIdx, len(vb.Instrs)}
+			for range vb.Instrs[n:] {
+				posToIR = append(posToIR, v)
+			}
+			if inGraph {
+				code[gp].start, code[gp].end = start, len(posToIR)
+				gp++
+			}
 		}
 		for _, s := range blk.Succs {
 			vb.Succs = append(vb.Succs, s.Index)
@@ -190,42 +211,21 @@ func buildVF(f *ir.Func, cuts map[*ir.Value]bool, globalBase map[string]int64) (
 		vf.Params = append(vf.Params, vregOf[p.Name])
 	}
 
-	// Global positions and the position→IR map.
-	blockStart := make([]int, len(vf.Blocks))
-	pos := 0
-	for b := range vf.Blocks {
-		blockStart[b] = pos
-		pos += len(vf.Blocks[b].Instrs)
-	}
-	toPos := func(p bi) int { return blockStart[p.b] + p.i }
-	posToIR := make([]*ir.Value, pos)
-	for _, blk := range f.Blocks {
-		for _, v := range blk.Instrs {
-			s, e := valStart[v], valEnd[v]
-			for q := toPos(s); q < toPos(e); q++ {
-				posToIR[q] = v
-			}
-		}
-	}
-
 	// Register regions with the allocator (idempotent mode only).
-	if cuts != nil {
-		regions := core.Materialize(f, cuts)
-		for _, r := range regions {
-			reg := regalloc.Region{}
-			if mp, ok := markPosOf[r.Header]; ok {
-				reg.Header = toPos(mp)
-			} else {
-				reg.Header = toPos(entryMarkAt) // entry region's mark
+	if g != nil {
+		g.EachRegion(cuts, func(header int, members []int) {
+			n := 0
+			for _, p := range members {
+				n += code[p].end - code[p].start
 			}
-			for _, v := range r.Instrs {
-				s, e := valStart[v], valEnd[v]
-				for q := toPos(s); q < toPos(e); q++ {
+			reg := regalloc.Region{Header: code[header].mark, Positions: make([]int, 0, n)}
+			for _, p := range members {
+				for q := code[p].start; q < code[p].end; q++ {
 					reg.Positions = append(reg.Positions, q)
 				}
 			}
 			vf.Regions = append(vf.Regions, reg)
-		}
+		})
 	}
 	return vf, posToIR, nil
 }

@@ -7,6 +7,7 @@ import (
 	"idemproc/internal/core"
 	"idemproc/internal/ir"
 	"idemproc/internal/isa"
+	"idemproc/internal/workloads"
 )
 
 func compileSrc(t *testing.T, src, main string, idem bool) (*Program, *BuildStats) {
@@ -307,5 +308,27 @@ x:
 	base, id := frames(false), frames(true)
 	if id > base*2+8 {
 		t.Fatalf("idempotent frames %d vs conventional %d — stack grew too much", id, base)
+	}
+}
+
+// compileAllocCeiling bounds the allocations of one default idempotent
+// compile of mcf, parse included. Liveness and region materialization on
+// dense slices take it to about 11,600; with hash maps per block, position
+// and region it was 20,638, and putting back either the liveness maps
+// (17,971) or the region maps (14,281) exceeds the ceiling.
+const compileAllocCeiling = 13000
+
+// TestCompileAllocs guards the compiler's allocation count on mcf under
+// the default options.
+func TestCompileAllocs(t *testing.T) {
+	w, _ := workloads.ByName("mcf")
+	mo := ModuleOptions{Idempotent: true, Core: core.DefaultOptions()}
+	n := testing.AllocsPerRun(5, func() {
+		if _, _, err := CompileModuleOpts(w.Module(), "main", w.MemWords, mo); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > compileAllocCeiling {
+		t.Fatalf("CompileModuleOpts(mcf) allocates %.0f times, ceiling %d", n, compileAllocCeiling)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"idemproc/internal/alias"
 	"idemproc/internal/cfg"
 	"idemproc/internal/dataflow"
-	"idemproc/internal/ir"
 )
 
 // Check independently verifies a construction result: it re-derives the
@@ -26,15 +25,20 @@ import (
 //  3. Every instruction belongs to at least one region and region headers
 //     are distinct (the decomposition conditions of §4.2.1).
 func Check(res *Result) error {
+	return check(res, BuildInstrGraph(res.F))
+}
+
+// check is Check over g, the instruction graph of res.F.
+func check(res *Result, g *InstrGraph) error {
 	f := res.F
-	g := BuildInstrGraph(f)
 
 	// Condition 1: cut-free reachability must not connect read → write.
 	ai := alias.Compute(f)
 	reach := dataflow.ComputeReach(f)
 	deps := dataflow.MemoryAntideps(f, ai, reach)
+	cut := g.cutFlags(res.Cuts)
 	for _, d := range deps {
-		if pathAvoidingCuts(g, d.Read, d.Write, res.Cuts) {
+		if pathAvoidingCuts(g, g.pos[d.Read], g.pos[d.Write], cut) {
 			return fmt.Errorf("antidependence not separated: read %s → write %s",
 				d.Read.LongString(), d.Write.LongString())
 		}
@@ -53,20 +57,20 @@ func Check(res *Result) error {
 	}
 
 	// Condition 3: coverage and distinct headers.
-	covered := map[int]bool{}
-	seenHeader := map[int]bool{}
+	covered := make([]bool, len(g.Instrs))
+	seenHeader := make([]bool, len(g.Instrs))
 	for _, r := range res.Regions {
-		h := g.Order[r.Header]
+		h := g.pos[r.Header]
 		if seenHeader[h] {
 			return fmt.Errorf("duplicate region header %s", r.Header.LongString())
 		}
 		seenHeader[h] = true
 		for _, v := range r.Instrs {
-			covered[g.Order[v]] = true
+			covered[g.pos[v]] = true
 		}
 	}
-	for v, o := range g.Order {
-		if !covered[o] {
+	for p, v := range g.Instrs {
+		if !covered[p] {
 			return fmt.Errorf("instruction not covered by any region: %s", v.LongString())
 		}
 	}
@@ -74,36 +78,24 @@ func Check(res *Result) error {
 }
 
 // pathAvoidingCuts reports whether an execution path of ≥1 step exists
-// from a to b that never *enters* a cut instruction. (Starting at a is
-// free even if a is itself a cut; the path is separated only when some
-// boundary is crossed after a and strictly before executing b.)
-func pathAvoidingCuts(g *InstrGraph, a, b *ir.Value, cuts map[*ir.Value]bool) bool {
-	seen := map[*ir.Value]bool{}
-	stack := []*ir.Value{}
-	for _, s := range g.Succs[a] {
-		if cuts[s] {
-			continue
-		}
-		if s == b {
-			return true
-		}
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
-	}
+// from position a to position b that never *enters* a cut instruction.
+// (Starting at a is free even if a is itself a cut; the path is separated
+// only when some boundary is crossed after a and strictly before
+// executing b.)
+func pathAvoidingCuts(g *InstrGraph, a, b int, cut []bool) bool {
+	g.newWalk()
+	stack := []int{a}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range g.Succs[v] {
-			if cuts[s] {
+		for _, s := range g.succs(v) {
+			if cut[s] {
 				continue
 			}
 			if s == b {
 				return true
 			}
-			if !seen[s] {
-				seen[s] = true
+			if g.reach(s) {
 				stack = append(stack, s)
 			}
 		}

@@ -248,9 +248,9 @@ func Construct(f *ir.Func, opts Options) (*Result, error) {
 		SelfDep:  selfInfos,
 		Stats:    st,
 	}
-	res.Regions = Materialize(f, pl.cuts)
+	res.Regions = pl.graph.Materialize(pl.cuts)
 	res.fillStats()
-	if err := Check(res); err != nil {
+	if err := check(res, pl.graph); err != nil {
 		return nil, fmt.Errorf("core: constructed decomposition fails verification: %w", err)
 	}
 	return res, nil
@@ -282,6 +282,9 @@ func (r *Result) fillStats() {
 
 // placement is the intermediate state of one cut-placement round.
 type placement struct {
+	// graph is f's instruction graph: cut placement adds cuts but does
+	// not change f, so it serves materialization and the final check.
+	graph           *InstrGraph
 	cuts            map[*ir.Value]bool
 	deps            []dataflow.Antidep
 	cfgInfo         *cfg.Info
@@ -337,21 +340,11 @@ func place(f *ir.Func, opts Options) (*placement, error) {
 	reach := dataflow.ComputeReach(f)
 	deps := dataflow.MemoryAntideps(f, ai, reach)
 
-	// Number the instructions for the hitting-set solver.
-	idx := map[*ir.Value]int{}
-	byIdx := map[int]*ir.Value{}
-	depthOf := map[int]int{}
-	n := 0
-	for _, b := range f.Blocks {
-		for _, v := range b.Instrs {
-			if !real(v) {
-				continue
-			}
-			idx[v] = n
-			byIdx[n] = v
-			depthOf[n] = info.Depth[b.Index]
-			n++
-		}
+	// The hitting-set solver numbers instructions by graph position.
+	g := BuildInstrGraph(f)
+	depthOf := make(map[int]int, len(g.Instrs))
+	for p, v := range g.Instrs {
+		depthOf[p] = info.Depth[v.Block.Index]
 	}
 
 	// Candidate sets (Lemma 1 + the write endpoint itself).
@@ -365,7 +358,9 @@ func place(f *ir.Func, opts Options) (*placement, error) {
 	var sets [][]int
 	for _, d := range deps {
 		a, b := d.Read, d.Write
-		set := map[int]bool{idx[b]: true}
+		g.newWalk()
+		g.reach(g.pos[b])
+		set := []int{g.pos[b]}
 		// Walk b's dominator chain (blocks dominating b.Block, plus
 		// b.Block itself up to b's position).
 		for blk := b.Block; blk != nil; blk = info.Idom[blk.Index] {
@@ -376,17 +371,13 @@ func place(f *ir.Func, opts Options) (*placement, error) {
 				if blk == b.Block && pos[x] > pos[b] {
 					break
 				}
-				if !instrDominates(x, a) {
-					set[idx[x]] = true
+				if !instrDominates(x, a) && g.reach(g.pos[x]) {
+					set = append(set, g.pos[x])
 				}
 			}
 		}
-		s := make([]int, 0, len(set))
-		for i := range set {
-			s = append(s, i)
-		}
-		sort.Ints(s)
-		sets = append(sets, s)
+		sort.Ints(set)
+		sets = append(sets, set)
 	}
 
 	chosen, err := multicut.Solve(multicut.Problem{
@@ -400,7 +391,7 @@ func place(f *ir.Func, opts Options) (*placement, error) {
 	}
 	cuts := map[*ir.Value]bool{}
 	for _, c := range chosen {
-		cuts[byIdx[c]] = true
+		cuts[g.Instrs[c]] = true
 	}
 	multicutCuts := len(cuts)
 
@@ -434,7 +425,7 @@ func place(f *ir.Func, opts Options) (*placement, error) {
 	// Optional §6.2 region size cap (before the self-dependence
 	// classification, which must see the final cut density per loop).
 	if opts.MaxRegionSize > 0 {
-		limitRegionSizes(f, cuts, opts.MaxRegionSize)
+		limitRegionSizes(g, cuts, opts.MaxRegionSize)
 	}
 
 	// Classify self-dependent loops to find case-3 offenders.
@@ -452,6 +443,7 @@ func place(f *ir.Func, opts Options) (*placement, error) {
 	}
 
 	return &placement{
+		graph:           g,
 		cuts:            cuts,
 		deps:            deps,
 		cfgInfo:         info,

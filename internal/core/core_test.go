@@ -330,7 +330,7 @@ func TestMaterializeCoversEverything(t *testing.T) {
 			seen[v] = true
 		}
 	}
-	for v := range g.Order {
+	for _, v := range g.Instrs {
 		if !seen[v] {
 			t.Fatalf("instruction not in any region: %s", v.LongString())
 		}
@@ -341,9 +341,22 @@ func TestCheckDetectsMissingCut(t *testing.T) {
 	_, res := constructSrc(t, listPushSrc, "list_push", DefaultOptions())
 	// Sabotage: remove all cuts. Check must now fail on the antideps.
 	res.Cuts = map[*ir.Value]bool{}
-	res.Regions = Materialize(res.F, res.Cuts)
+	res.Regions = BuildInstrGraph(res.F).Materialize(res.Cuts)
 	if err := Check(res); err == nil {
 		t.Fatal("Check accepted a cut-free decomposition with antidependences")
+	}
+}
+
+// TestCheckNamesFirstUncovered: with several instructions uncovered, Check
+// names the first one in program order, every time.
+func TestCheckNamesFirstUncovered(t *testing.T) {
+	_, res := constructSrc(t, listPushSrc, "list_push", DefaultOptions())
+	res.Regions = nil
+	want := "instruction not covered by any region: " + firstReal(res.F.Entry()).LongString()
+	for i := 0; i < 20; i++ {
+		if err := Check(res); err == nil || err.Error() != want {
+			t.Fatalf("Check = %v, want %q", err, want)
+		}
 	}
 }
 

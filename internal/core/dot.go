@@ -35,7 +35,7 @@ func DotRegions(res *Result) string {
 		headers[r.Header] = r.Index
 	}
 
-	id := func(v *ir.Value) string { return fmt.Sprintf("n%d", g.Order[v]) }
+	id := func(p int) string { return fmt.Sprintf("n%d", p) }
 	for bi, blk := range res.F.Blocks {
 		fmt.Fprintf(&b, "  subgraph cluster_%d {\n    label=%q; style=dashed; color=gray;\n", bi, blk.Name)
 		for _, v := range blk.Instrs {
@@ -51,21 +51,16 @@ func DotRegions(res *Result) string {
 				extra = fmt.Sprintf(", penwidth=2.5, xlabel=\"R%d\"", ri)
 			}
 			fmt.Fprintf(&b, "    %s [label=%q, shape=%s, style=filled, fillcolor=%q%s];\n",
-				id(v), label, shape, fill, extra)
+				id(g.pos[v]), label, shape, fill, extra)
 		}
 		b.WriteString("  }\n")
 	}
-	for _, blk := range res.F.Blocks {
-		for _, v := range blk.Instrs {
-			if v.Op == ir.OpPhi || v.Op == ir.OpParam {
-				continue
-			}
-			for _, s := range g.Succs[v] {
-				if res.Cuts[s] {
-					fmt.Fprintf(&b, "  %s -> %s [color=red, penwidth=2, label=\"cut\"];\n", id(v), id(s))
-				} else {
-					fmt.Fprintf(&b, "  %s -> %s;\n", id(v), id(s))
-				}
+	for p := range g.Instrs {
+		for _, s := range g.succs(p) {
+			if res.Cuts[g.Instrs[s]] {
+				fmt.Fprintf(&b, "  %s -> %s [color=red, penwidth=2, label=\"cut\"];\n", id(p), id(s))
+			} else {
+				fmt.Fprintf(&b, "  %s -> %s;\n", id(p), id(s))
 			}
 		}
 	}

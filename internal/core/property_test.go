@@ -38,7 +38,7 @@ func TestCheckRejectsWeakenedCuts(t *testing.T) {
 				}
 			}
 			total++
-			trial := &Result{F: res.F, Cuts: weaker, Regions: Materialize(res.F, weaker)}
+			trial := &Result{F: res.F, Cuts: weaker, Regions: BuildInstrGraph(res.F).Materialize(weaker)}
 			if Check(trial) != nil {
 				caught++
 			}
@@ -94,7 +94,7 @@ func TestQuickRegionCoverage(t *testing.T) {
 				covered[v] = true
 			}
 		}
-		for v := range g.Order {
+		for _, v := range g.Instrs {
 			if !covered[v] {
 				return false
 			}

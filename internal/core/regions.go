@@ -30,77 +30,149 @@ func (r *Region) String() string {
 
 // InstrGraph is the instruction-level successor relation used for region
 // membership and verification. φs and params are skipped: they are
-// bookkeeping, not execution steps.
+// bookkeeping, not execution steps. The real instructions are numbered by
+// position in block order, so position 0 is the function's entry, and
+// successors are stored as positions. A graph describes its function as
+// it was when built, and its walks share one scratch slice, so it is not
+// safe for concurrent use.
 type InstrGraph struct {
-	Succs map[*ir.Value][]*ir.Value
-	// Order gives each instruction a deterministic global index.
-	Order map[*ir.Value]int
-	// Entry is the first executable instruction of the function.
-	Entry *ir.Value
+	// Instrs lists the real instructions; Instrs[p] is at position p.
+	Instrs []*ir.Value
+	// succ[succStart[p]:succStart[p+1]] are p's successor positions.
+	succ, succStart []int
+	pos             map[*ir.Value]int
+	// seen is walk scratch: position p was reached by the current walk
+	// when seen[p] == walk.
+	seen []int
+	walk int
 }
 
 // BuildInstrGraph constructs the execution successor graph of f.
 func BuildInstrGraph(f *ir.Func) *InstrGraph {
-	g := &InstrGraph{Succs: map[*ir.Value][]*ir.Value{}, Order: map[*ir.Value]int{}}
 	n := 0
 	for _, b := range f.Blocks {
-		var prev *ir.Value
 		for _, v := range b.Instrs {
-			if !real(v) {
-				continue
-			}
-			g.Order[v] = n
-			n++
-			if prev != nil {
-				g.Succs[prev] = append(g.Succs[prev], v)
-			}
-			prev = v
-		}
-		if prev != nil {
-			for _, s := range b.Succs {
-				g.Succs[prev] = append(g.Succs[prev], firstReal(s))
+			if real(v) {
+				n++
 			}
 		}
 	}
-	g.Entry = firstReal(f.Entry())
+	g := &InstrGraph{Instrs: make([]*ir.Value, 0, n), pos: make(map[*ir.Value]int, n)}
+	for _, b := range f.Blocks {
+		for _, v := range b.Instrs {
+			if real(v) {
+				g.pos[v] = len(g.Instrs)
+				g.Instrs = append(g.Instrs, v)
+			}
+		}
+	}
+	// A block's real instructions hold consecutive positions: each falls
+	// through to the next, and the last one (the terminator) branches to
+	// the first real instruction of each successor block.
+	g.succStart = make([]int, n+1)
+	g.succ = make([]int, 0, n+len(f.Blocks))
+	p := 0
+	for _, b := range f.Blocks {
+		first := p
+		for _, v := range b.Instrs {
+			if real(v) {
+				p++
+			}
+		}
+		for q := first; q < p; q++ {
+			g.succStart[q] = len(g.succ)
+			if q+1 < p {
+				g.succ = append(g.succ, q+1)
+			}
+		}
+		if p > first {
+			for _, s := range b.Succs {
+				g.succ = append(g.succ, g.pos[firstReal(s)])
+			}
+		}
+	}
+	g.succStart[n] = len(g.succ)
+	g.seen = make([]int, n)
 	return g
+}
+
+// succs returns the successor positions of position p.
+func (g *InstrGraph) succs(p int) []int { return g.succ[g.succStart[p]:g.succStart[p+1]] }
+
+// newWalk empties the set of positions reached.
+func (g *InstrGraph) newWalk() { g.walk++ }
+
+// reach adds p to the positions reached by the current walk and reports
+// whether it was new.
+func (g *InstrGraph) reach(p int) bool {
+	if g.seen[p] == g.walk {
+		return false
+	}
+	g.seen[p] = g.walk
+	return true
+}
+
+// cutFlags returns cut[p] for every position: whether the instruction
+// there is in cuts. Every cut must be a real instruction of the graph's
+// function.
+func (g *InstrGraph) cutFlags(cuts map[*ir.Value]bool) []bool {
+	cut := make([]bool, len(g.Instrs))
+	for v, c := range cuts {
+		p, ok := g.pos[v]
+		if !ok {
+			panic("core: cut at " + v.LongString() + ", which is not a real instruction of the function")
+		}
+		cut[p] = c
+	}
+	return cut
 }
 
 // Materialize derives the region decomposition from a cut set: one region
 // per header (the entry plus every cut point), each containing the
 // instructions reachable from its header without entering another header.
-func Materialize(f *ir.Func, cuts map[*ir.Value]bool) []*Region {
-	g := BuildInstrGraph(f)
-	headers := []*ir.Value{}
-	if !cuts[g.Entry] {
-		headers = append(headers, g.Entry)
-	}
-	for v := range cuts {
-		headers = append(headers, v)
-	}
-	sort.Slice(headers, func(i, j int) bool { return g.Order[headers[i]] < g.Order[headers[j]] })
-
+func (g *InstrGraph) Materialize(cuts map[*ir.Value]bool) []*Region {
 	var regions []*Region
-	for i, h := range headers {
-		r := &Region{Index: i, Header: h}
-		seen := map[*ir.Value]bool{h: true}
-		stack := []*ir.Value{h}
+	g.EachRegion(cuts, func(header int, members []int) {
+		r := &Region{Index: len(regions), Header: g.Instrs[header], Instrs: make([]*ir.Value, len(members))}
+		for i, p := range members {
+			r.Instrs[i] = g.Instrs[p]
+		}
+		regions = append(regions, r)
+	})
+	return regions
+}
+
+// EachRegion is Materialize in positions: it calls fn for each region in
+// header order with the header's position and the region's positions in
+// ascending order. members is reused between calls.
+func (g *InstrGraph) EachRegion(cuts map[*ir.Value]bool, fn func(header int, members []int)) {
+	g.regions(g.cutFlags(cuts), fn)
+}
+
+// regions is EachRegion over per-position cut flags.
+func (g *InstrGraph) regions(cut []bool, fn func(header int, members []int)) {
+	members := make([]int, 0, len(g.Instrs))
+	stack := make([]int, 0, len(g.Instrs))
+	for h := range g.Instrs {
+		if h != 0 && !cut[h] {
+			continue
+		}
+		g.newWalk()
+		g.reach(h)
+		members, stack = members[:0], append(stack[:0], h)
 		for len(stack) > 0 {
-			v := stack[len(stack)-1]
+			p := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			r.Instrs = append(r.Instrs, v)
-			for _, s := range g.Succs[v] {
-				if cuts[s] || seen[s] {
-					continue
+			members = append(members, p)
+			for _, s := range g.succs(p) {
+				if !cut[s] && g.reach(s) {
+					stack = append(stack, s)
 				}
-				seen[s] = true
-				stack = append(stack, s)
 			}
 		}
-		sort.Slice(r.Instrs, func(a, b int) bool { return g.Order[r.Instrs[a]] < g.Order[r.Instrs[b]] })
-		regions = append(regions, r)
+		sort.Ints(members)
+		fn(h, members)
 	}
-	return regions
 }
 
 // DumpRegions renders the decomposition for human inspection (used by

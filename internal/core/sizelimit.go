@@ -15,22 +15,28 @@ import (
 // Long regions are split by cutting at their BFS frontier: the
 // instructions first reached at distance maxSize from the header. Each
 // round strictly adds cuts, so the loop terminates.
-func limitRegionSizes(f *ir.Func, cuts map[*ir.Value]bool, maxSize int) int {
+func limitRegionSizes(g *InstrGraph, cuts map[*ir.Value]bool, maxSize int) int {
 	if maxSize <= 0 {
 		return 0
 	}
-	g := BuildInstrGraph(f)
+	cut := g.cutFlags(cuts)
 	added := 0
+	var long []int
 	for round := 0; round < 64; round++ {
-		regions := Materialize(f, cuts)
-		grew := false
-		for _, r := range regions {
-			if len(r.Instrs) <= maxSize {
-				continue
+		// Find the round's long regions first: the frontier cuts added
+		// below must not reshape the regions measured this round.
+		long = long[:0]
+		g.regions(cut, func(header int, members []int) {
+			if len(members) > maxSize {
+				long = append(long, header)
 			}
-			for _, v := range frontierAt(g, r.Header, cuts, maxSize) {
-				if !cuts[v] {
-					cuts[v] = true
+		})
+		grew := false
+		for _, h := range long {
+			for _, p := range frontierAt(g, h, cut, maxSize) {
+				if !cut[p] {
+					cut[p] = true
+					cuts[g.Instrs[p]] = true
 					added++
 					grew = true
 				}
@@ -43,27 +49,29 @@ func limitRegionSizes(f *ir.Func, cuts map[*ir.Value]bool, maxSize int) int {
 	return added
 }
 
-// frontierAt returns the instructions at BFS depth exactly `depth` from
-// header, walking only edges that do not enter existing cuts.
-func frontierAt(g *InstrGraph, header *ir.Value, cuts map[*ir.Value]bool, depth int) []*ir.Value {
-	cur := []*ir.Value{header}
-	seen := map[*ir.Value]bool{header: true}
+// frontierAt returns the positions at BFS depth exactly `depth` from
+// header, in ascending order, walking only edges that do not enter
+// existing cuts.
+func frontierAt(g *InstrGraph, header int, cut []bool, depth int) []int {
+	g.newWalk()
+	g.reach(header)
+	cur := []int{header}
+	var next []int
 	for d := 0; d < depth; d++ {
-		var next []*ir.Value
-		for _, v := range cur {
-			for _, s := range g.Succs[v] {
-				if seen[s] || (cuts[s] && s != header) {
+		next = next[:0]
+		for _, p := range cur {
+			for _, s := range g.succs(p) {
+				if (cut[s] && s != header) || !g.reach(s) {
 					continue
 				}
-				seen[s] = true
 				next = append(next, s)
 			}
 		}
 		if len(next) == 0 {
 			return nil
 		}
-		cur = next
+		cur, next = next, cur
 	}
-	sort.Slice(cur, func(i, j int) bool { return g.Order[cur[i]] < g.Order[cur[j]] })
+	sort.Ints(cur)
 	return cur
 }

@@ -16,13 +16,14 @@ package regalloc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"idemproc/internal/isa"
 )
 
-// VReg is a virtual register id. The zero value is reserved (NoVReg-1
-// arithmetic is never needed; -1 marks absence).
+// VReg is a virtual register id. Ids are dense: 0 is the first vreg and
+// every id is below VFunc.NumVRegs.
 type VReg int
 
 // NoVReg marks an unused operand slot.
@@ -176,18 +177,28 @@ type interval struct {
 // Allocate runs linear scan over vf.
 func Allocate(vf *VFunc, opts Options) (*Assignment, error) {
 	lin, blockStart := linearize(vf)
-	live := liveness(vf, lin, blockStart)
+	liveOut := liveness(vf)
 
-	// Build intervals.
-	iv := make([]*interval, vf.NumVRegs)
-	touch := func(v VReg, pos int) {
-		if v == NoVReg {
-			return
+	// liveAt[p] is the set live immediately before position p, in
+	// ascending vreg order. Only region headers need it, so only their
+	// entries are non-nil: the §4.4 checks below read nothing else.
+	var liveAt [][]VReg
+	if opts.Idempotent {
+		liveAt = make([][]VReg, len(lin))
+		for _, r := range vf.Regions {
+			liveAt[r.Header] = []VReg{}
 		}
+	}
+
+	// Build intervals: walk each block backward with one scratch live set
+	// and touch every vreg defined or live at each position.
+	iv := make([]*interval, vf.NumVRegs)
+	ivs := make([]interval, vf.NumVRegs)
+	touch := func(v VReg, pos int) {
 		it := iv[v]
 		if it == nil {
-			it = &interval{vreg: v, start: pos, end: pos, float: vf.FloatReg[v]}
-			iv[v] = it
+			ivs[v] = interval{vreg: v, start: pos, end: pos, float: vf.FloatReg[v]}
+			iv[v] = &ivs[v]
 			return
 		}
 		if pos < it.start {
@@ -197,35 +208,41 @@ func Allocate(vf *VFunc, opts Options) (*Assignment, error) {
 			it.end = pos
 		}
 	}
-	var uses []VReg
-	for pos, ref := range lin {
-		in := instrAt(vf, ref)
-		touch(in.Rd, pos)
-		uses = uses[:0]
-		uses = in.Uses(uses)
-		for _, u := range uses {
-			touch(u, pos)
-		}
-		// Anything live at this position extends across it.
-		for _, v := range live[pos].order {
-			touch(v, pos)
+	var uses, live []VReg
+	cur := newBitset(vf.NumVRegs)
+	for b := range vf.Blocks {
+		copy(cur, liveOut[b])
+		instrs := vf.Blocks[b].Instrs
+		for i := len(instrs) - 1; i >= 0; i-- {
+			pos := blockStart[b] + i
+			in := &instrs[i]
+			if in.Rd != NoVReg {
+				touch(in.Rd, pos)
+				cur.remove(in.Rd)
+			}
+			uses = in.Uses(uses[:0])
+			for _, u := range uses {
+				cur.add(u)
+			}
+			// cur is now the set live before pos, uses included: anything
+			// live at this position extends across it.
+			live = cur.appendTo(live[:0])
+			for _, v := range live {
+				touch(v, pos)
+			}
+			if liveAt != nil && liveAt[pos] != nil {
+				liveAt[pos] = append(liveAt[pos], live...)
+			}
 		}
 	}
 
 	// §4.4: extend every region live-in to the region's last position,
 	// and verify it is not redefined inside the region.
 	if opts.Idempotent {
-		defPos := make([][]int, vf.NumVRegs)
-		for pos, ref := range lin {
-			if d := instrAt(vf, ref).Rd; d != NoVReg {
-				defPos[d] = append(defPos[d], pos)
-			}
-		}
+		isLiveIn := newBitset(vf.NumVRegs)
 		for _, r := range vf.Regions {
 			maxPos, minPos := r.Header, r.Header
-			inRegion := map[int]bool{}
 			for _, p := range r.Positions {
-				inRegion[p] = true
 				if p > maxPos {
 					maxPos = p
 				}
@@ -233,10 +250,8 @@ func Allocate(vf *VFunc, opts Options) (*Assignment, error) {
 					minPos = p
 				}
 			}
-			for _, v := range live[r.Header].order {
-				if iv[v] == nil {
-					continue
-				}
+			liveIn := liveAt[r.Header]
+			for _, v := range liveIn {
 				// The live-in's storage must be untouched over the WHOLE
 				// region, including positions below the header when the
 				// region wraps a loop back edge — re-execution may pass
@@ -247,18 +262,31 @@ func Allocate(vf *VFunc, opts Options) (*Assignment, error) {
 				if iv[v].start > minPos {
 					iv[v].start = minPos
 				}
-				// The §4.2.2 guarantee: live-ins must never be redefined
-				// inside their region. Loop-carried φ values can violate
-				// this when region boundaries land awkwardly relative to
-				// the φ copy cluster (our linear-scan allocator does not
-				// double-buffer à la Fig. 7c); the violation is reported
-				// structurally so codegen can repair it with an extra cut
-				// before the offending definition and retry.
-				for _, pos := range defPos[v] {
-					if pos != r.Header && inRegion[pos] {
-						return nil, &LiveInViolation{Func: vf.Name, VReg: v, Header: r.Header, DefPos: pos}
-					}
+				isLiveIn.add(v)
+			}
+			// The §4.2.2 guarantee: live-ins must never be redefined
+			// inside their region. Loop-carried φ values can violate this
+			// when region boundaries land awkwardly relative to the φ copy
+			// cluster (our linear-scan allocator does not double-buffer à
+			// la Fig. 7c); the violation is reported structurally so
+			// codegen can repair it with an extra cut before the offending
+			// definition and retry. The lowest vreg's first redefinition is
+			// reported, so repairs are deterministic.
+			badV, badPos := NoVReg, 0
+			for _, p := range r.Positions {
+				d := instrAt(vf, lin[p]).Rd
+				if p == r.Header || d == NoVReg || !isLiveIn.has(d) {
+					continue
 				}
+				if badV == NoVReg || d < badV || d == badV && p < badPos {
+					badV, badPos = d, p
+				}
+			}
+			for _, v := range liveIn {
+				isLiveIn.remove(v)
+			}
+			if badV != NoVReg {
+				return nil, &LiveInViolation{Func: vf.Name, VReg: badV, Header: r.Header, DefPos: badPos}
 			}
 		}
 	}
@@ -412,7 +440,7 @@ func Allocate(vf *VFunc, opts Options) (*Assignment, error) {
 			if vf.FloatReg[retV] {
 				retReg = isa.F(0)
 			}
-			for _, v := range live[r.Header].order {
+			for _, v := range liveAt[r.Header] {
 				if v == retV || iv[v] == nil || as.Spilled[v] || as.RegOf[v] != retReg {
 					continue
 				}
@@ -431,7 +459,11 @@ func instrAt(vf *VFunc, r instrRef) *VInstr { return &vf.Blocks[r.b].Instrs[r.i]
 // linearize flattens the CFG into a position-indexed list and records
 // each block's starting position.
 func linearize(vf *VFunc) ([]instrRef, []int) {
-	var lin []instrRef
+	n := 0
+	for b := range vf.Blocks {
+		n += len(vf.Blocks[b].Instrs)
+	}
+	lin := make([]instrRef, 0, n)
 	blockStart := make([]int, len(vf.Blocks))
 	for b := range vf.Blocks {
 		blockStart[b] = len(lin)
@@ -442,109 +474,68 @@ func linearize(vf *VFunc) ([]instrRef, []int) {
 	return lin, blockStart
 }
 
-// liveSet is an ordered set of vregs (deterministic iteration).
-type liveSet struct {
-	has   map[VReg]bool
-	order []VReg
+// bitset is a set of vregs, one bit each.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (s bitset) has(v VReg) bool { return s[v>>6]&(1<<(v&63)) != 0 }
+func (s bitset) add(v VReg)      { s[v>>6] |= 1 << (v & 63) }
+func (s bitset) remove(v VReg)   { s[v>>6] &^= 1 << (v & 63) }
+
+// appendTo appends the members of s to dst in ascending order.
+func (s bitset) appendTo(dst []VReg) []VReg {
+	for w, x := range s {
+		for ; x != 0; x &= x - 1 {
+			dst = append(dst, VReg(w<<6+bits.TrailingZeros64(x)))
+		}
+	}
+	return dst
 }
 
-func (s *liveSet) add(v VReg) bool {
-	if s.has == nil {
-		s.has = map[VReg]bool{}
+// liveness returns the set of vregs live out of each block.
+func liveness(vf *VFunc) []bitset {
+	n, words := len(vf.Blocks), (vf.NumVRegs+63)/64
+	// One backing array holds every block's live-in, live-out, use and
+	// def set.
+	all := make([]uint64, 4*n*words)
+	sets := make([]bitset, 4*n)
+	for i := range sets {
+		sets[i] = all[i*words : (i+1)*words]
 	}
-	if s.has[v] {
-		return false
-	}
-	s.has[v] = true
-	s.order = append(s.order, v)
-	return true
-}
-
-// liveness computes, for every linear position, the set of vregs live
-// immediately BEFORE that instruction.
-func liveness(vf *VFunc, lin []instrRef, blockStart []int) []liveSet {
-	n := len(vf.Blocks)
-	liveIn := make([]map[VReg]bool, n)
-	liveOut := make([]map[VReg]bool, n)
-	use := make([]map[VReg]bool, n)
-	def := make([]map[VReg]bool, n)
+	liveIn, liveOut, use, def := sets[:n], sets[n:2*n], sets[2*n:3*n], sets[3*n:]
 	var buf []VReg
 	for b := range vf.Blocks {
-		u, d := map[VReg]bool{}, map[VReg]bool{}
 		for i := range vf.Blocks[b].Instrs {
 			in := &vf.Blocks[b].Instrs[i]
-			buf = buf[:0]
-			buf = in.Uses(buf)
+			buf = in.Uses(buf[:0])
 			for _, s := range buf {
-				if !d[s] {
-					u[s] = true
+				if !def[b].has(s) {
+					use[b].add(s)
 				}
 			}
 			if in.Rd != NoVReg {
-				d[in.Rd] = true
+				def[b].add(in.Rd)
 			}
 		}
-		use[b], def[b] = u, d
-		liveIn[b], liveOut[b] = map[VReg]bool{}, map[VReg]bool{}
 	}
 	for changed := true; changed; {
 		changed = false
 		for b := n - 1; b >= 0; b-- {
+			out := liveOut[b]
 			for _, s := range vf.Blocks[b].Succs {
-				for v := range liveIn[s] {
-					if !liveOut[b][v] {
-						liveOut[b][v] = true
-						changed = true
-					}
+				for w, x := range liveIn[s] {
+					out[w] |= x
 				}
 			}
-			for v := range use[b] {
-				if !liveIn[b][v] {
-					liveIn[b][v] = true
-					changed = true
-				}
-			}
-			for v := range liveOut[b] {
-				if !def[b][v] && !liveIn[b][v] {
-					liveIn[b][v] = true
+			in, u, d := liveIn[b], use[b], def[b]
+			for w := range in {
+				if x := u[w] | out[w]&^d[w]; x != in[w] {
+					in[w] = x
 					changed = true
 				}
 			}
 		}
 	}
-
-	// Per-position liveness within each block, walking backward.
-	out := make([]liveSet, len(lin))
-	for b := range vf.Blocks {
-		cur := map[VReg]bool{}
-		for v := range liveOut[b] {
-			cur[v] = true
-		}
-		instrs := vf.Blocks[b].Instrs
-		sets := make([][]VReg, len(instrs))
-		for i := len(instrs) - 1; i >= 0; i-- {
-			in := &instrs[i]
-			if in.Rd != NoVReg {
-				delete(cur, in.Rd)
-			}
-			buf = buf[:0]
-			buf = in.Uses(buf)
-			for _, s := range buf {
-				cur[s] = true
-			}
-			lst := make([]VReg, 0, len(cur))
-			for v := range cur {
-				lst = append(lst, v)
-			}
-			sort.Slice(lst, func(x, y int) bool { return lst[x] < lst[y] })
-			sets[i] = lst
-		}
-		for i := range instrs {
-			pos := blockStart[b] + i
-			for _, v := range sets[i] {
-				out[pos].add(v)
-			}
-		}
-	}
-	return out
+	return liveOut
 }
