@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -280,9 +281,10 @@ func TestCancelAbandonsInflightCompile(t *testing.T) {
 
 // TestCompilePublishesAfterInsert holds the cache lock from the moment
 // a compile's entry is registered until the compile has finished, and
-// checks that Compile does not return meanwhile: the result is published
-// only after the entry is on the LRU, so a Stats read right after
-// Compile returns counts the entry's bytes.
+// checks that Compile does not return meanwhile unless the entry is
+// already on the LRU: the result is published only after the entry is
+// inserted, so a Stats read right after Compile returns counts the
+// entry's bytes.
 func TestCompilePublishesAfterInsert(t *testing.T) {
 	w := testWorkload(t)
 	c := New()
@@ -293,27 +295,35 @@ func TestCompilePublishesAfterInsert(t *testing.T) {
 		_, _, err := c.Compile(context.Background(), w, mo)
 		returned <- err
 	}()
+	var e *entry
 	for {
 		c.mu.Lock()
-		if _, ok := c.entries[KeyOf(w, mo)]; ok {
+		if e = c.entries[KeyOf(w, mo)]; e != nil {
 			break // registered; keep holding c.mu
 		}
 		c.mu.Unlock()
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	// The compile takes no lock; its time is added just before build
 	// publishes.
 	for c.compileNanos.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
+	// A compile that finished before the lock was taken has inserted its
+	// entry and may have published; any other must wait for the lock.
+	inserted := e.elem != nil
+	var err error
 	select {
-	case <-returned:
+	case err = <-returned:
 		c.mu.Unlock()
-		t.Fatal("Compile returned before its entry was inserted into the LRU")
+		if !inserted {
+			t.Fatal("Compile returned before its entry was inserted into the LRU")
+		}
 	case <-time.After(100 * time.Millisecond):
+		c.mu.Unlock()
+		err = <-returned
 	}
-	c.mu.Unlock()
-	if err := <-returned; err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.BytesInUse == 0 {
