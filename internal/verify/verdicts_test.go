@@ -101,12 +101,14 @@ func verdictCorpus(tb testing.TB, stride int) []namedProgram {
 }
 
 // verdictLine renders what the golden pins about one report: region
-// count, skip flag and the sorted (region, pc, kind) triples.
+// count, skip flag and the sorted (region, pc, kind, loc) violations.
+// The Loc text is pinned because Summary prints the first one, and the
+// compile cache keeps that text as a rejected build's error.
 func verdictLine(name string, rep *Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s regions=%d skipped=%t", name, rep.Regions, rep.Skipped)
 	for _, v := range rep.Violations {
-		fmt.Fprintf(&b, " %d:%d:%s", v.Region, v.PC, v.Kind)
+		fmt.Fprintf(&b, " %d:%d:%s:%s", v.Region, v.PC, v.Kind, v.Loc)
 	}
 	return b.String()
 }
