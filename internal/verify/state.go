@@ -302,8 +302,8 @@ func (vf *verifier) distinctObj(sym, abs Loc) bool {
 // searched linearly, kept in insertion order.
 type state struct {
 	regs  [isa.NumRegs]val
-	eregs [isa.NumRegs]bool
-	wregs [isa.NumRegs]bool
+	eregs uint64 // registers with an exposed read, one bit each
+	wregs uint64 // registers written on every path
 	mem   []memEntry
 	emem  []Loc
 	wmem  []memKey
@@ -354,16 +354,10 @@ func (s *state) written(k memKey) bool {
 // and src may be the same state (a branch whose two successors coincide);
 // nothing changes then.
 func (dst *state) mergeFrom(src *state, pc int, vf *verifier) bool {
-	changed := false
+	changed := src.eregs&^dst.eregs != 0 || dst.wregs&^src.wregs != 0
+	dst.eregs |= src.eregs
+	dst.wregs &= src.wregs
 	for i := range dst.regs {
-		if src.eregs[i] && !dst.eregs[i] {
-			dst.eregs[i] = true
-			changed = true
-		}
-		if dst.wregs[i] && !src.wregs[i] {
-			dst.wregs[i] = false
-			changed = true
-		}
 		if dst.regs[i] != src.regs[i] {
 			j := vf.joinVal(dst.regs[i], src.regs[i], pc, int64(i))
 			if j != dst.regs[i] {
@@ -485,18 +479,18 @@ func (vf *verifier) joinStackBase(pc int, slot int64) int64 {
 func exemptReg(r isa.Reg) bool { return r == isa.SP || r == isa.LR || r == isa.RP }
 
 func (vf *verifier) readReg(st *state, r isa.Reg) val {
-	if !exemptReg(r) && !st.wregs[r] {
-		st.eregs[r] = true
+	if !exemptReg(r) && st.wregs&(1<<r) == 0 {
+		st.eregs |= 1 << r
 	}
 	return st.regs[r]
 }
 
 func (vf *verifier) writeReg(st *state, r isa.Reg, v val, pc, region int) {
-	if !exemptReg(r) && st.eregs[r] {
+	if !exemptReg(r) && st.eregs&(1<<r) != 0 {
 		vf.violate(region, pc, Loc{Space: SpaceReg, Reg: r}, KindClobberReg)
 	}
 	st.regs[r] = v
-	st.wregs[r] = true
+	st.wregs |= 1 << r
 }
 
 // memRead records the exposure of a load unless a must-write to the same
@@ -631,8 +625,8 @@ func (vf *verifier) step(st *state, pc, region int) []int {
 				// region-entry SP, so the absolute slot address is known
 				// whenever SP's is.
 				if k.base == 0 {
-					if ps := &vf.prov[vf.regionStart]; ps.reached && ps.regs[isa.SP].ck {
-						f := ps.load(ps.regs[isa.SP].cv + k.off)
+					if ps := &vf.prov[vf.regionStart]; ps.reached && ps.reg(isa.SP).ck {
+						f := ps.mem.load(ps.reg(isa.SP).cv + k.off)
 						if f.ck {
 							res = vconst(f.cv)
 						} else {
@@ -656,7 +650,7 @@ func (vf *verifier) step(st *state, pc, region int) []int {
 		return vf.to(pc+1, int(in.Imm))
 	case isa.CALL:
 		st.regs[isa.LR] = vconst(int64(pc + 1))
-		st.wregs[isa.LR] = true
+		st.wregs |= 1 << isa.LR
 		return vf.to(int(in.Imm))
 	case isa.RET:
 		lr := st.regs[isa.LR]

@@ -163,6 +163,7 @@ type verifier struct {
 	gbase   []int64          // sorted global base addresses (extent table)
 	callers map[string][]int // function name -> return-site pcs
 	prov    []provState      // per-pc register + memory provenance (see prov.go)
+	provOut provWords        // the words leaving a store, reused by provPass
 
 	// regionStart is the first in-region pc of the region currently under
 	// analysis; slot reads use it to look up entry-content provenance.
@@ -359,17 +360,17 @@ func (vf *verifier) returnSites(pc int) []int {
 // different-object addresses stop may-aliasing.
 func (vf *verifier) entryState(start int) *state {
 	st := vf.newState()
-	st.eregs, st.wregs = [isa.NumRegs]bool{}, [isa.NumRegs]bool{}
+	st.eregs, st.wregs = 0, 0
 	st.mem, st.emem, st.wmem = st.mem[:0], st.emem[:0], st.wmem[:0]
 	vf.regionStart = start
 	pv := &vf.prov[start]
 	for r := 0; r < isa.NumRegs; r++ {
 		st.regs[r] = val{kind: vSym, base: vf.entryID[r], exact: true, rigid: true}
 		if pv.reached {
-			if pv.regs[r].ck {
-				st.regs[r] = vconst(pv.regs[r].cv)
+			if f := pv.reg(isa.Reg(r)); f.ck {
+				st.regs[r] = vconst(f.cv)
 			} else {
-				st.regs[r].obj = pv.regs[r].obj
+				st.regs[r].obj = f.obj
 			}
 		}
 	}

@@ -313,6 +313,25 @@ func FuzzVerifyArtifact(f *testing.F) {
 			badEntry := *p
 			badEntry.Entry = -3
 			f.Add(codegen.EncodeProgram(&badEntry, st))
+			// A global's address in a float register, loaded through:
+			// only malformed artifacts give a float register a fact, so
+			// nothing else runs the pre-pass's float facts.
+			g := p.GlobalEnd - 1
+			for _, base := range p.GlobalBase {
+				g = min(g, base)
+			}
+			floatPtr, _ := mutate(p, func(instrs []isa.Instr) bool {
+				for i := p.FuncEntry[p.Main]; i+2 < len(instrs); i++ {
+					if straightLine(instrs[i : i+3]) {
+						instrs[i] = isa.Instr{Op: isa.MOVI, Rd: isa.F(3), Imm: g}
+						instrs[i+1] = isa.Instr{Op: isa.MOV, Rd: isa.R1, Rs1: isa.F(3)}
+						instrs[i+2] = isa.Instr{Op: isa.LDR, Rd: isa.R2, Rs1: isa.R1}
+						return true
+					}
+				}
+				return false
+			})
+			f.Add(codegen.EncodeProgram(floatPtr, st))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -321,6 +340,9 @@ func FuzzVerifyArtifact(f *testing.F) {
 			return
 		}
 		Verify(p).Render(p)
+		if len(structural(p)) == 0 {
+			checkProvPass(t, "fuzz", p)
+		}
 		enc := codegen.EncodeProgram(p, st)
 		p2, st2, err := codegen.DecodeProgram(enc)
 		if err != nil {
@@ -337,6 +359,17 @@ func FuzzVerifyArtifact(f *testing.F) {
 			t.Fatalf("re-encoded artifact decodes to a different program or stats")
 		}
 	})
+}
+
+// straightLine reports whether none of instrs is a branch, a MARK or
+// protected instrumentation, so overwriting them keeps the control flow.
+func straightLine(instrs []isa.Instr) bool {
+	for _, in := range instrs {
+		if in.IsBranch() || in.Op == isa.MARK || in.Op == isa.HALT || in.Shadow != 0 || in.Meta {
+			return false
+		}
+	}
+	return true
 }
 
 // clearFloats zeroes the float fields of a program and its stats.
