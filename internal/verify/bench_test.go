@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"runtime"
 	"testing"
 
 	"idemproc/internal/workloads"
@@ -28,12 +29,28 @@ func BenchmarkVerify(b *testing.B) {
 // to per-step cloning fails this test.
 const verifyAllocCeiling = 42682 / 5
 
-// TestVerifyAllocs guards the verifier's allocation count on astar under
-// the default options.
+// verifyBytesCeiling lies between the 3.77 MB one Verify of astar
+// allocated when the provenance pre-pass copied and merged every fact at
+// every step and the 3.22 MB it allocates since it propagates only
+// changed facts.
+const verifyBytesCeiling = 3_500_000
+
+// TestVerifyAllocs guards the verifier's allocation count and bytes on
+// astar under the default options.
 func TestVerifyAllocs(t *testing.T) {
 	w, _ := workloads.ByName("astar")
 	p := compile(t, w, matrix[0].mo)
 	if n := testing.AllocsPerRun(5, func() { reportSink = Verify(p) }); n > verifyAllocCeiling {
 		t.Fatalf("Verify(astar) allocates %.0f times, ceiling %d", n, verifyAllocCeiling)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		reportSink = Verify(p)
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > verifyBytesCeiling {
+		t.Fatalf("Verify(astar) allocates %d bytes, ceiling %d", n, verifyBytesCeiling)
 	}
 }
