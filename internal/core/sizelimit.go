@@ -6,15 +6,18 @@ import (
 	"idemproc/internal/ir"
 )
 
-// limitRegionSizes augments the cut set until no region contains more
-// than maxSize instructions, implementing §6.2's observation that "path
-// lengths are often easily reduced as needed to suit application demands"
-// (shorter regions bound both re-execution cost and the detection-latency
-// window).
+// limitRegionSizes augments the cut set to shorten the paths through
+// regions of more than maxSize instructions, implementing §6.2's
+// observation that "path lengths are often easily reduced as needed to
+// suit application demands" (shorter regions bound both re-execution cost
+// and the detection-latency window).
 //
-// Long regions are split by cutting at their BFS frontier: the
-// instructions first reached at distance maxSize from the header. Each
-// round strictly adds cuts, so the loop terminates.
+// Such a region is split by cutting at its BFS frontier: the
+// instructions first reached at distance maxSize from the header. This
+// bounds the BFS depth from each header, not the region's size: a region
+// of more than maxSize instructions whose walk dies out before depth
+// maxSize (it branches wide but not deep) gets no cut and keeps every
+// instruction. Each round strictly adds cuts, so the loop terminates.
 func limitRegionSizes(g *InstrGraph, cuts map[*ir.Value]bool, maxSize int) int {
 	if maxSize <= 0 {
 		return 0
