@@ -5,12 +5,13 @@ import (
 
 	"idemproc/internal/alias"
 	"idemproc/internal/cfg"
-	"idemproc/internal/dataflow"
+	"idemproc/internal/ir"
 )
 
-// Check independently verifies a construction result: it re-derives the
-// memory antidependences of the (already transformed) function and
-// confirms the decomposition's correctness conditions:
+// Check independently verifies a construction result: it derives the
+// instruction graph, memory antidependences and self-dependent loops of
+// the (already transformed) function afresh and confirms the
+// decomposition's correctness conditions:
 //
 //  1. Every memory antidependence (a, b) is separated: no execution path
 //     from a to b avoids crossing a cut. Equivalently, b is unreachable
@@ -24,18 +25,28 @@ import (
 //     allocation can always avoid re-introducing the clobber (§4.2.2).
 //  3. Every instruction belongs to at least one region and region headers
 //     are distinct (the decomposition conditions of §4.2.1).
+//
+// Construct tests the same conditions against the analyses of its last
+// placement round, which it has no need to derive again.
 func Check(res *Result) error {
-	return check(res, BuildInstrGraph(res.F))
+	g, info, deps := analyze(res.F)
+	return check(res, g, deps, selfDepLoops(info))
 }
 
-// check is Check over g, the instruction graph of res.F.
-func check(res *Result, g *InstrGraph) error {
-	f := res.F
+// analyze removes f's unreachable blocks and derives its instruction
+// graph, control-flow analyses and memory antidependences: the analyses
+// each placement round starts from.
+func analyze(f *ir.Func) (*InstrGraph, *cfg.Info, []Antidep) {
+	f.RemoveUnreachable()
+	g := BuildInstrGraph(f)
+	return g, cfg.Compute(f), g.memoryAntideps(alias.Compute(f))
+}
 
+// check is Check over the analyses of res.F: g is its instruction graph,
+// deps its memory antidependences and selfDeps its loops with
+// self-dependent φs.
+func check(res *Result, g *InstrGraph, deps []Antidep, selfDeps []selfDepLoop) error {
 	// Condition 1: cut-free reachability must not connect read → write.
-	ai := alias.Compute(f)
-	reach := dataflow.ComputeReach(f)
-	deps := dataflow.MemoryAntideps(f, ai, reach)
 	cut := g.cutFlags(res.Cuts)
 	for _, d := range deps {
 		if pathAvoidingCuts(g, g.pos[d.Read], g.pos[d.Write], cut) {
@@ -45,14 +56,9 @@ func check(res *Result, g *InstrGraph) error {
 	}
 
 	// Condition 2: self-dependent loops are allocatable.
-	f.RemoveUnreachable()
-	info := cfg.Compute(f)
-	for _, l := range info.Loops {
-		if len(selfDepPhis(l)) == 0 {
-			continue
-		}
-		if c := classifyLoop(l, res.Cuts); c == SelfDepInsertedCuts {
-			return fmt.Errorf("loop at %s has a self-dependent φ but neither zero nor ≥2 cuts per cycle", l.Header.Name)
+	for _, sd := range selfDeps {
+		if c := classifyLoop(sd.loop, res.Cuts); c == SelfDepInsertedCuts {
+			return fmt.Errorf("loop at %s has a self-dependent φ but neither zero nor ≥2 cuts per cycle", sd.loop.Header.Name)
 		}
 	}
 

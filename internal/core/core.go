@@ -20,10 +20,12 @@
 //     the loop is unrolled once if possible (§5) and extra cuts are
 //     inserted to establish case 2.
 //
-// Construct returns the cut set and the materialized region decomposition;
-// Check independently re-derives the antidependences and verifies that no
-// region contains an uncut clobber antidependence — the package's own
-// proof obligation, exercised heavily by the property tests.
+// Construct returns the cut set and the materialized region decomposition,
+// and checks that no region contains an uncut clobber antidependence — the
+// package's own proof obligation, exercised heavily by the property tests.
+// Construct checks its cuts against the analyses of its last placement
+// round, which describe the function it returns; Check derives its own
+// analyses from the function it is given.
 package core
 
 import (
@@ -32,7 +34,6 @@ import (
 
 	"idemproc/internal/alias"
 	"idemproc/internal/cfg"
-	"idemproc/internal/dataflow"
 	"idemproc/internal/ir"
 	"idemproc/internal/multicut"
 	"idemproc/internal/redelim"
@@ -82,7 +83,7 @@ type Result struct {
 	// The function entry is an implicit region header.
 	Cuts map[*ir.Value]bool
 	// Antideps are the memory antidependences that were cut.
-	Antideps []dataflow.Antidep
+	Antideps []Antidep
 	// Regions is the materialized decomposition.
 	Regions []*Region
 	// SelfDep describes each loop carrying φ self-dependences and how it
@@ -140,8 +141,6 @@ type SelfDepInfo struct {
 	Header *ir.Block
 	Phis   []*ir.Value
 	Case   SelfDepCase
-	// Unrolled reports whether the §5 unroll was applied to this loop.
-	Unrolled bool
 }
 
 // MidEnd runs the mid-end every build shares on f, mutating it: alloca
@@ -181,8 +180,8 @@ func Construct(f *ir.Func, opts Options) (*Result, error) {
 	// re-place cuts from scratch on the larger body.
 	if opts.UnrollLoops {
 		unrolled := false
-		for _, hdr := range pl.case3Headers {
-			if UnrollOnce(f, hdr) {
+		for _, l := range pl.case3 {
+			if UnrollOnce(f, l.Header) {
 				st.LoopsUnrolled++
 				unrolled = true
 			}
@@ -198,23 +197,13 @@ func Construct(f *ir.Func, opts Options) (*Result, error) {
 	// first real instruction and at each latch's terminator establishes
 	// ≥2 cuts on every cycle (every cycle of a natural loop crosses the
 	// header once and some latch once).
-	for _, hdr := range pl.case3Headers {
-		info := pl.cfgInfo
-		var loop *cfg.Loop
-		for _, l := range info.Loops {
-			if l.Header == hdr {
-				loop = l
-			}
-		}
-		if loop == nil {
-			continue
-		}
-		h := firstReal(hdr)
+	for _, l := range pl.case3 {
+		h := firstReal(l.Header)
 		if !pl.cuts[h] {
 			pl.cuts[h] = true
 			st.CutsFromSelfDep++
 		}
-		for _, latch := range loop.Latches {
+		for _, latch := range l.Latches {
 			t := latch.Terminator()
 			if !pl.cuts[t] {
 				pl.cuts[t] = true
@@ -224,7 +213,7 @@ func Construct(f *ir.Func, opts Options) (*Result, error) {
 	}
 	// Re-run the self-dependence classification for reporting, now that
 	// all cuts are final.
-	selfInfos := classifySelfDeps(f, pl.cfgInfo, pl.cuts, pl.unrolledHeaders)
+	selfInfos := classifySelfDeps(pl.selfDeps, pl.cuts)
 
 	// §5 calling convention: a function with no cuts is split so return
 	// values may overwrite parameter registers.
@@ -250,7 +239,13 @@ func Construct(f *ir.Func, opts Options) (*Result, error) {
 	}
 	res.Regions = pl.graph.Materialize(pl.cuts)
 	res.fillStats()
-	if err := check(res, pl.graph); err != nil {
+	// The check reuses the last round's analyses. Since that round,
+	// Construct has only added cuts (the case-3 fallback and the return
+	// split); it has not changed f. Deriving the analyses again, as Check
+	// does, would run the same deterministic functions on the same
+	// function and give the same values in the same order. The check
+	// still tests the final cuts and regions against them.
+	if err := check(res, pl.graph, pl.deps, pl.selfDeps); err != nil {
 		return nil, fmt.Errorf("core: constructed decomposition fails verification: %w", err)
 	}
 	return res, nil
@@ -282,16 +277,19 @@ func (r *Result) fillStats() {
 
 // placement is the intermediate state of one cut-placement round.
 type placement struct {
-	// graph is f's instruction graph: cut placement adds cuts but does
-	// not change f, so it serves materialization and the final check.
-	graph           *InstrGraph
-	cuts            map[*ir.Value]bool
-	deps            []dataflow.Antidep
-	cfgInfo         *cfg.Info
-	case3Headers    []*ir.Block
-	unrolledHeaders map[*ir.Block]bool
-	multicutCuts    int
-	callCuts        int
+	// graph is f's instruction graph, deps its memory antidependences
+	// and selfDeps its loops with self-dependent φs: cut placement adds
+	// cuts but does not change f, so they serve materialization and the
+	// final check.
+	graph    *InstrGraph
+	cuts     map[*ir.Value]bool
+	deps     []Antidep
+	selfDeps []selfDepLoop
+	// case3 are the loops of selfDeps that the round's cuts leave in
+	// §4.2.2 case 3.
+	case3        []*cfg.Loop
+	multicutCuts int
+	callCuts     int
 }
 
 // real reports whether v is an executable instruction (φs and params are
@@ -334,24 +332,17 @@ func nextReal(v *ir.Value) *ir.Value {
 // errors: they are reachable from user .idc input, so the compiler driver
 // must report them rather than crash.
 func place(f *ir.Func, opts Options) (*placement, error) {
-	f.RemoveUnreachable()
-	info := cfg.Compute(f)
-	ai := alias.Compute(f)
-	reach := dataflow.ComputeReach(f)
-	deps := dataflow.MemoryAntideps(f, ai, reach)
-
+	g, info, deps := analyze(f)
 	// The hitting-set solver numbers instructions by graph position.
-	g := BuildInstrGraph(f)
 	depthOf := make(map[int]int, len(g.Instrs))
 	for p, v := range g.Instrs {
 		depthOf[p] = info.Depth[v.Block.Index]
 	}
 
 	// Candidate sets (Lemma 1 + the write endpoint itself).
-	pos := dataflow.IndexPositions(f)
 	instrDominates := func(x, y *ir.Value) bool {
 		if x.Block == y.Block {
-			return pos[x] <= pos[y]
+			return g.pos[x] <= g.pos[y]
 		}
 		return info.StrictlyDominates(x.Block, y.Block)
 	}
@@ -368,7 +359,7 @@ func place(f *ir.Func, opts Options) (*placement, error) {
 				if !real(x) {
 					continue
 				}
-				if blk == b.Block && pos[x] > pos[b] {
+				if blk == b.Block && g.pos[x] > g.pos[b] {
 					break
 				}
 				if !instrDominates(x, a) && g.reach(g.pos[x]) {
@@ -429,27 +420,21 @@ func place(f *ir.Func, opts Options) (*placement, error) {
 	}
 
 	// Classify self-dependent loops to find case-3 offenders.
-	var case3 []*ir.Block
-	for _, l := range info.Loops {
-		phis := selfDepPhis(l)
-		if len(phis) == 0 {
-			continue
-		}
-		switch classifyLoop(l, cuts) {
-		case SelfDepNoCuts, SelfDepTwoCuts:
-		default:
-			case3 = append(case3, l.Header)
+	selfDeps := selfDepLoops(info)
+	var case3 []*cfg.Loop
+	for _, sd := range selfDeps {
+		if classifyLoop(sd.loop, cuts) == SelfDepInsertedCuts {
+			case3 = append(case3, sd.loop)
 		}
 	}
 
 	return &placement{
-		graph:           g,
-		cuts:            cuts,
-		deps:            deps,
-		cfgInfo:         info,
-		case3Headers:    case3,
-		unrolledHeaders: map[*ir.Block]bool{},
-		multicutCuts:    multicutCuts,
-		callCuts:        callCuts,
+		graph:        g,
+		cuts:         cuts,
+		deps:         deps,
+		selfDeps:     selfDeps,
+		case3:        case3,
+		multicutCuts: multicutCuts,
+		callCuts:     callCuts,
 	}, nil
 }

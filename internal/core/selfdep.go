@@ -129,21 +129,33 @@ func minCutsPerCycle(l *cfg.Loop, weight map[*ir.Block]int) int {
 	return min
 }
 
+// selfDepLoop is a loop whose header carries self-dependent φs.
+type selfDepLoop struct {
+	loop *cfg.Loop
+	phis []*ir.Value
+}
+
+// selfDepLoops lists info's loops that carry self-dependent φs, in loop
+// order.
+func selfDepLoops(info *cfg.Info) []selfDepLoop {
+	var out []selfDepLoop
+	for _, l := range info.Loops {
+		if phis := selfDepPhis(l); len(phis) > 0 {
+			out = append(out, selfDepLoop{loop: l, phis: phis})
+		}
+	}
+	return out
+}
+
 // classifySelfDeps produces the final report of self-dependent loops under
 // the finished cut set.
-func classifySelfDeps(f *ir.Func, info *cfg.Info, cuts map[*ir.Value]bool, unrolled map[*ir.Block]bool) []SelfDepInfo {
+func classifySelfDeps(loops []selfDepLoop, cuts map[*ir.Value]bool) []SelfDepInfo {
 	var out []SelfDepInfo
-	for _, l := range info.Loops {
-		phis := selfDepPhis(l)
-		if len(phis) == 0 {
-			continue
-		}
-		c := classifyLoop(l, cuts)
+	for _, sd := range loops {
 		out = append(out, SelfDepInfo{
-			Header:   l.Header,
-			Phis:     phis,
-			Case:     c,
-			Unrolled: unrolled[l.Header],
+			Header: sd.loop.Header,
+			Phis:   sd.phis,
+			Case:   classifyLoop(sd.loop, cuts),
 		})
 	}
 	return out
