@@ -188,7 +188,7 @@ func buildVF(f *ir.Func, g *core.InstrGraph, cuts map[*ir.Value]bool, globalBase
 				code[gp].mark = emitMark()
 			}
 			start, n := len(posToIR), len(vb.Instrs)
-			if err := selectInstr(f, v, &vb, vregFor, newVReg, allocaOff, globalBase); err != nil {
+			if err := selectInstr(f, v, &vb, vregFor, allocaOff, globalBase); err != nil {
 				return nil, nil, err
 			}
 			for range vb.Instrs[n:] {
@@ -232,7 +232,7 @@ func buildVF(f *ir.Func, g *core.InstrGraph, cuts map[*ir.Value]bool, globalBase
 
 // selectInstr emits virtual code for one IR instruction.
 func selectInstr(f *ir.Func, v *ir.Value, vb *regalloc.VBlock,
-	vregFor func(*ir.Value) regalloc.VReg, newVReg func(bool) regalloc.VReg,
+	vregFor func(*ir.Value) regalloc.VReg,
 	allocaOff map[*ir.Value]int64, globalBase map[string]int64) error {
 
 	emit := func(in regalloc.VInstr) { vb.Instrs = append(vb.Instrs, in) }

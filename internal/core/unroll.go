@@ -132,7 +132,6 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 	// carrying the clone's values.
 	li := header.PredIndex(latch)
 	header.Preds[li] = bmap[latch]
-	bmap[latch].ReplaceSucc(header, header) // no-op, keeps symmetry clear
 	for _, phi := range header.Phis() {
 		phi.Args[li] = mapped(phi.Args[li])
 	}
@@ -144,10 +143,6 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 	hClone.Preds = []*ir.Block{latch}
 	for _, phi := range header.Phis() {
 		cphi := vmap[phi]
-		orig := phi.Args[li]
-		// phi.Args[li] was remapped above; recover the original through
-		// the inverse: mapped(orig)==phi.Args[li].
-		_ = orig
 		cphi.Op = ir.OpCopy
 		cphi.Args = []*ir.Value{originalBackArg(phi, vmap, li)}
 	}

@@ -23,12 +23,15 @@ type Table2Row struct {
 	Name  string
 	Suite workloads.Suite
 	// MemoryAntideps are the WAR pairs on heap/global/non-local storage
-	// (semantic: must be cut); LocalStackAccesses counts accesses the
+	// (semantic: must be cut); PromotedAllocas counts the allocas the
 	// promotion pass moved into pseudoregisters (artificial: compiled
-	// away); SelfDepPhis counts the φ self-dependences handled by §4.2.2.
+	// away; the idc frontend already lowers scalar locals to
+	// pseudoregisters, so only arrays reach it as allocas);
+	// SelfDepLoops counts the loops whose self-dependent φs §4.2.2
+	// handles, one per loop however many φs it carries.
 	MemoryAntideps  int
 	PromotedAllocas int
-	SelfDepPhis     int
+	SelfDepLoops    int
 	CutsPlaced      int
 }
 
@@ -46,7 +49,7 @@ func (e *Engine) Table2(ws []workloads.Workload) ([]Table2Row, error) {
 			}
 			row.MemoryAntideps += len(res.Antideps)
 			row.PromotedAllocas += res.Stats.PromotedAllocas
-			row.SelfDepPhis += len(res.SelfDep)
+			row.SelfDepLoops += len(res.SelfDep)
 			row.CutsPlaced += len(res.Cuts)
 		}
 		rows[i] = row
@@ -67,13 +70,13 @@ func FormatTable2(rows []Table2Row) string {
 	fmt.Fprintf(&b, "%-16s %-9s %10s %10s %10s %8s\n", "benchmark", "suite", "semantic", "promoted", "selfdep-φ", "cuts")
 	tot := Table2Row{}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %-9s %10d %10d %10d %8d\n", r.Name, r.Suite, r.MemoryAntideps, r.PromotedAllocas, r.SelfDepPhis, r.CutsPlaced)
+		fmt.Fprintf(&b, "%-16s %-9s %10d %10d %10d %8d\n", r.Name, r.Suite, r.MemoryAntideps, r.PromotedAllocas, r.SelfDepLoops, r.CutsPlaced)
 		tot.MemoryAntideps += r.MemoryAntideps
 		tot.PromotedAllocas += r.PromotedAllocas
-		tot.SelfDepPhis += r.SelfDepPhis
+		tot.SelfDepLoops += r.SelfDepLoops
 		tot.CutsPlaced += r.CutsPlaced
 	}
-	fmt.Fprintf(&b, "%-16s %-9s %10d %10d %10d %8d\n", "TOTAL", "", tot.MemoryAntideps, tot.PromotedAllocas, tot.SelfDepPhis, tot.CutsPlaced)
+	fmt.Fprintf(&b, "%-16s %-9s %10d %10d %10d %8d\n", "TOTAL", "", tot.MemoryAntideps, tot.PromotedAllocas, tot.SelfDepLoops, tot.CutsPlaced)
 	return b.String()
 }
 

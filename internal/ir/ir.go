@@ -388,17 +388,6 @@ func (b *Block) InsertBefore(v *Value, pos *Value) {
 	panic("ir: InsertBefore position not found")
 }
 
-// RemoveInstr removes v from the block. It does not patch uses.
-func (b *Block) RemoveInstr(v *Value) {
-	for i, in := range b.Instrs {
-		if in == v {
-			b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
-			return
-		}
-	}
-	panic("ir: RemoveInstr instruction not found")
-}
-
 // Func is a function: a CFG of basic blocks. Blocks[0] is the entry.
 type Func struct {
 	Name string

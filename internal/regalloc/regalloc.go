@@ -399,8 +399,7 @@ func Allocate(vf *VFunc, opts Options) (*Assignment, error) {
 
 	as.FrameSlots = nextSlot
 	// Spill traffic estimate.
-	for pos, ref := range lin {
-		_ = pos
+	for _, ref := range lin {
 		in := instrAt(vf, ref)
 		uses = uses[:0]
 		uses = in.Uses(uses)
