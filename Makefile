@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check vet check lint test fuzz race race-fault bench bench-ledger serve-smoke chaos-smoke persist-smoke shard-smoke jobs-smoke verify-smoke ci
+.PHONY: all build fmt-check vet check lint test fuzz race race-fault bench bench-ledger layout serve-smoke chaos-smoke persist-smoke shard-smoke jobs-smoke verify-smoke ci
 
 all: build
 
@@ -136,5 +136,26 @@ bench:
 # compares the two files with `bash bench/run.sh -compare OLD NEW`.
 bench-ledger:
 	bash bench/run.sh -runs 3 -json BENCH_ledger.json
+
+# layout prints where the linker put the hot loops in the binaries that
+# `bash bench/run.sh` last built and measured: the address, and the
+# address mod 64, of (*Machine).exec, (*verifier).step and
+# (*verifier).provPass in .bench_build/bench and .bench_build/idemd.
+# Their 64-byte alignment alone has moved simulator- and verify-bound
+# bench numbers by several percent, so compare this output between two
+# checkouts before crediting or blaming a change for such a move.
+LAYOUT_SYMS = \((\*Machine\)\.exec|\*verifier\)\.(step|provPass))$$
+
+layout:
+	@for b in .bench_build/bench .bench_build/idemd; do \
+		if [ ! -f "$$b" ]; then \
+			echo "layout: $$b is missing; run bash bench/run.sh first" >&2; exit 1; \
+		fi; \
+		echo "$$b:"; \
+		$(GO) tool nm -sort address "$$b" | grep -E ' T .*$(LAYOUT_SYMS)' | \
+		while read addr kind sym; do \
+			printf '  0x%s  mod 64 = %2d  %s\n' "$$addr" $$((0x$$addr % 64)) "$$sym"; \
+		done; \
+	done
 
 ci: build check race
