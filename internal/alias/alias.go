@@ -14,6 +14,8 @@
 package alias
 
 import (
+	"math/bits"
+
 	"idemproc/internal/ir"
 )
 
@@ -48,49 +50,72 @@ type Loc struct {
 	KnownOff bool
 }
 
-// Info holds the per-function analysis results.
+// Info holds the per-function analysis results. Its facts are indexed
+// by value ID, so every value it is asked about must be one of F's.
 type Info struct {
 	F *ir.Func
-	// locs maps each I64 value to its abstract location.
-	locs map[*ir.Value]Loc
-	// escaped marks allocas whose address flows to memory, a call
+	// locs[id] is the abstract location of a resolved I64 value; state[id]
+	// says whether it is resolved.
+	locs  []Loc
+	state []resolveState
+	// escaped[id] marks allocas whose address flows to memory, a call
 	// argument, or a return value — they may then alias unknown pointers.
-	escaped map[*ir.Value]bool
+	escaped []bool
 }
+
+// resolveState tracks one value's resolution.
+type resolveState uint8
+
+const (
+	unresolved resolveState = iota
+	// visiting marks a value whose resolution is in progress: meeting it
+	// again means a φ cycle.
+	visiting
+	resolved
+)
 
 // Compute analyses f.
 func Compute(f *ir.Func) *Info {
-	in := &Info{F: f, locs: map[*ir.Value]Loc{}, escaped: map[*ir.Value]bool{}}
+	n := f.NumValues()
+	in := &Info{F: f, locs: make([]Loc, n), state: make([]resolveState, n), escaped: make([]bool, n)}
 	in.resolveAll()
 	in.computeEscapes()
 	return in
 }
 
 // LocOf returns the abstract location of an address value.
-func (in *Info) LocOf(addr *ir.Value) Loc { return in.resolve(addr, nil) }
+func (in *Info) LocOf(addr *ir.Value) Loc { return in.resolve(addr) }
 
 func (in *Info) resolveAll() {
 	for _, b := range in.F.Blocks {
 		for _, v := range b.Instrs {
 			if v.Type == ir.I64 {
-				in.resolve(v, nil)
+				in.resolve(v)
 			}
 		}
 	}
 }
 
-func (in *Info) resolve(v *ir.Value, visiting map[*ir.Value]bool) Loc {
-	if l, ok := in.locs[v]; ok {
-		return l
+// resolve returns v's location, resolving v and the values it derives
+// from on first use. A value met again while its resolution is in
+// progress, around a φ cycle, reads as unknown, so the location found on
+// a cycle depends on where resolution entered it: resolveAll must keep
+// resolving in program order.
+func (in *Info) resolve(v *ir.Value) Loc {
+	if v.ID >= len(in.state) {
+		// v was made after Compute: make room for every value made since.
+		n := max(v.ID+1, in.F.NumValues())
+		in.locs = append(in.locs, make([]Loc, n-len(in.locs))...)
+		in.state = append(in.state, make([]resolveState, n-len(in.state))...)
 	}
-	if visiting == nil {
-		visiting = map[*ir.Value]bool{}
-	}
-	if visiting[v] {
+	switch in.state[v.ID] {
+	case resolved:
+		return in.locs[v.ID]
+	case visiting:
 		// φ cycle: resolved by the caller's merge.
 		return Loc{Kind: BaseUnknown}
 	}
-	visiting[v] = true
+	in.state[v.ID] = visiting
 	var l Loc
 	switch v.Op {
 	case ir.OpAlloca:
@@ -100,11 +125,11 @@ func (in *Info) resolve(v *ir.Value, visiting map[*ir.Value]bool) Loc {
 	case ir.OpParam:
 		l = Loc{Kind: BaseParam, Obj: v, KnownOff: true}
 	case ir.OpCopy:
-		l = in.resolve(v.Args[0], visiting)
+		l = in.resolve(v.Args[0])
 	case ir.OpAdd, ir.OpSub:
 		x, y := v.Args[0], v.Args[1]
 		if c, ok := constOf(y); ok {
-			l = in.resolve(x, visiting)
+			l = in.resolve(x)
 			if l.KnownOff {
 				if v.Op == ir.OpAdd {
 					l.Off += c
@@ -113,7 +138,7 @@ func (in *Info) resolve(v *ir.Value, visiting map[*ir.Value]bool) Loc {
 				}
 			}
 		} else if c, ok := constOf(x); ok && v.Op == ir.OpAdd {
-			l = in.resolve(y, visiting)
+			l = in.resolve(y)
 			if l.KnownOff {
 				l.Off += c
 			}
@@ -123,8 +148,8 @@ func (in *Info) resolve(v *ir.Value, visiting map[*ir.Value]bool) Loc {
 			// is param-derived or unknown, the concrete object is the
 			// base and the other side an integer index — adding two
 			// pointers has no meaning in this IR.
-			lx := in.resolve(x, visiting)
-			ly := in.resolve(y, visiting)
+			lx := in.resolve(x)
+			ly := in.resolve(y)
 			concrete := func(l Loc) bool { return l.Kind == BaseAlloca || l.Kind == BaseGlobal }
 			switch {
 			case concrete(lx) && !concrete(ly):
@@ -149,7 +174,7 @@ func (in *Info) resolve(v *ir.Value, visiting map[*ir.Value]bool) Loc {
 			if a == nil {
 				continue
 			}
-			la := in.resolve(a, visiting)
+			la := in.resolve(a)
 			if first {
 				merged = la
 				first = false
@@ -168,8 +193,8 @@ func (in *Info) resolve(v *ir.Value, visiting map[*ir.Value]bool) Loc {
 	default:
 		l = Loc{Kind: BaseUnknown}
 	}
-	delete(visiting, v)
-	in.locs[v] = l
+	in.state[v.ID] = resolved
+	in.locs[v.ID] = l
 	return l
 }
 
@@ -197,26 +222,24 @@ func sameBase(a, b Loc) bool {
 // from the alloca by copy/φ/arithmetic that is stored *as data*, passed to
 // a call, or returned marks the alloca escaped.
 func (in *Info) computeEscapes() {
-	// derived[v] = set of allocas v may carry the address of.
-	derived := map[*ir.Value]map[*ir.Value]bool{}
-	add := func(v, a *ir.Value) bool {
-		s := derived[v]
-		if s == nil {
-			s = map[*ir.Value]bool{}
-			derived[v] = s
-		}
-		if s[a] {
-			return false
-		}
-		s[a] = true
-		return true
-	}
+	var allocas []*ir.Value
 	for _, b := range in.F.Blocks {
 		for _, v := range b.Instrs {
 			if v.Op == ir.OpAlloca {
-				add(v, v)
+				allocas = append(allocas, v)
 			}
 		}
+	}
+	if len(allocas) == 0 {
+		return
+	}
+	// derived[id*words:(id+1)*words] is the set of allocas, by their index
+	// in allocas, whose address value id may carry.
+	words := (len(allocas) + 63) / 64
+	derived := make([]uint64, in.F.NumValues()*words)
+	set := func(v *ir.Value) []uint64 { return derived[v.ID*words : (v.ID+1)*words] }
+	for i, a := range allocas {
+		set(a)[i/64] |= 1 << (i % 64)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -224,12 +247,14 @@ func (in *Info) computeEscapes() {
 			for _, v := range b.Instrs {
 				switch v.Op {
 				case ir.OpCopy, ir.OpPhi, ir.OpAdd, ir.OpSub:
+					dst := set(v)
 					for _, a := range v.Args {
 						if a == nil {
 							continue
 						}
-						for al := range derived[a] {
-							if add(v, al) {
+						for w, m := range set(a) {
+							if m&^dst[w] != 0 {
+								dst[w] |= m
 								changed = true
 							}
 						}
@@ -238,24 +263,21 @@ func (in *Info) computeEscapes() {
 			}
 		}
 	}
+	escape := func(v *ir.Value) {
+		for w, m := range set(v) {
+			for ; m != 0; m &= m - 1 {
+				in.escaped[allocas[w*64+bits.TrailingZeros64(m)].ID] = true
+			}
+		}
+	}
 	for _, b := range in.F.Blocks {
 		for _, v := range b.Instrs {
 			switch v.Op {
 			case ir.OpStore:
-				for al := range derived[v.Args[1]] { // address stored as data
-					in.escaped[al] = true
-				}
-			case ir.OpCall:
+				escape(v.Args[1]) // address stored as data
+			case ir.OpCall, ir.OpRet:
 				for _, a := range v.Args {
-					for al := range derived[a] {
-						in.escaped[al] = true
-					}
-				}
-			case ir.OpRet:
-				for _, a := range v.Args {
-					for al := range derived[a] {
-						in.escaped[al] = true
-					}
+					escape(a)
 				}
 			}
 		}
@@ -263,7 +285,9 @@ func (in *Info) computeEscapes() {
 }
 
 // Escaped reports whether the given alloca's address escapes the function.
-func (in *Info) Escaped(alloca *ir.Value) bool { return in.escaped[alloca] }
+func (in *Info) Escaped(alloca *ir.Value) bool {
+	return alloca.ID < len(in.escaped) && in.escaped[alloca.ID]
+}
 
 // MayAlias reports whether the addresses a and b may refer to the same
 // word of memory.
@@ -279,7 +303,7 @@ func (in *Info) mayAliasLoc(la, lb Loc) bool {
 		if lb.Kind == BaseUnknown {
 			other = la
 		}
-		if other.Kind == BaseAlloca && !in.escaped[other.Obj] {
+		if other.Kind == BaseAlloca && !in.Escaped(other.Obj) {
 			return false
 		}
 		return true
@@ -293,7 +317,7 @@ func (in *Info) mayAliasLoc(la, lb Loc) bool {
 			if lb.Kind == BaseAlloca {
 				al, other = lb, la
 			}
-			return in.escaped[al.Obj] && other.Kind == BaseParam
+			return in.Escaped(al.Obj) && other.Kind == BaseParam
 		}
 		// Param may alias globals (caller could pass &global).
 		return true
@@ -359,7 +383,7 @@ func (s StorageClass) String() string {
 // ClassOf classifies the storage an address refers to.
 func (in *Info) ClassOf(addr *ir.Value) StorageClass {
 	l := in.LocOf(addr)
-	if l.Kind == BaseAlloca && !in.escaped[l.Obj] {
+	if l.Kind == BaseAlloca && !in.Escaped(l.Obj) {
 		return StorageLocalStack
 	}
 	return StorageMemory

@@ -250,3 +250,31 @@ e:
 		}
 	}
 }
+
+// TestValueMadeAfterCompute: a value made after Compute gets the answers
+// a fresh Compute gives it.
+func TestValueMadeAfterCompute(t *testing.T) {
+	m := ir.MustParse(aliasSrc)
+	f := m.Func("f")
+	ai := Compute(f)
+	three := f.NewValue(ir.OpConst, ir.I64)
+	three.ConstInt = 3
+	a3 := f.NewValue(ir.OpAdd, ir.I64, valueByName(f, "a"), three)
+	ret := f.Entry().Terminator()
+	f.Entry().InsertBefore(three, ret)
+	f.Entry().InsertBefore(a3, ret)
+	fresh := Compute(f)
+	if got, want := ai.LocOf(a3), fresh.LocOf(a3); got != want {
+		t.Fatalf("LocOf(a3) = %+v, fresh Compute gives %+v", got, want)
+	}
+	for _, b := range f.Blocks {
+		for _, v := range b.Instrs {
+			if v.Type != ir.I64 {
+				continue
+			}
+			if got, want := ai.MayAlias(a3, v), fresh.MayAlias(a3, v); got != want {
+				t.Errorf("MayAlias(a3, %s) = %v, fresh Compute gives %v", v, got, want)
+			}
+		}
+	}
+}

@@ -221,14 +221,14 @@ func (in *Info) computeLoops() {
 	n := len(in.F.Blocks)
 	in.numberDomTree() // Dominates needed below
 
-	byHeader := map[*ir.Block]*Loop{}
+	byHeader := make([]*Loop, n)
 	for _, b := range in.RPO {
 		for _, s := range b.Succs {
 			if in.Dominates(s, b) { // back edge b→s
-				l := byHeader[s]
+				l := byHeader[s.Index]
 				if l == nil {
 					l = &Loop{Header: s}
-					byHeader[s] = l
+					byHeader[s.Index] = l
 					in.Loops = append(in.Loops, l)
 				}
 				l.Latches = append(l.Latches, b)
@@ -237,13 +237,15 @@ func (in *Info) computeLoops() {
 	}
 
 	// Loop bodies: reverse reachability from each latch to the header.
-	inBody := make(map[*Loop]map[*ir.Block]bool, len(byHeader))
-	for _, l := range in.Loops {
-		body := map[*ir.Block]bool{l.Header: true}
-		var stack []*ir.Block
+	// Loop i's body is inBody[i*n:(i+1)*n], by block index.
+	inBody := make([]bool, len(in.Loops)*n)
+	var stack []*ir.Block
+	for i, l := range in.Loops {
+		body := inBody[i*n : (i+1)*n]
+		body[l.Header.Index] = true
 		for _, t := range l.Latches {
-			if !body[t] {
-				body[t] = true
+			if !body[t.Index] {
+				body[t.Index] = true
 				stack = append(stack, t)
 			}
 		}
@@ -251,15 +253,14 @@ func (in *Info) computeLoops() {
 			b := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, p := range b.Preds {
-				if !body[p] {
-					body[p] = true
+				if !body[p.Index] {
+					body[p.Index] = true
 					stack = append(stack, p)
 				}
 			}
 		}
-		inBody[l] = body
 		for _, b := range in.RPO { // deterministic order
-			if body[b] {
+			if body[b.Index] {
 				l.Blocks = append(l.Blocks, b)
 			}
 		}
@@ -268,11 +269,11 @@ func (in *Info) computeLoops() {
 	// Nesting: l1 is inside l2 if l2's body contains l1's header and they
 	// differ. Parent = smallest containing loop.
 	for _, l1 := range in.Loops {
-		for _, l2 := range in.Loops {
-			if l1 == l2 || !inBody[l2][l1.Header] {
+		for i, l2 := range in.Loops {
+			if l1 == l2 || !inBody[i*n+l1.Header.Index] {
 				continue
 			}
-			if l1.Parent == nil || len(inBody[l2]) < len(inBody[l1.Parent]) {
+			if l1.Parent == nil || len(l2.Blocks) < len(l1.Parent.Blocks) {
 				l1.Parent = l2
 			}
 		}

@@ -75,16 +75,13 @@ func Compile(f *ir.Func, globalBase map[string]int64, opts Options) (*Compiled, 
 	ssa.Destruct(f)
 	f.Renumber()
 
-	// f does not change from here on, so one instruction graph serves
-	// every selection pass of the repair loop.
-	var g *core.InstrGraph
+	// f does not change from here on, so one instruction graph and one
+	// vreg table serve every selection pass of the repair loop.
 	cuts := opts.Cuts
-	if cuts != nil {
-		g = core.BuildInstrGraph(f)
-	}
+	sel := newSelection(f, cuts, globalBase)
 	repairs := 0
 	for {
-		vf, posToIR, err := buildVF(f, g, cuts, globalBase)
+		vf, posToIR, err := sel.buildVF()
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +91,7 @@ func Compile(f *ir.Func, globalBase map[string]int64, opts Options) (*Compiled, 
 			if v == nil || cuts[v] {
 				return nil, fmt.Errorf("codegen: unrepairable %v", viol)
 			}
-			cuts[v] = true
+			sel.addCut(v)
 			repairs++
 			if repairs > 256 {
 				return nil, fmt.Errorf("codegen: repair loop diverged in @%s", f.Name)
@@ -120,37 +117,94 @@ func Compile(f *ir.Func, globalBase map[string]int64, opts Options) (*Compiled, 
 	}
 }
 
-// buildVF runs instruction selection over the (destructed) function and
-// registers region metadata. g is f's instruction graph (nil when cuts is
-// nil). posToIR maps each virtual-code position back to the IR
-// instruction it implements (nil for marks).
-func buildVF(f *ir.Func, g *core.InstrGraph, cuts map[*ir.Value]bool, globalBase map[string]int64) (*regalloc.VFunc, []*ir.Value, error) {
-	vf := &regalloc.VFunc{Name: f.Name}
-	vregOf := map[string]regalloc.VReg{}
-	var floatReg []bool
-	newVReg := func(float bool) regalloc.VReg {
-		v := regalloc.VReg(len(floatReg))
-		floatReg = append(floatReg, float)
-		return v
-	}
-	vregFor := func(val *ir.Value) regalloc.VReg {
-		if v, ok := vregOf[val.Name]; ok {
-			return v
-		}
-		v := newVReg(val.Type == ir.F64)
-		vregOf[val.Name] = v
-		return v
-	}
+// selection is what instruction selection derives once from a function
+// that no longer changes, for every pass of the repair loop. Each pass
+// selects the same instructions in the same order, so it names the same
+// vregs: the table a pass fills serves the passes after it.
+type selection struct {
+	f          *ir.Func
+	globalBase map[string]int64
+	// g is f's instruction graph and cuts the cut set (both nil in a
+	// conventional build); cut[id] marks the cuts by value ID.
+	g    *core.InstrGraph
+	cuts map[*ir.Value]bool
+	cut  []bool
+	// vregOf gives each pseudoregister name its vreg, numbered by first
+	// use; byID caches the lookup by value ID (NoVReg until the value's
+	// first use) and floatReg[r] marks float vregs.
+	vregOf   map[string]regalloc.VReg
+	byID     []regalloc.VReg
+	floatReg []bool
+	// allocaOff[id] is an alloca's word offset in the alloca area of
+	// allocaWords words.
+	allocaOff   []int64
+	allocaWords int64
+	// instrs counts f's instructions.
+	instrs int
+}
 
-	// Assign alloca offsets.
-	allocaOff := map[*ir.Value]int64{}
-	var allocaWords int64
+func newSelection(f *ir.Func, cuts map[*ir.Value]bool, globalBase map[string]int64) *selection {
+	n := f.NumValues()
+	s := &selection{f: f, globalBase: globalBase, cuts: cuts, byID: make([]regalloc.VReg, n), allocaOff: make([]int64, n)}
+	for i := range s.byID {
+		s.byID[i] = regalloc.NoVReg
+	}
+	defs := 0
+	for _, b := range f.Blocks {
+		s.instrs += len(b.Instrs)
+		for _, v := range b.Instrs {
+			if v.Defines() {
+				defs++
+			}
+		}
+	}
+	s.vregOf = make(map[string]regalloc.VReg, defs)
 	for _, v := range f.Entry().Instrs {
 		if v.Op == ir.OpAlloca {
-			allocaOff[v] = allocaWords
-			allocaWords += v.ConstInt
+			s.allocaOff[v.ID] = s.allocaWords
+			s.allocaWords += v.ConstInt
 		}
 	}
+	if cuts != nil {
+		s.g = core.BuildInstrGraph(f)
+		s.cut = make([]bool, n)
+		for v, c := range cuts {
+			if c && v.ID < n {
+				s.cut[v.ID] = true
+			}
+		}
+	}
+	return s
+}
+
+// addCut adds a cut before v, an instruction of f.
+func (s *selection) addCut(v *ir.Value) {
+	s.cuts[v] = true
+	s.cut[v.ID] = true
+}
+
+// vreg returns the vreg holding val's pseudoregister.
+func (s *selection) vreg(val *ir.Value) regalloc.VReg {
+	if r := s.byID[val.ID]; r != regalloc.NoVReg {
+		return r
+	}
+	r, ok := s.vregOf[val.Name]
+	if !ok {
+		r = regalloc.VReg(len(s.floatReg))
+		s.floatReg = append(s.floatReg, val.Type == ir.F64)
+		s.vregOf[val.Name] = r
+	}
+	s.byID[val.ID] = r
+	return r
+}
+
+// buildVF runs instruction selection over the (destructed) function and
+// registers region metadata for the cut set. posToIR maps each
+// virtual-code position back to the IR instruction it implements (nil for
+// marks).
+func (s *selection) buildVF() (*regalloc.VFunc, []*ir.Value, error) {
+	f, g, cuts := s.f, s.g, s.cuts
+	vf := &regalloc.VFunc{Name: f.Name, Blocks: make([]regalloc.VBlock, 0, len(f.Blocks))}
 
 	// Selection. Positions are global linear indices (block order,
 	// instruction order); posToIR grows by one entry per emitted
@@ -164,10 +218,23 @@ func buildVF(f *ir.Func, g *core.InstrGraph, cuts map[*ir.Value]bool, globalBase
 	if g != nil {
 		code = make([]span, len(g.Instrs))
 	}
-	var posToIR []*ir.Value
+	posToIR := make([]*ir.Value, 0, s.instrs+len(cuts)+1)
 	gp := 0 // graph position of the next real instruction
-	for _, blk := range f.Blocks {
-		vb := regalloc.VBlock{}
+	for bi, blk := range f.Blocks {
+		// Each instruction selects to one virtual instruction; marks come
+		// before the entry region's first instruction and before each cut.
+		n := len(blk.Instrs)
+		if g != nil {
+			if bi == 0 {
+				n++
+			}
+			for _, v := range blk.Instrs {
+				if s.cut[v.ID] {
+					n++
+				}
+			}
+		}
+		vb := regalloc.VBlock{Instrs: make([]regalloc.VInstr, 0, n), Succs: make([]int, 0, len(blk.Succs))}
 		emitMark := func() int {
 			vb.Instrs = append(vb.Instrs, regalloc.VInstr{Kind: regalloc.KMark, Rd: regalloc.NoVReg, Rs1: regalloc.NoVReg, Rs2: regalloc.NoVReg})
 			posToIR = append(posToIR, nil)
@@ -184,11 +251,11 @@ func buildVF(f *ir.Func, g *core.InstrGraph, cuts map[*ir.Value]bool, globalBase
 			if inGraph && gp == 0 {
 				code[gp].mark = emitMark()
 			}
-			if cuts[v] {
+			if g != nil && s.cut[v.ID] {
 				code[gp].mark = emitMark()
 			}
 			start, n := len(posToIR), len(vb.Instrs)
-			if err := selectInstr(f, v, &vb, vregFor, allocaOff, globalBase); err != nil {
+			if err := s.selectInstr(v, &vb); err != nil {
 				return nil, nil, err
 			}
 			for range vb.Instrs[n:] {
@@ -199,16 +266,16 @@ func buildVF(f *ir.Func, g *core.InstrGraph, cuts map[*ir.Value]bool, globalBase
 				gp++
 			}
 		}
-		for _, s := range blk.Succs {
-			vb.Succs = append(vb.Succs, s.Index)
+		for _, succ := range blk.Succs {
+			vb.Succs = append(vb.Succs, succ.Index)
 		}
 		vf.Blocks = append(vf.Blocks, vb)
 	}
-	vf.NumVRegs = len(floatReg)
-	vf.FloatReg = floatReg
-	vf.AllocaSlots = int(allocaWords)
+	vf.NumVRegs = len(s.floatReg)
+	vf.FloatReg = s.floatReg
+	vf.AllocaSlots = int(s.allocaWords)
 	for _, p := range f.Params {
-		vf.Params = append(vf.Params, vregOf[p.Name])
+		vf.Params = append(vf.Params, s.vregOf[p.Name])
 	}
 
 	// Register regions with the allocator (idempotent mode only).
@@ -231,10 +298,8 @@ func buildVF(f *ir.Func, g *core.InstrGraph, cuts map[*ir.Value]bool, globalBase
 }
 
 // selectInstr emits virtual code for one IR instruction.
-func selectInstr(f *ir.Func, v *ir.Value, vb *regalloc.VBlock,
-	vregFor func(*ir.Value) regalloc.VReg,
-	allocaOff map[*ir.Value]int64, globalBase map[string]int64) error {
-
+func (s *selection) selectInstr(v *ir.Value, vb *regalloc.VBlock) error {
+	f, vregFor := s.f, s.vreg
 	emit := func(in regalloc.VInstr) { vb.Instrs = append(vb.Instrs, in) }
 	no := regalloc.NoVReg
 
@@ -254,9 +319,9 @@ func selectInstr(f *ir.Func, v *ir.Value, vb *regalloc.VBlock,
 		}
 		emit(regalloc.VInstr{Op: op, Rd: vregFor(v), Rs1: vregFor(v.Args[0]), Rs2: no})
 	case ir.OpAlloca:
-		emit(regalloc.VInstr{Kind: regalloc.KAlloca, Rd: vregFor(v), Rs1: no, Rs2: no, Imm: allocaOff[v]})
+		emit(regalloc.VInstr{Kind: regalloc.KAlloca, Rd: vregFor(v), Rs1: no, Rs2: no, Imm: s.allocaOff[v.ID]})
 	case ir.OpGlobal:
-		base, ok := globalBase[v.Aux]
+		base, ok := s.globalBase[v.Aux]
 		if !ok {
 			return fmt.Errorf("codegen: @%s references unknown global %q", f.Name, v.Aux)
 		}

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -312,23 +313,42 @@ x:
 }
 
 // compileAllocCeiling bounds the allocations of one default idempotent
-// compile of mcf, parse included. Liveness and region materialization on
-// dense slices take it to about 11,600; with hash maps per block, position
-// and region it was 20,638, and putting back either the liveness maps
-// (17,971) or the region maps (14,281) exceeds the ceiling.
-const compileAllocCeiling = 13000
+// compile of mcf, parse included. With the compiler's analyses on slices
+// indexed by value ID and block index it makes 7,471; on the hash maps
+// they kept before it made 10,169. Putting back the maps of any one of
+// ssa.Build (7,813), cfg's loop nesting (7,864) or core's placement,
+// self-dependence and unroll passes (8,546), or codegen's per-pass vreg
+// table (7,788), exceeds the ceiling.
+const compileAllocCeiling = 7700
 
-// TestCompileAllocs guards the compiler's allocation count on mcf under
-// the default options.
+// compileBytesCeiling bounds the bytes the same compile allocates: 1.07 MB
+// on slices, 1.67 MB on the maps. Putting back the maps of ssa.Build
+// (1.20 MB), alias.Compute (1.15 MB), ir.Verify (1.17 MB) or core (1.18
+// MB), or codegen's per-pass vreg table and unsized blocks (1.17 MB),
+// exceeds it.
+const compileBytesCeiling = 1_140_000
+
+// TestCompileAllocs guards the compiler's allocation count and bytes on
+// mcf under the default options.
 func TestCompileAllocs(t *testing.T) {
 	w, _ := workloads.ByName("mcf")
 	mo := ModuleOptions{Idempotent: true, Core: core.DefaultOptions()}
-	n := testing.AllocsPerRun(5, func() {
+	compile := func() {
 		if _, _, err := CompileModuleOpts(w.Module(), "main", w.MemWords, mo); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if n > compileAllocCeiling {
+	}
+	if n := testing.AllocsPerRun(5, compile); n > compileAllocCeiling {
 		t.Fatalf("CompileModuleOpts(mcf) allocates %.0f times, ceiling %d", n, compileAllocCeiling)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		compile()
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > compileBytesCeiling {
+		t.Fatalf("CompileModuleOpts(mcf) allocates %d bytes, ceiling %d", n, compileBytesCeiling)
 	}
 }

@@ -296,12 +296,12 @@ func TestConstructAnalysesMatchFreshDerivation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/@%s: %v", set.name, w.Name, f.Name, err)
 				}
-				_, info, deps := analyze(res.F)
+				g, info, deps := analyze(res.F)
 				if !slices.Equal(res.Antideps, deps) {
 					t.Errorf("%s/%s/@%s: %d antideps, fresh derivation has %d or differs in order",
 						set.name, w.Name, f.Name, len(res.Antideps), len(deps))
 				}
-				fresh := selfDepLoops(info)
+				fresh := selfDepLoops(g, info)
 				same := len(res.SelfDep) == len(fresh)
 				for i := 0; same && i < len(fresh); i++ {
 					same = res.SelfDep[i].Header == fresh[i].loop.Header &&

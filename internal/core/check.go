@@ -30,7 +30,7 @@ import (
 // placement round, which it has no need to derive again.
 func Check(res *Result) error {
 	g, info, deps := analyze(res.F)
-	return check(res, g, deps, selfDepLoops(info))
+	return check(res, g, deps, selfDepLoops(g, info))
 }
 
 // analyze removes f's unreachable blocks and derives its instruction
@@ -46,10 +46,14 @@ func analyze(f *ir.Func) (*InstrGraph, *cfg.Info, []Antidep) {
 // deps its memory antidependences and selfDeps its loops with
 // self-dependent φs.
 func check(res *Result, g *InstrGraph, deps []Antidep, selfDeps []selfDepLoop) error {
+	cut, err := g.cutFlags(res.Cuts)
+	if err != nil {
+		return err
+	}
+
 	// Condition 1: cut-free reachability must not connect read → write.
-	cut := g.cutFlags(res.Cuts)
 	for _, d := range deps {
-		if pathAvoidingCuts(g, g.pos[d.Read], g.pos[d.Write], cut) {
+		if pathAvoidingCuts(g, g.posOf(d.Read), g.posOf(d.Write), cut) {
 			return fmt.Errorf("antidependence not separated: read %s → write %s",
 				d.Read.LongString(), d.Write.LongString())
 		}
@@ -57,22 +61,30 @@ func check(res *Result, g *InstrGraph, deps []Antidep, selfDeps []selfDepLoop) e
 
 	// Condition 2: self-dependent loops are allocatable.
 	for _, sd := range selfDeps {
-		if c := classifyLoop(sd.loop, res.Cuts); c == SelfDepInsertedCuts {
+		if c := classifyLoop(g, sd.loop, cut); c == SelfDepInsertedCuts {
 			return fmt.Errorf("loop at %s has a self-dependent φ but neither zero nor ≥2 cuts per cycle", sd.loop.Header.Name)
 		}
 	}
 
-	// Condition 3: coverage and distinct headers.
+	// Condition 3: coverage and distinct headers. A region may list only
+	// real instructions of the function.
 	covered := make([]bool, len(g.Instrs))
 	seenHeader := make([]bool, len(g.Instrs))
 	for _, r := range res.Regions {
-		h := g.pos[r.Header]
+		h := g.posOf(r.Header)
+		if h < 0 {
+			return fmt.Errorf("region %d has header %s, which is not a real instruction of the function", r.Index, r.Header.LongString())
+		}
 		if seenHeader[h] {
 			return fmt.Errorf("duplicate region header %s", r.Header.LongString())
 		}
 		seenHeader[h] = true
 		for _, v := range r.Instrs {
-			covered[g.pos[v]] = true
+			p := g.posOf(v)
+			if p < 0 {
+				return fmt.Errorf("region %d lists %s, which is not a real instruction of the function", r.Index, v.LongString())
+			}
+			covered[p] = true
 		}
 	}
 	for p, v := range g.Instrs {

@@ -198,29 +198,25 @@ func Construct(f *ir.Func, opts Options) (*Result, error) {
 	// ≥2 cuts on every cycle (every cycle of a natural loop crosses the
 	// header once and some latch once).
 	for _, l := range pl.case3 {
-		h := firstReal(l.Header)
-		if !pl.cuts[h] {
-			pl.cuts[h] = true
+		if pl.addCut(firstReal(l.Header)) {
 			st.CutsFromSelfDep++
 		}
 		for _, latch := range l.Latches {
-			t := latch.Terminator()
-			if !pl.cuts[t] {
-				pl.cuts[t] = true
+			if pl.addCut(latch.Terminator()) {
 				st.CutsFromSelfDep++
 			}
 		}
 	}
 	// Re-run the self-dependence classification for reporting, now that
 	// all cuts are final.
-	selfInfos := classifySelfDeps(pl.selfDeps, pl.cuts)
+	selfInfos := classifySelfDeps(pl.graph, pl.selfDeps, pl.cut)
 
 	// §5 calling convention: a function with no cuts is split so return
 	// values may overwrite parameter registers.
 	if len(pl.cuts) == 0 {
 		for _, b := range f.Blocks {
 			if t := b.Terminator(); t.Op == ir.OpRet {
-				pl.cuts[t] = true
+				pl.addCut(t)
 				st.CutsFromRetSplit++
 			}
 		}
@@ -237,7 +233,7 @@ func Construct(f *ir.Func, opts Options) (*Result, error) {
 		SelfDep:  selfInfos,
 		Stats:    st,
 	}
-	res.Regions = pl.graph.Materialize(pl.cuts)
+	res.Regions = pl.graph.materialize(pl.cut)
 	res.fillStats()
 	// The check reuses the last round's analyses. Since that round,
 	// Construct has only added cuts (the case-3 fallback and the return
@@ -281,8 +277,10 @@ type placement struct {
 	// and selfDeps its loops with self-dependent φs: cut placement adds
 	// cuts but does not change f, so they serve materialization and the
 	// final check.
-	graph    *InstrGraph
+	graph *InstrGraph
+	// cuts is the cut set and cut the same set as per-position flags.
 	cuts     map[*ir.Value]bool
+	cut      []bool
 	deps     []Antidep
 	selfDeps []selfDepLoop
 	// case3 are the loops of selfDeps that the round's cuts leave in
@@ -290,6 +288,18 @@ type placement struct {
 	case3        []*cfg.Loop
 	multicutCuts int
 	callCuts     int
+}
+
+// addCut cuts before the real instruction v and reports whether v was
+// not cut already.
+func (pl *placement) addCut(v *ir.Value) bool {
+	p := pl.graph.posOf(v)
+	if pl.cut[p] {
+		return false
+	}
+	pl.cut[p] = true
+	pl.cuts[v] = true
+	return true
 }
 
 // real reports whether v is an executable instruction (φs and params are
@@ -309,23 +319,6 @@ func firstReal(b *ir.Block) *ir.Value {
 	panic("core: block with no real instruction")
 }
 
-// nextReal returns the next executable instruction after v in its block.
-// v must not be the terminator.
-func nextReal(v *ir.Value) *ir.Value {
-	b := v.Block
-	seen := false
-	for _, x := range b.Instrs {
-		if x == v {
-			seen = true
-			continue
-		}
-		if seen && real(x) {
-			return x
-		}
-	}
-	panic("core: no instruction after " + v.LongString())
-}
-
 // place runs one round of analyses and cut selection (§4.2.1 plus forced
 // call cuts), then classifies self-dependent loops against those cuts.
 // Unsolvable cut-placement instances (multicut.ErrEmptySet) surface as
@@ -334,36 +327,36 @@ func nextReal(v *ir.Value) *ir.Value {
 func place(f *ir.Func, opts Options) (*placement, error) {
 	g, info, deps := analyze(f)
 	// The hitting-set solver numbers instructions by graph position.
-	depthOf := make(map[int]int, len(g.Instrs))
+	depth := make([]int, len(g.Instrs))
 	for p, v := range g.Instrs {
-		depthOf[p] = info.Depth[v.Block.Index]
+		depth[p] = info.Depth[v.Block.Index]
 	}
 
-	// Candidate sets (Lemma 1 + the write endpoint itself).
-	instrDominates := func(x, y *ir.Value) bool {
-		if x.Block == y.Block {
-			return g.pos[x] <= g.pos[y]
-		}
-		return info.StrictlyDominates(x.Block, y.Block)
-	}
+	// Candidate sets (Lemma 1 + the write endpoint itself): the write,
+	// and each real instruction that dominates it but not the read.
 	var sets [][]int
 	for _, d := range deps {
-		a, b := d.Read, d.Write
+		pa, pb := g.posOf(d.Read), g.posOf(d.Write)
 		g.newWalk()
-		g.reach(g.pos[b])
-		set := []int{g.pos[b]}
-		// Walk b's dominator chain (blocks dominating b.Block, plus
-		// b.Block itself up to b's position).
-		for blk := b.Block; blk != nil; blk = info.Idom[blk.Index] {
-			for _, x := range blk.Instrs {
-				if !real(x) {
-					continue
+		g.reach(pb)
+		set := []int{pb}
+		// Walk b's dominator chain (blocks dominating b's block, plus
+		// b's block itself up to b's position).
+		for blk := d.Write.Block; blk != nil; blk = info.Idom[blk.Index] {
+			first, end := g.blockStart[blk.Index], g.blockStart[blk.Index+1]
+			if blk == d.Write.Block {
+				end = pb + 1
+			}
+			// The instruction at px dominates the read when its block
+			// strictly dominates the read's, or when it is in the read's
+			// block at or before the read.
+			dominates := blk != d.Read.Block && info.StrictlyDominates(blk, d.Read.Block)
+			for px := first; px < end; px++ {
+				if blk == d.Read.Block {
+					dominates = px <= pa
 				}
-				if blk == b.Block && g.pos[x] > g.pos[b] {
-					break
-				}
-				if !instrDominates(x, a) && g.reach(g.pos[x]) {
-					set = append(set, g.pos[x])
+				if !dominates && g.reach(px) {
+					set = append(set, px)
 				}
 			}
 		}
@@ -373,42 +366,43 @@ func place(f *ir.Func, opts Options) (*placement, error) {
 
 	chosen, err := multicut.Solve(multicut.Problem{
 		Sets:             sets,
-		Depth:            depthOf,
+		Depth:            depth,
 		UseLoopHeuristic: opts.LoopHeuristic,
 		Balanced:         opts.LoopHeuristic && opts.BalancedHeuristic,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cut placement for @%s: %w", f.Name, err)
 	}
-	cuts := map[*ir.Value]bool{}
-	for _, c := range chosen {
-		cuts[g.Instrs[c]] = true
+	pl := &placement{
+		graph:    g,
+		cuts:     map[*ir.Value]bool{},
+		cut:      make([]bool, len(g.Instrs)),
+		deps:     deps,
+		selfDeps: selfDepLoops(g, info),
 	}
-	multicutCuts := len(cuts)
+	for _, c := range chosen {
+		pl.addCut(g.Instrs[c])
+	}
+	pl.multicutCuts = len(pl.cuts)
 
 	// Calls become single-instruction regions: cut before the call and
-	// before its successor instruction.
-	callCuts := 0
+	// before its successor instruction, the next position (a call is not
+	// a terminator).
 	if opts.CutAtCalls {
-		for _, b := range f.Blocks {
-			for _, v := range b.Instrs {
-				if v.Op != ir.OpCall {
-					continue
-				}
-				if opts.PureFuncs[v.Aux] {
-					// A pure callee touches no memory and is re-executed
-					// wholesale with its caller's region: no cut needed.
-					continue
-				}
-				if !cuts[v] {
-					cuts[v] = true
-					callCuts++
-				}
-				nx := nextReal(v)
-				if !cuts[nx] {
-					cuts[nx] = true
-					callCuts++
-				}
+		for p, v := range g.Instrs {
+			if v.Op != ir.OpCall {
+				continue
+			}
+			if opts.PureFuncs[v.Aux] {
+				// A pure callee touches no memory and is re-executed
+				// wholesale with its caller's region: no cut needed.
+				continue
+			}
+			if pl.addCut(v) {
+				pl.callCuts++
+			}
+			if pl.addCut(g.Instrs[p+1]) {
+				pl.callCuts++
 			}
 		}
 	}
@@ -416,25 +410,14 @@ func place(f *ir.Func, opts Options) (*placement, error) {
 	// Optional §6.2 region size cap (before the self-dependence
 	// classification, which must see the final cut density per loop).
 	if opts.MaxRegionSize > 0 {
-		limitRegionSizes(g, cuts, opts.MaxRegionSize)
+		limitRegionSizes(g, pl.cut, pl.cuts, opts.MaxRegionSize)
 	}
 
 	// Classify self-dependent loops to find case-3 offenders.
-	selfDeps := selfDepLoops(info)
-	var case3 []*cfg.Loop
-	for _, sd := range selfDeps {
-		if classifyLoop(sd.loop, cuts) == SelfDepInsertedCuts {
-			case3 = append(case3, sd.loop)
+	for _, sd := range pl.selfDeps {
+		if classifyLoop(g, sd.loop, pl.cut) == SelfDepInsertedCuts {
+			pl.case3 = append(pl.case3, sd.loop)
 		}
 	}
-
-	return &placement{
-		graph:        g,
-		cuts:         cuts,
-		deps:         deps,
-		selfDeps:     selfDeps,
-		case3:        case3,
-		multicutCuts: multicutCuts,
-		callCuts:     callCuts,
-	}, nil
+	return pl, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -375,5 +376,62 @@ func TestDotRegionsRenders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dot output missing %q", want)
 		}
+	}
+}
+
+// TestCheckRejectsValuesOutsideTheGraph: a region header, region member
+// or cut that is not a real instruction of the function — a param, or
+// another function's value whose ID is one of the function's — is an
+// error naming that value, not a read of some position's flags.
+func TestCheckRejectsValuesOutsideTheGraph(t *testing.T) {
+	other := firstReal(ir.MustParse(listPushSrc).Func("list_push").Entry())
+	for _, tc := range []struct {
+		name     string
+		stranger func(f *ir.Func) *ir.Value
+		sameID   bool // the stranger's ID is the entry load's
+	}{
+		{"param", func(f *ir.Func) *ir.Value { return f.Params[0] }, false},
+		{"other function's value", func(*ir.Func) *ir.Value { return other }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The entry load sits in the entry region only: in its place,
+			// the stranger would cover position 0 if Check read positions
+			// by value without testing identity.
+			_, res := constructSrc(t, listPushSrc, "list_push", DefaultOptions())
+			load, stranger := firstReal(res.F.Entry()), tc.stranger(res.F)
+			if load.Op != ir.OpLoad || (stranger.ID == load.ID) != tc.sameID {
+				t.Fatalf("entry instruction %s#%d, stranger %s#%d", load.LongString(), load.ID, stranger, stranger.ID)
+			}
+			var holders []*Region
+			for _, r := range res.Regions {
+				for i, v := range r.Instrs {
+					if v == load {
+						holders = append(holders, r)
+						r.Instrs[i] = stranger
+					}
+				}
+			}
+			if len(holders) != 1 {
+				t.Fatalf("entry load in %d regions, want 1", len(holders))
+			}
+			want := fmt.Sprintf("region %d lists %s, which is not a real instruction of the function", holders[0].Index, stranger.LongString())
+			if err := Check(res); err == nil || err.Error() != want {
+				t.Fatalf("Check = %v, want %q", err, want)
+			}
+
+			_, res = constructSrc(t, listPushSrc, "list_push", DefaultOptions())
+			res.Regions[0].Header = tc.stranger(res.F)
+			want = fmt.Sprintf("region 0 has header %s, which is not a real instruction of the function", res.Regions[0].Header.LongString())
+			if err := Check(res); err == nil || err.Error() != want {
+				t.Fatalf("Check = %v, want %q", err, want)
+			}
+
+			_, res = constructSrc(t, listPushSrc, "list_push", DefaultOptions())
+			res.Cuts[tc.stranger(res.F)] = true
+			want = fmt.Sprintf("cut at %s, which is not a real instruction of the function", tc.stranger(res.F).LongString())
+			if err := Check(res); err == nil || err.Error() != want {
+				t.Fatalf("Check = %v, want %q", err, want)
+			}
+		})
 	}
 }

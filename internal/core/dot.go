@@ -51,7 +51,7 @@ func DotRegions(res *Result) string {
 				extra = fmt.Sprintf(", penwidth=2.5, xlabel=\"R%d\"", ri)
 			}
 			fmt.Fprintf(&b, "    %s [label=%q, shape=%s, style=filled, fillcolor=%q%s];\n",
-				id(g.pos[v]), label, shape, fill, extra)
+				id(g.posOf(v)), label, shape, fill, extra)
 		}
 		b.WriteString("  }\n")
 	}

@@ -33,22 +33,30 @@ func (r *Region) String() string {
 // bookkeeping, not execution steps. The real instructions are numbered by
 // position in block order, so position 0 is the function's entry, and
 // successors are stored as positions. A graph describes its function as
-// it was when built, and its walks share one scratch slice, so it is not
+// it was when built, and its walks share scratch slices, so it is not
 // safe for concurrent use.
 type InstrGraph struct {
 	// Instrs lists the real instructions; Instrs[p] is at position p.
 	Instrs []*ir.Value
 	// succ[succStart[p]:succStart[p+1]] are p's successor positions.
 	succ, succStart []int
-	pos             map[*ir.Value]int
+	// blockStart[i] is the first position of block i; its real
+	// instructions hold the positions up to blockStart[i+1].
+	blockStart []int
+	// pos[id] is the position of the value with that ID, or -1; posOf
+	// also tests that the value is the one at that position.
+	pos []int32
 	// seen is walk scratch: position p was reached by the current walk
 	// when seen[p] == walk.
 	seen []int
 	walk int
+	// loops is the loop analyses' scratch, made on first use.
+	loops *loopScratch
 }
 
 // BuildInstrGraph constructs the execution successor graph of f.
 func BuildInstrGraph(f *ir.Func) *InstrGraph {
+	f.Renumber()
 	n := 0
 	for _, b := range f.Blocks {
 		for _, v := range b.Instrs {
@@ -57,43 +65,59 @@ func BuildInstrGraph(f *ir.Func) *InstrGraph {
 			}
 		}
 	}
-	g := &InstrGraph{Instrs: make([]*ir.Value, 0, n), pos: make(map[*ir.Value]int, n)}
-	for _, b := range f.Blocks {
+	g := &InstrGraph{
+		Instrs:     make([]*ir.Value, 0, n),
+		blockStart: make([]int, len(f.Blocks)+1),
+		pos:        make([]int32, f.NumValues()),
+	}
+	for i := range g.pos {
+		g.pos[i] = -1
+	}
+	for i, b := range f.Blocks {
+		g.blockStart[i] = len(g.Instrs)
 		for _, v := range b.Instrs {
 			if real(v) {
-				g.pos[v] = len(g.Instrs)
+				g.pos[v.ID] = int32(len(g.Instrs))
 				g.Instrs = append(g.Instrs, v)
 			}
 		}
 	}
+	g.blockStart[len(f.Blocks)] = n
 	// A block's real instructions hold consecutive positions: each falls
 	// through to the next, and the last one (the terminator) branches to
 	// the first real instruction of each successor block.
 	g.succStart = make([]int, n+1)
 	g.succ = make([]int, 0, n+len(f.Blocks))
-	p := 0
-	for _, b := range f.Blocks {
-		first := p
-		for _, v := range b.Instrs {
-			if real(v) {
-				p++
-			}
-		}
-		for q := first; q < p; q++ {
+	for i, b := range f.Blocks {
+		first, end := g.blockStart[i], g.blockStart[i+1]
+		for q := first; q < end; q++ {
 			g.succStart[q] = len(g.succ)
-			if q+1 < p {
+			if q+1 < end {
 				g.succ = append(g.succ, q+1)
 			}
 		}
-		if p > first {
+		if end > first {
 			for _, s := range b.Succs {
-				g.succ = append(g.succ, g.pos[firstReal(s)])
+				g.succ = append(g.succ, g.blockStart[s.Index])
 			}
 		}
 	}
 	g.succStart[n] = len(g.succ)
 	g.seen = make([]int, n)
 	return g
+}
+
+// posOf returns v's position, or -1 when v is not a real instruction of
+// the graph's function.
+func (g *InstrGraph) posOf(v *ir.Value) int {
+	if v.ID < 0 || v.ID >= len(g.pos) {
+		return -1
+	}
+	p := int(g.pos[v.ID])
+	if p < 0 || g.Instrs[p] != v {
+		return -1
+	}
+	return p
 }
 
 // succs returns the successor positions of position p.
@@ -113,16 +137,32 @@ func (g *InstrGraph) reach(p int) bool {
 }
 
 // cutFlags returns cut[p] for every position: whether the instruction
-// there is in cuts. Every cut must be a real instruction of the graph's
-// function.
-func (g *InstrGraph) cutFlags(cuts map[*ir.Value]bool) []bool {
+// there is in cuts. A cut that is not a real instruction of the graph's
+// function is an error, which names the lowest-numbered such cut.
+func (g *InstrGraph) cutFlags(cuts map[*ir.Value]bool) ([]bool, error) {
 	cut := make([]bool, len(g.Instrs))
+	var bad *ir.Value
 	for v, c := range cuts {
-		p, ok := g.pos[v]
-		if !ok {
-			panic("core: cut at " + v.LongString() + ", which is not a real instruction of the function")
+		p := g.posOf(v)
+		if p < 0 {
+			if bad == nil || v.ID < bad.ID {
+				bad = v
+			}
+			continue
 		}
 		cut[p] = c
+	}
+	if bad != nil {
+		return nil, fmt.Errorf("cut at %s, which is not a real instruction of the function", bad.LongString())
+	}
+	return cut, nil
+}
+
+// mustCutFlags is cutFlags for cut sets built for the graph's function.
+func (g *InstrGraph) mustCutFlags(cuts map[*ir.Value]bool) []bool {
+	cut, err := g.cutFlags(cuts)
+	if err != nil {
+		panic("core: " + err.Error())
 	}
 	return cut
 }
@@ -131,8 +171,13 @@ func (g *InstrGraph) cutFlags(cuts map[*ir.Value]bool) []bool {
 // per header (the entry plus every cut point), each containing the
 // instructions reachable from its header without entering another header.
 func (g *InstrGraph) Materialize(cuts map[*ir.Value]bool) []*Region {
+	return g.materialize(g.mustCutFlags(cuts))
+}
+
+// materialize is Materialize over per-position cut flags.
+func (g *InstrGraph) materialize(cut []bool) []*Region {
 	var regions []*Region
-	g.EachRegion(cuts, func(header int, members []int) {
+	g.regions(cut, func(header int, members []int) {
 		r := &Region{Index: len(regions), Header: g.Instrs[header], Instrs: make([]*ir.Value, len(members))}
 		for i, p := range members {
 			r.Instrs[i] = g.Instrs[p]
@@ -146,7 +191,7 @@ func (g *InstrGraph) Materialize(cuts map[*ir.Value]bool) []*Region {
 // header order with the header's position and the region's positions in
 // ascending order. members is reused between calls.
 func (g *InstrGraph) EachRegion(cuts map[*ir.Value]bool, fn func(header int, members []int)) {
-	g.regions(g.cutFlags(cuts), fn)
+	g.regions(g.mustCutFlags(cuts), fn)
 }
 
 // regions is EachRegion over per-position cut flags.

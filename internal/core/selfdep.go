@@ -5,110 +5,140 @@ import (
 	"idemproc/internal/ir"
 )
 
+// loopScratch is the stamped scratch of the loop analyses over a graph's
+// function: block b is in the loop being examined when inLoop[b.Index] ==
+// loop, and value v has been met by the current dependence walk when
+// met[v.ID] == walk. weight and dist are by block index and hold values
+// for the examined loop's blocks.
+type loopScratch struct {
+	inLoop       []int32
+	loop         int32
+	met          []int32
+	walk         int32
+	weight, dist []int
+}
+
+// enterLoop returns the graph's loop scratch, set to examine l.
+func (g *InstrGraph) enterLoop(l *cfg.Loop) *loopScratch {
+	s := g.loops
+	if s == nil {
+		n := len(g.blockStart) - 1
+		s = &loopScratch{
+			inLoop: make([]int32, n),
+			met:    make([]int32, len(g.pos)),
+			weight: make([]int, n),
+			dist:   make([]int, n),
+		}
+		g.loops = s
+	}
+	s.loop++
+	for _, b := range l.Blocks {
+		s.inLoop[b.Index] = s.loop
+	}
+	return s
+}
+
+// contains reports whether b is in the examined loop.
+func (s *loopScratch) contains(b *ir.Block) bool { return s.inLoop[b.Index] == s.loop }
+
 // selfDepPhis returns the loop-header φs that are self-dependent: the
 // value flowing in along a back edge depends (through pseudoregister
 // dataflow inside the loop) on the φ itself. In SSA these are exactly the
 // paper's "self-dependent pseudoregister antidependences" (§4.2.2) —
 // assignments of the form tᵢ = f(tᵢ) across iterations.
-func selfDepPhis(l *cfg.Loop) []*ir.Value {
+func selfDepPhis(g *InstrGraph, l *cfg.Loop) []*ir.Value {
+	s := g.enterLoop(l)
 	var out []*ir.Value
-	inLoop := map[*ir.Block]bool{}
-	for _, b := range l.Blocks {
-		inLoop[b] = true
-	}
 	for _, phi := range l.Header.Phis() {
-		dep := false
 		for i, p := range l.Header.Preds {
-			if !inLoop[p] {
+			if !s.contains(p) {
 				continue // entry edge
 			}
-			if dependsOn(phi.Args[i], phi, inLoop, map[*ir.Value]bool{}) {
-				dep = true
+			s.walk++
+			if s.dependsOn(phi.Args[i], phi) {
+				out = append(out, phi)
 				break
 			}
-		}
-		if dep {
-			out = append(out, phi)
 		}
 	}
 	return out
 }
 
 // dependsOn reports whether v transitively uses target through values
-// defined inside the loop.
-func dependsOn(v, target *ir.Value, inLoop map[*ir.Block]bool, seen map[*ir.Value]bool) bool {
+// defined inside the examined loop, skipping values the walk has met.
+func (s *loopScratch) dependsOn(v, target *ir.Value) bool {
 	if v == target {
 		return true
 	}
-	if v == nil || seen[v] || !inLoop[v.Block] {
+	if v == nil || s.met[v.ID] == s.walk || !s.contains(v.Block) {
 		return false
 	}
-	seen[v] = true
+	s.met[v.ID] = s.walk
 	for _, a := range v.Args {
-		if dependsOn(a, target, inLoop, seen) {
+		if s.dependsOn(a, target) {
 			return true
 		}
 	}
 	return false
 }
 
-// classifyLoop decides the §4.2.2 case for a loop given the current cuts:
+// classifyLoop decides the §4.2.2 case for a loop of the graph's function
+// given the current cuts, as per-position flags:
 //
 //   - SelfDepNoCuts if the loop body contains no cut points — the φ's
 //     storage can be defined outside the loop (Fig. 7b);
 //   - SelfDepTwoCuts if every cycle through the body crosses at least two
 //     cuts — the φ can be double-buffered across boundaries (Fig. 7c);
 //   - SelfDepInsertedCuts otherwise (the caller must add cuts or unroll).
-func classifyLoop(l *cfg.Loop, cuts map[*ir.Value]bool) SelfDepCase {
-	weight := map[*ir.Block]int{}
+func classifyLoop(g *InstrGraph, l *cfg.Loop, cut []bool) SelfDepCase {
+	s := g.enterLoop(l)
 	total := 0
 	for _, b := range l.Blocks {
 		w := 0
-		for _, v := range b.Instrs {
-			if cuts[v] {
+		for p := g.blockStart[b.Index]; p < g.blockStart[b.Index+1]; p++ {
+			if cut[p] {
 				w++
 			}
 		}
-		weight[b] = w
+		s.weight[b.Index] = w
 		total += w
 	}
 	if total == 0 {
 		return SelfDepNoCuts
 	}
-	if minCutsPerCycle(l, weight) >= 2 {
+	if s.minCutsPerCycle(l) >= 2 {
 		return SelfDepTwoCuts
 	}
 	return SelfDepInsertedCuts
 }
 
 // minCutsPerCycle computes the minimum number of cut points crossed by any
-// cycle of the loop: a shortest path (block cut-counts as weights) from
-// the header to each latch, staying inside the loop. A traversal of a
-// block executes all of its instructions, so it crosses all of the
-// block's cuts.
-func minCutsPerCycle(l *cfg.Loop, weight map[*ir.Block]int) int {
+// cycle of the examined loop l: a shortest path (block cut-counts as
+// weights) from the header to each latch, staying inside the loop. A
+// traversal of a block executes all of its instructions, so it crosses
+// all of the block's cuts.
+func (s *loopScratch) minCutsPerCycle(l *cfg.Loop) int {
 	const inf = int(1) << 30
-	inLoop := map[*ir.Block]bool{}
 	for _, b := range l.Blocks {
-		inLoop[b] = true
+		s.dist[b.Index] = -1 // not reached yet
 	}
-	dist := map[*ir.Block]int{l.Header: weight[l.Header]}
+	s.dist[l.Header.Index] = s.weight[l.Header.Index]
 	// Bellman–Ford style relaxation: weights are small non-negative ints
 	// and loops are small.
 	for i := 0; i < len(l.Blocks); i++ {
 		changed := false
 		for _, b := range l.Blocks {
-			db, ok := dist[b]
-			if !ok {
+			db := s.dist[b.Index]
+			if db < 0 {
 				continue
 			}
-			for _, s := range b.Succs {
-				if !inLoop[s] || s == l.Header {
+			for _, succ := range b.Succs {
+				if !s.contains(succ) || succ == l.Header {
 					continue
 				}
-				nd := db + weight[s]
-				if cur, ok := dist[s]; !ok || nd < cur {
-					dist[s] = nd
+				nd := db + s.weight[succ.Index]
+				if cur := s.dist[succ.Index]; cur < 0 || nd < cur {
+					s.dist[succ.Index] = nd
 					changed = true
 				}
 			}
@@ -119,7 +149,7 @@ func minCutsPerCycle(l *cfg.Loop, weight map[*ir.Block]int) int {
 	}
 	min := inf
 	for _, latch := range l.Latches {
-		if d, ok := dist[latch]; ok && d < min {
+		if d := s.dist[latch.Index]; d >= 0 && d < min {
 			min = d
 		}
 	}
@@ -136,11 +166,11 @@ type selfDepLoop struct {
 }
 
 // selfDepLoops lists info's loops that carry self-dependent φs, in loop
-// order.
-func selfDepLoops(info *cfg.Info) []selfDepLoop {
+// order. g is the instruction graph of info's function.
+func selfDepLoops(g *InstrGraph, info *cfg.Info) []selfDepLoop {
 	var out []selfDepLoop
 	for _, l := range info.Loops {
-		if phis := selfDepPhis(l); len(phis) > 0 {
+		if phis := selfDepPhis(g, l); len(phis) > 0 {
 			out = append(out, selfDepLoop{loop: l, phis: phis})
 		}
 	}
@@ -149,13 +179,13 @@ func selfDepLoops(info *cfg.Info) []selfDepLoop {
 
 // classifySelfDeps produces the final report of self-dependent loops under
 // the finished cut set.
-func classifySelfDeps(loops []selfDepLoop, cuts map[*ir.Value]bool) []SelfDepInfo {
+func classifySelfDeps(g *InstrGraph, loops []selfDepLoop, cut []bool) []SelfDepInfo {
 	var out []SelfDepInfo
 	for _, sd := range loops {
 		out = append(out, SelfDepInfo{
 			Header: sd.loop.Header,
 			Phis:   sd.phis,
-			Case:   classifyLoop(sd.loop, cuts),
+			Case:   classifyLoop(g, sd.loop, cut),
 		})
 	}
 	return out

@@ -18,11 +18,11 @@ import (
 // of more than maxSize instructions whose walk dies out before depth
 // maxSize (it branches wide but not deep) gets no cut and keeps every
 // instruction. Each round strictly adds cuts, so the loop terminates.
-func limitRegionSizes(g *InstrGraph, cuts map[*ir.Value]bool, maxSize int) int {
+// cut holds the cuts as per-position flags; both it and cuts grow.
+func limitRegionSizes(g *InstrGraph, cut []bool, cuts map[*ir.Value]bool, maxSize int) int {
 	if maxSize <= 0 {
 		return 0
 	}
-	cut := g.cutFlags(cuts)
 	added := 0
 	var long []int
 	for round := 0; round < 64; round++ {

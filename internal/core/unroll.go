@@ -33,16 +33,20 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 		return false
 	}
 	latch := loop.Latches[0]
-	inLoop := map[*ir.Block]bool{}
+	// Blocks and values made from here on are the clone's: block i of f is
+	// original when i < nb0, and value id when id < n0.
+	nb0, n0 := len(f.Blocks), f.NumValues()
+	inLoopIdx := make([]bool, nb0)
 	for _, b := range loop.Blocks {
-		inLoop[b] = true
+		inLoopIdx[b.Index] = true
 	}
+	inLoop := func(b *ir.Block) bool { return b.Index < nb0 && inLoopIdx[b.Index] }
 
 	// Find the unique exit block.
 	var exit *ir.Block
 	for _, b := range loop.Blocks {
 		for _, s := range b.Succs {
-			if inLoop[s] {
+			if inLoop(s) {
 				continue
 			}
 			if exit == nil {
@@ -56,7 +60,7 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 		return false // infinite loop
 	}
 	for _, p := range exit.Preds {
-		if !inLoop[p] {
+		if !inLoop(p) {
 			return false // exit reachable from outside the loop
 		}
 	}
@@ -64,30 +68,34 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 	// Values defined in the loop and used outside must dominate the exit
 	// so a merge φ in the exit block is well-formed.
 	usedOutside := outsideUses(f, inLoop)
-	for v := range usedOutside {
+	for _, v := range usedOutside {
 		if !info.Dominates(v.Block, exit) {
 			return false
 		}
 	}
 
 	// ---- Clone the body. ----
-	vmap := map[*ir.Value]*ir.Value{}
-	bmap := map[*ir.Block]*ir.Block{}
+	// vmap[id] is the clone of original value id and bmap[i] of original
+	// block i; orig[id-n0] is the original of clone id.
+	vmap := make([]*ir.Value, n0)
+	bmap := make([]*ir.Block, nb0)
+	var orig []*ir.Value
 	for _, b := range loop.Blocks {
 		nb := f.NewBlock()
 		nb.Name = b.Name + ".u"
-		bmap[b] = nb
+		bmap[b.Index] = nb
 		for _, v := range b.Instrs {
 			nv := f.NewValue(v.Op, v.Type, make([]*ir.Value, len(v.Args))...)
 			nv.ConstInt, nv.ConstFloat, nv.Aux = v.ConstInt, v.ConstFloat, v.Aux
 			nv.Block = nb
 			nb.Instrs = append(nb.Instrs, nv)
-			vmap[v] = nv
+			vmap[v.ID] = nv
+			orig = append(orig, v)
 		}
 	}
 	mapped := func(v *ir.Value) *ir.Value {
-		if nv, ok := vmap[v]; ok {
-			return nv
+		if v.ID < n0 && vmap[v.ID] != nil {
+			return vmap[v.ID]
 		}
 		return v
 	}
@@ -95,7 +103,7 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 	// Clone argument lists (header φs fixed up separately below).
 	for _, b := range loop.Blocks {
 		for _, v := range b.Instrs {
-			nv := vmap[v]
+			nv := vmap[v.ID]
 			for i, a := range v.Args {
 				if a != nil {
 					nv.Args[i] = mapped(a)
@@ -108,22 +116,22 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 	// to the shared exit block, and the clone latch's back edge returns
 	// to the ORIGINAL header. Predecessor lists of cloned blocks mirror
 	// the originals position-for-position so φ arguments stay aligned.
-	hClone := bmap[header]
+	hClone := bmap[header.Index]
 	for _, b := range loop.Blocks {
-		nb := bmap[b]
+		nb := bmap[b.Index]
 		for _, s := range b.Succs {
 			switch {
 			case s == header: // back edge: clone latch → original header
 				nb.Succs = append(nb.Succs, header)
-			case inLoop[s]:
-				nb.Succs = append(nb.Succs, bmap[s])
+			case inLoop(s):
+				nb.Succs = append(nb.Succs, bmap[s.Index])
 			default: // exit edge
 				nb.Succs = append(nb.Succs, exit)
 			}
 		}
 		if b != header {
 			for _, p := range b.Preds {
-				nb.Preds = append(nb.Preds, bmap[p])
+				nb.Preds = append(nb.Preds, bmap[p.Index])
 			}
 		}
 	}
@@ -131,20 +139,24 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 	// Original header φs: the back edge now arrives from the clone latch
 	// carrying the clone's values.
 	li := header.PredIndex(latch)
-	header.Preds[li] = bmap[latch]
+	header.Preds[li] = bmap[latch.Index]
 	for _, phi := range header.Phis() {
 		phi.Args[li] = mapped(phi.Args[li])
 	}
 
 	// Clone header φs: the clone header's only predecessor is the
 	// original latch, and the incoming value is the ORIGINAL back-edge
-	// argument (iteration i's value, not the clone's).
+	// argument (iteration i's value, not the clone's): invert the mapping.
 	latch.ReplaceSucc(header, hClone)
 	hClone.Preds = []*ir.Block{latch}
 	for _, phi := range header.Phis() {
-		cphi := vmap[phi]
+		back := phi.Args[li]
+		if i := back.ID - n0; i >= 0 && i < len(orig) {
+			back = orig[i]
+		}
+		cphi := vmap[phi.ID]
 		cphi.Op = ir.OpCopy
-		cphi.Args = []*ir.Value{originalBackArg(phi, vmap, li)}
+		cphi.Args = []*ir.Value{back}
 	}
 
 	// Exit block: add clone predecessors and extend φs, pairing each new
@@ -152,17 +164,17 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 	// duplicate predecessors positionally).
 	origPreds := append([]*ir.Block{}, exit.Preds...)
 	for pi, p := range origPreds {
-		exit.Preds = append(exit.Preds, bmap[p])
+		exit.Preds = append(exit.Preds, bmap[p.Index])
 		for _, phi := range exit.Phis() {
 			phi.Args = append(phi.Args, mapped(phi.Args[pi]))
 		}
 	}
 
 	// Merge φs for loop-defined values used beyond the exit block's φs.
-	for _, v := range orderedValues(f, usedOutside) {
+	for _, v := range usedOutside {
 		phi := f.NewValue(ir.OpPhi, v.Type, make([]*ir.Value, len(exit.Preds))...)
 		for i, p := range exit.Preds {
-			if inLoop[p] {
+			if inLoop(p) {
 				phi.Args[i] = v
 			} else {
 				phi.Args[i] = mapped(v)
@@ -180,7 +192,7 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 		// Rewrite uses outside the loop and its clone (and outside the
 		// merge φs just created).
 		for _, b := range f.Blocks {
-			if inLoop[b] || isClone(b, bmap) {
+			if inLoop(b) || b.Index >= nb0 {
 				continue
 			}
 			for _, u := range b.Instrs {
@@ -209,61 +221,35 @@ func UnrollOnce(f *ir.Func, header *ir.Block) bool {
 	return true
 }
 
-// originalBackArg recovers the pre-remap back-edge argument of a header φ:
-// after the header fix-up, Args[li] holds the clone; invert vmap.
-func originalBackArg(phi *ir.Value, vmap map[*ir.Value]*ir.Value, li int) *ir.Value {
-	cur := phi.Args[li]
-	for o, c := range vmap {
-		if c == cur {
-			return o
-		}
-	}
-	return cur // value was defined outside the loop; unmapped
-}
-
-func isClone(b *ir.Block, bmap map[*ir.Block]*ir.Block) bool {
-	for _, c := range bmap {
-		if c == b {
-			return true
-		}
-	}
-	return false
-}
-
-// outsideUses returns loop-defined values with at least one use outside
-// the loop.
-func outsideUses(f *ir.Func, inLoop map[*ir.Block]bool) map[*ir.Value]bool {
-	out := map[*ir.Value]bool{}
+// outsideUses returns the loop-defined values with at least one use
+// outside the loop, in program order.
+func outsideUses(f *ir.Func, inLoop func(*ir.Block) bool) []*ir.Value {
+	used := make([]bool, f.NumValues())
 	for _, b := range f.Blocks {
-		if inLoop[b] {
+		if inLoop(b) {
 			continue
 		}
 		for _, v := range b.Instrs {
 			if v.Op == ir.OpPhi {
 				// A φ use counts as a use at the predecessor's exit.
 				for i, a := range v.Args {
-					if a != nil && a.Block != nil && inLoop[a.Block] && !inLoop[b.Preds[i]] {
-						out[a] = true
+					if a != nil && a.Block != nil && inLoop(a.Block) && !inLoop(b.Preds[i]) {
+						used[a.ID] = true
 					}
 				}
 				continue
 			}
 			for _, a := range v.Args {
-				if a.Block != nil && inLoop[a.Block] {
-					out[a] = true
+				if a.Block != nil && inLoop(a.Block) {
+					used[a.ID] = true
 				}
 			}
 		}
 	}
-	return out
-}
-
-// orderedValues returns the map's keys in deterministic program order.
-func orderedValues(f *ir.Func, set map[*ir.Value]bool) []*ir.Value {
 	var out []*ir.Value
 	for _, b := range f.Blocks {
 		for _, v := range b.Instrs {
-			if set[v] {
+			if used[v.ID] {
 				out = append(out, v)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"idemproc/internal/cfg"
 	"idemproc/internal/ir"
 	"idemproc/internal/ssa"
+	"idemproc/internal/workloads"
 )
 
 const countdownSrc = `
@@ -263,4 +264,48 @@ d:
   ret %accN
 }
 `
+}
+
+// TestValueIDsStayDense: analyses index slices by value ID, so after
+// lowering, the shared mid-end, region construction (unrolls included)
+// and SSA destruction, every value in a workload function's blocks has
+// its own ID below NumValues.
+func TestValueIDsStayDense(t *testing.T) {
+	check := func(stage string, m *ir.Module) {
+		t.Helper()
+		for _, f := range m.Funcs {
+			owner := make([]*ir.Value, f.NumValues())
+			for _, b := range f.Blocks {
+				for _, v := range b.Instrs {
+					if v.ID < 0 || v.ID >= len(owner) {
+						t.Fatalf("after %s: @%s: %s has ID %d, NumValues %d", stage, f.Name, v.LongString(), v.ID, len(owner))
+					}
+					if owner[v.ID] != nil {
+						t.Fatalf("after %s: @%s: %s and %s share ID %d", stage, f.Name, owner[v.ID].LongString(), v.LongString(), v.ID)
+					}
+					owner[v.ID] = v
+				}
+			}
+		}
+	}
+	for _, w := range workloads.All() {
+		m := w.Module()
+		check("lowering", m)
+		for _, f := range m.Funcs {
+			MidEnd(f, true)
+		}
+		check("MidEnd", m)
+
+		m = w.Module()
+		for _, f := range m.Funcs {
+			if _, err := Construct(f, DefaultOptions()); err != nil {
+				t.Fatalf("%s/@%s: %v", w.Name, f.Name, err)
+			}
+		}
+		check("Construct", m)
+		for _, f := range m.Funcs {
+			ssa.Destruct(f)
+		}
+		check("Destruct", m)
+	}
 }

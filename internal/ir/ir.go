@@ -16,6 +16,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -200,7 +201,9 @@ func (op Op) HasSideEffects() bool {
 // earlier pseudoregister (this is how the frontend emits straight-line
 // code; ssa.Build renames to true SSA).
 type Value struct {
-	// ID is unique within the function and stable across passes.
+	// ID is unique within the function and stable across passes. Every
+	// value of f is made by f.NewValue, which numbers them from 0, so
+	// every ID is below f.NumValues(): analyses index slices by it.
 	ID int
 	// Name is the pseudoregister name ("t3"). Values with equal Name
 	// denote the same pseudoregister when the function is not in SSA form.
@@ -229,7 +232,7 @@ func (v *Value) String() string {
 	if v.Defines() {
 		return "%" + v.Name
 	}
-	return v.Op.String() + "#" + fmt.Sprint(v.ID)
+	return v.Op.String() + "#" + strconv.Itoa(v.ID)
 }
 
 // LongString prints the full instruction, e.g. "%t3 = add %t1, %t2".
@@ -409,7 +412,7 @@ func (f *Func) Entry() *Block { return f.Blocks[0] }
 
 // NewBlock appends a fresh, empty block to the function.
 func (f *Func) NewBlock() *Block {
-	b := &Block{Name: fmt.Sprintf("b%d", f.nextBlock), Index: len(f.Blocks), Func: f}
+	b := &Block{Name: "b" + strconv.Itoa(f.nextBlock), Index: len(f.Blocks), Func: f}
 	f.nextBlock++
 	f.Blocks = append(f.Blocks, b)
 	return b
@@ -422,15 +425,18 @@ func (f *Func) NewValue(op Op, t Type, args ...*Value) *Value {
 	v := &Value{ID: f.nextID, Op: op, Type: t, Args: args}
 	f.nextID++
 	if t != Void {
-		v.Name = fmt.Sprintf("t%d", f.nextName)
-		f.nextName++
+		v.Name = f.FreshName()
 	}
 	return v
 }
 
+// NumValues bounds the IDs of f's values: every value NewValue has made
+// for f, in a block or not, has an ID below it.
+func (f *Func) NumValues() int { return f.nextID }
+
 // FreshName returns a new unique pseudoregister name.
 func (f *Func) FreshName() string {
-	n := fmt.Sprintf("t%d", f.nextName)
+	n := "t" + strconv.Itoa(f.nextName)
 	f.nextName++
 	return n
 }
@@ -438,6 +444,9 @@ func (f *Func) FreshName() string {
 // ClaimName records that name is in use, so FreshName never returns it.
 // The parser uses this to honour source-level names like "t12".
 func (f *Func) ClaimName(name string) {
+	if len(name) < 2 || name[0] != 't' {
+		return // not of FreshName's form
+	}
 	var n int
 	if _, err := fmt.Sscanf(name, "t%d", &n); err == nil && n >= f.nextName {
 		f.nextName = n + 1
@@ -454,25 +463,30 @@ func (f *Func) Renumber() {
 // RemoveUnreachable deletes blocks not reachable from the entry, patching
 // predecessor lists and φ arguments of surviving blocks.
 func (f *Func) RemoveUnreachable() {
-	reached := map[*Block]bool{}
-	var stack []*Block
-	stack = append(stack, f.Entry())
-	reached[f.Entry()] = true
+	f.Renumber()
+	reached := make([]bool, len(f.Blocks))
+	stack := []*Block{f.Entry()}
+	reached[0] = true
+	n := 1
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range b.Succs {
-			if !reached[s] {
-				reached[s] = true
+			if !reached[s.Index] {
+				reached[s.Index] = true
+				n++
 				stack = append(stack, s)
 			}
 		}
 	}
-	var kept []*Block
+	if n == len(f.Blocks) {
+		return
+	}
+	kept := make([]*Block, 0, n)
 	for _, b := range f.Blocks {
-		if !reached[b] {
+		if !reached[b.Index] {
 			for _, s := range b.Succs {
-				if reached[s] {
+				if reached[s.Index] {
 					s.RemovePred(b)
 				}
 			}

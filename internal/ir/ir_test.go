@@ -470,3 +470,26 @@ func TestQuickPrintParseRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyRejectsForeignValueWithCollidingID: an argument that is
+// another function's value is rejected even when its ID is the ID of one
+// of f's own values.
+func TestVerifyRejectsForeignValueWithCollidingID(t *testing.T) {
+	src := `
+func @f(i64 %a) i64 {
+e:
+  %x = add %a, 1
+  ret %x
+}
+`
+	f, g := MustParse(src).Func("f"), MustParse(src).Func("f")
+	ret, foreign := f.Entry().Terminator(), g.Entry().Terminator().Args[0]
+	if own := ret.Args[0]; own == foreign || own.ID != foreign.ID {
+		t.Fatalf("want distinct values with one ID, got %s#%d and %s#%d", own, own.ID, foreign, foreign.ID)
+	}
+	ret.Args[0] = foreign
+	err := Verify(f)
+	if err == nil || !strings.Contains(err.Error(), "not in the function") {
+		t.Fatalf("Verify = %v, want a use of a value not in the function", err)
+	}
+}

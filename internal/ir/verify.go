@@ -13,13 +13,22 @@ import "fmt"
 // entry block; operand types match the operation.
 func Verify(f *Func) error {
 	f.Renumber()
-	inFunc := map[*Value]bool{}
+	// inFunc[id] is the instruction of f with that ID. A use tests the
+	// pointer, not the ID alone, so a value of another function is
+	// rejected even when its ID is one of f's.
+	inFunc := make([]*Value, f.NumValues())
 	for _, b := range f.Blocks {
 		for _, v := range b.Instrs {
 			if v.Block != b {
 				return fmt.Errorf("%s: %s has Block=%v, expected %s", f.Name, v.LongString(), blockName(v.Block), b.Name)
 			}
-			inFunc[v] = true
+			if v.ID < 0 || v.ID >= len(inFunc) {
+				return fmt.Errorf("%s: %s has ID %d, not one %s numbered", f.Name, v.LongString(), v.ID, f.Name)
+			}
+			if w := inFunc[v.ID]; w != nil && w != v {
+				return fmt.Errorf("%s: %s and %s share ID %d", f.Name, w.LongString(), v.LongString(), v.ID)
+			}
+			inFunc[v.ID] = v
 		}
 	}
 	for _, b := range f.Blocks {
@@ -49,7 +58,7 @@ func Verify(f *Func) error {
 				if a == nil {
 					return fmt.Errorf("%s: %s has nil argument", f.Name, v.LongString())
 				}
-				if !inFunc[a] {
+				if a.ID < 0 || a.ID >= len(inFunc) || inFunc[a.ID] != a {
 					return fmt.Errorf("%s: %s uses %s which is not in the function", f.Name, v.LongString(), a)
 				}
 				if !a.Defines() {

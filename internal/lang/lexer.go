@@ -21,6 +21,7 @@ package lang
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -102,8 +103,8 @@ func lex(src string) ([]token, error) {
 				}
 				toks = append(toks, token{kind: tFloat, f: f, line: line})
 			} else {
-				var n int64
-				if _, err := fmt.Sscanf(lit, "%d", &n); err != nil {
+				n, err := strconv.ParseInt(lit, 10, 64)
+				if err != nil {
 					return nil, errf(line, "bad int literal %q", lit)
 				}
 				toks = append(toks, token{kind: tInt, i: n, line: line})

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"strconv"
 
 	"idemproc/internal/ir"
 )
@@ -183,7 +184,7 @@ func (lw *lowerer) lookup(name string) *binding {
 // fresh returns a unique frontend temp name.
 func (lw *lowerer) fresh(prefix string) string {
 	lw.tmpN++
-	return fmt.Sprintf("%s.%d", prefix, lw.tmpN)
+	return prefix + "." + strconv.Itoa(lw.tmpN)
 }
 
 func (lw *lowerer) block(b *BlockS) error {

@@ -33,15 +33,15 @@ var ErrEmptySet = errors.New("multicut: empty candidate set is unhittable")
 // as an error rather than a crash.
 var ErrNoCover = errors.New("multicut: no candidate covers a remaining set")
 
-// Problem is a hitting set instance. Node identity is an opaque int; the
-// caller maps instructions to ints.
+// Problem is a hitting set instance. Nodes are non-negative ints; the
+// caller numbers its instructions densely from 0.
 type Problem struct {
 	// Sets lists the candidate sets; every set must be non-empty, and a
 	// valid solution intersects each one.
 	Sets [][]int
-	// Depth gives each node's loop nesting depth (0 = outside loops).
-	// Nil means all zero.
-	Depth map[int]int
+	// Depth[n] gives node n's loop nesting depth (0 = outside loops).
+	// A node past its end, or a nil Depth, has depth 0.
+	Depth []int
 	// UseLoopHeuristic enables the §4.3 outermost-depth-first choice.
 	// When false, the plain greedy (most sets covered first) is used —
 	// kept switchable for the ablation benchmark.
@@ -62,31 +62,50 @@ type Problem struct {
 func Solve(p Problem) ([]int, error) {
 	remaining := make([]bool, len(p.Sets))
 	left := 0
+	size := 0 // one past the largest node
 	for i, s := range p.Sets {
 		if len(s) == 0 {
 			return nil, fmt.Errorf("%w (set %d of %d)", ErrEmptySet, i, len(p.Sets))
 		}
+		for _, n := range s {
+			if n < 0 {
+				return nil, fmt.Errorf("multicut: negative node %d in set %d", n, i)
+			}
+			size = max(size, n+1)
+		}
 		remaining[i] = true
 		left++
 	}
-	// occurs: node -> indices of sets containing it.
-	occurs := map[int][]int{}
+	// occurs[start[n]:start[n+1]] are the indices of the sets containing
+	// node n, once per occurrence; nodes lists the nodes that occur, in
+	// ascending order.
+	start := make([]int, size+1)
+	for _, s := range p.Sets {
+		for _, n := range s {
+			start[n+1]++
+		}
+	}
+	var nodes []int
+	for n := 0; n < size; n++ {
+		if start[n+1] > 0 {
+			nodes = append(nodes, n)
+		}
+		start[n+1] += start[n]
+	}
+	occurs := make([]int, start[size])
+	fill := append([]int(nil), start[:size]...)
 	for i, s := range p.Sets {
 		for _, n := range s {
-			occurs[n] = append(occurs[n], i)
+			occurs[fill[n]] = i
+			fill[n]++
 		}
 	}
-	nodes := make([]int, 0, len(occurs))
-	for n := range occurs {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
 
 	depth := func(n int) int {
-		if p.Depth == nil {
-			return 0
+		if n < len(p.Depth) {
+			return p.Depth[n]
 		}
-		return p.Depth[n]
+		return 0
 	}
 
 	var picked []int
@@ -95,7 +114,7 @@ func Solve(p Problem) ([]int, error) {
 		bestDepth, bestCover := 0, -1
 		for _, n := range nodes {
 			cover := 0
-			for _, si := range occurs[n] {
+			for _, si := range occurs[start[n]:start[n+1]] {
 				if remaining[si] {
 					cover++
 				}
@@ -129,7 +148,7 @@ func Solve(p Problem) ([]int, error) {
 			return nil, ErrNoCover
 		}
 		picked = append(picked, best)
-		for _, si := range occurs[best] {
+		for _, si := range occurs[start[best]:start[best+1]] {
 			if remaining[si] {
 				remaining[si] = false
 				left--

@@ -56,7 +56,8 @@ func TestLoopHeuristicPrefersShallow(t *testing.T) {
 	// one each. Plain greedy picks 10; the loop heuristic avoids the deep
 	// node even at the cost of more cuts.
 	sets := [][]int{{10, 1}, {10, 2}}
-	depth := map[int]int{10: 2, 1: 0, 2: 0}
+	depth := make([]int, 11)
+	depth[10] = 2
 
 	plain := mustSolve(t, Problem{Sets: sets, Depth: depth})
 	if len(plain) != 1 || plain[0] != 10 {

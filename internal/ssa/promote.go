@@ -14,9 +14,11 @@ import "idemproc/internal/ir"
 // PromoteAllocas must run before Build. It returns the number of slots
 // promoted.
 func PromoteAllocas(f *ir.Func) int {
-	// Find promotable allocas.
-	addrUses := map[*ir.Value]int{}  // alloca -> #uses as load/store address
-	totalUses := map[*ir.Value]int{} // alloca -> #uses anywhere
+	// Find promotable allocas: addrUses[id] counts an alloca's uses as a
+	// load or store address, totalUses[id] its uses anywhere.
+	n := f.NumValues()
+	addrUses := make([]int32, n)
+	totalUses := make([]int32, n)
 	var allocas []*ir.Value
 	for _, b := range f.Blocks {
 		for _, v := range b.Instrs {
@@ -27,41 +29,50 @@ func PromoteAllocas(f *ir.Func) int {
 				if a.Op != ir.OpAlloca {
 					continue
 				}
-				totalUses[a]++
+				totalUses[a.ID]++
 				if (v.Op == ir.OpLoad && i == 0) || (v.Op == ir.OpStore && i == 0) {
-					addrUses[a]++
+					addrUses[a.ID]++
 				}
 			}
 		}
 	}
 	var promote []*ir.Value
 	for _, a := range allocas {
-		if addrUses[a] == totalUses[a] {
+		if addrUses[a.ID] == totalUses[a.ID] {
 			promote = append(promote, a)
 		}
 	}
 	if len(promote) == 0 {
 		return 0
 	}
-	promoteSet := map[*ir.Value]bool{}
-	varName := map[*ir.Value]string{}
-	slotType := map[*ir.Value]ir.Type{}
-	for _, a := range promote {
-		promoteSet[a] = true
-		varName[a] = f.FreshName()
-		slotType[a] = ir.I64
+	// slot[id] is 1 + the alloca's index in promote, 0 if it stays;
+	// varName and slotType are by that index.
+	slot := make([]int32, n)
+	varName := make([]string, len(promote))
+	slotType := make([]ir.Type, len(promote))
+	for i, a := range promote {
+		slot[a.ID] = int32(i + 1)
+		varName[i] = f.FreshName()
+		slotType[i] = ir.I64
+	}
+	// slotOf returns the promote index of the slot at address a, or -1.
+	slotOf := func(a *ir.Value) int {
+		if a.ID < n {
+			return int(slot[a.ID]) - 1
+		}
+		return -1
 	}
 	// Infer the slot's element type from its first typed access.
 	for _, b := range f.Blocks {
 		for _, v := range b.Instrs {
 			switch v.Op {
 			case ir.OpLoad:
-				if promoteSet[v.Args[0]] {
-					slotType[v.Args[0]] = v.Type
+				if i := slotOf(v.Args[0]); i >= 0 {
+					slotType[i] = v.Type
 				}
 			case ir.OpStore:
-				if promoteSet[v.Args[0]] {
-					slotType[v.Args[0]] = v.Args[1].Type
+				if i := slotOf(v.Args[0]); i >= 0 {
+					slotType[i] = v.Args[1].Type
 				}
 			}
 		}
@@ -70,13 +81,13 @@ func PromoteAllocas(f *ir.Func) int {
 	// Rewrite. Every promoted slot gets an initializing zero in the entry
 	// block so a load on a path without stores reads a defined value.
 	entry := f.Entry()
-	for _, a := range promote {
-		z := f.NewValue(ir.OpConst, slotType[a])
-		z.Name = varName[a]
+	for i, a := range promote {
+		z := f.NewValue(ir.OpConst, slotType[i])
+		z.Name = varName[i]
 		// Replace the alloca instruction itself with the initializer.
-		for i, v := range entry.Instrs {
+		for j, v := range entry.Instrs {
 			if v == a {
-				entry.Instrs[i] = z
+				entry.Instrs[j] = z
 				z.Block = entry
 				break
 			}
@@ -86,20 +97,20 @@ func PromoteAllocas(f *ir.Func) int {
 		for i, v := range b.Instrs {
 			switch v.Op {
 			case ir.OpLoad:
-				if a := v.Args[0]; promoteSet[a] {
+				if s := slotOf(v.Args[0]); s >= 0 {
 					// Load becomes a read of the variable: a copy whose
 					// argument names the variable (Build keys on Name).
 					v.Op = ir.OpCopy
-					v.Type = slotType[a]
-					v.Args = []*ir.Value{anyDefOf(f, varName[a])}
+					v.Type = slotType[s]
+					v.Args = []*ir.Value{anyDefOf(f, varName[s])}
 				}
 			case ir.OpStore:
-				if a := v.Args[0]; promoteSet[a] {
+				if s := slotOf(v.Args[0]); s >= 0 {
 					// Store becomes a named reassignment.
 					val := v.Args[1]
 					v.Op = ir.OpCopy
 					v.Type = val.Type
-					v.Name = varName[a]
+					v.Name = varName[s]
 					v.Args = []*ir.Value{val}
 					b.Instrs[i] = v
 				}

@@ -27,69 +27,109 @@ func Build(f *ir.Func) {
 	f.RemoveUnreachable()
 	info := cfg.Compute(f)
 
-	// Group definitions by name; only multiply-defined names need the
-	// treatment. origName snapshots names before renaming so that uses
+	// Count definitions by name; only multiply-defined names, the
+	// variables, need the treatment. nameOf[id] is the index in names of
+	// the name value id defined before renaming (-1 if none), so that uses
 	// processed later in the dominator walk still identify their variable
 	// after its definitions have been renamed.
-	defs := map[string][]*ir.Value{}
-	origName := map[*ir.Value]string{}
+	n0 := f.NumValues()
+	ninstrs := 0
+	for _, b := range f.Blocks {
+		ninstrs += len(b.Instrs)
+	}
+	type name struct {
+		name string
+		defs int32
+		typ  ir.Type // the first definition's
+	}
+	index := make(map[string]int32, ninstrs)
+	var names []name
+	nameOf := make([]int32, n0)
+	for i := range nameOf {
+		nameOf[i] = -1
+	}
 	for _, b := range f.Blocks {
 		for _, v := range b.Instrs {
-			if v.Defines() {
-				defs[v.Name] = append(defs[v.Name], v)
-				origName[v] = v.Name
+			if !v.Defines() {
+				continue
 			}
+			k, ok := index[v.Name]
+			if !ok {
+				k = int32(len(names))
+				index[v.Name] = k
+				names = append(names, name{name: v.Name, typ: v.Type})
+			}
+			names[k].defs++
+			nameOf[v.ID] = k
 		}
 	}
-	vars := map[string]bool{}
-	for name, ds := range defs {
-		if len(ds) > 1 {
-			vars[name] = true
+
+	// Number the variables in sorted name order. The order fixes the φ
+	// order within a block, and with it value numbering, register
+	// assignment and the final instruction stream, which anything keyed on
+	// dynamic instruction positions (fault-injection campaigns in
+	// particular) needs reproducible.
+	var vars []int32 // variable j is names[vars[j]]
+	for k, nm := range names {
+		if nm.defs > 1 {
+			vars = append(vars, int32(k))
 		}
 	}
 	if len(vars) == 0 {
 		return
 	}
+	sort.Slice(vars, func(i, j int) bool { return names[vars[i]].name < names[vars[j]].name })
+	varOfName := make([]int32, len(names))
+	for k := range varOfName {
+		varOfName[k] = -1
+	}
+	for j, k := range vars {
+		varOfName[k] = int32(j)
+	}
+	// varOf returns the variable v defined before renaming, or -1.
+	varOf := func(v *ir.Value) int32 {
+		if v.ID >= n0 || nameOf[v.ID] < 0 {
+			return -1 // made by Build, or defines nothing
+		}
+		return varOfName[nameOf[v.ID]]
+	}
 
-	varType := map[string]ir.Type{}
-	for name := range vars {
-		varType[name] = defs[name][0].Type
+	// defBlocks[j] lists the blocks defining variable j, in block order.
+	defBlocks := make([][]*ir.Block, len(vars))
+	for _, b := range f.Blocks {
+		for _, v := range b.Instrs {
+			if j := varOf(v); j >= 0 {
+				if d := defBlocks[j]; len(d) == 0 || d[len(d)-1] != b {
+					defBlocks[j] = append(d, b)
+				}
+			}
+		}
 	}
 
 	// Insert φ-nodes at the iterated dominance frontier of each variable's
-	// definition blocks. Variables are processed in sorted name order: map
-	// iteration order would make the φ order within a block — and with it
-	// value numbering, register assignment and the final instruction
-	// stream — vary from build to build, breaking the reproducibility of
-	// anything keyed on dynamic instruction positions (fault-injection
-	// campaigns in particular).
-	names := make([]string, 0, len(vars))
-	for name := range vars {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	phiGroup := map[*ir.Value]string{} // inserted φ → variable name
-	for _, name := range names {
-		defBlocks := map[*ir.Block]bool{}
-		for _, d := range defs[name] {
-			defBlocks[d.Block] = true
+	// definition blocks, variable by variable. A block holds variable j's
+	// definition (or φ) when defStamp[b.Index] == j+1, and its φ when
+	// phiStamp[b.Index] == j+1. The φs are the only values made here, so
+	// φ i has ID n0+i and phiVar[i] is its variable.
+	defStamp := make([]int32, len(f.Blocks))
+	phiStamp := make([]int32, len(f.Blocks))
+	var phiVar []int32
+	var work []*ir.Block
+	for j, k := range vars {
+		stamp := int32(j + 1)
+		work = append(work[:0], defBlocks[j]...)
+		for _, b := range work {
+			defStamp[b.Index] = stamp
 		}
-		work := make([]*ir.Block, 0, len(defBlocks))
-		for _, b := range f.Blocks { // deterministic order
-			if defBlocks[b] {
-				work = append(work, b)
-			}
-		}
-		hasPhi := map[*ir.Block]bool{}
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, d := range info.Frontier[b.Index] {
-				if hasPhi[d] {
+				if phiStamp[d.Index] == stamp {
 					continue
 				}
-				hasPhi[d] = true
-				phi := f.NewValue(ir.OpPhi, varType[name], make([]*ir.Value, len(d.Preds))...)
+				phiStamp[d.Index] = stamp
+				phi := f.NewValue(ir.OpPhi, names[k].typ, make([]*ir.Value, len(d.Preds))...)
 				phi.Block = d
 				// φs go at the head, after any params.
 				at := 0
@@ -99,22 +139,28 @@ func Build(f *ir.Func) {
 				d.Instrs = append(d.Instrs, nil)
 				copy(d.Instrs[at+1:], d.Instrs[at:])
 				d.Instrs[at] = phi
-				phiGroup[phi] = name
-				if !defBlocks[d] {
-					defBlocks[d] = true
+				phiVar = append(phiVar, int32(j))
+				if defStamp[d.Index] != stamp {
+					defStamp[d.Index] = stamp
 					work = append(work, d)
 				}
 			}
 		}
 	}
+	phiOf := func(v *ir.Value) int32 {
+		if i := v.ID - n0; i >= 0 && i < len(phiVar) {
+			return phiVar[i]
+		}
+		return -1 // not a φ Build inserted
+	}
 
 	// Rename via dominator-tree walk with per-variable stacks.
-	stacks := map[string][]*ir.Value{}
+	stacks := make([][]*ir.Value, len(vars))
 	// zeroFor lazily materializes an entry-block zero for paths where a
 	// variable is read before any definition.
-	zeros := map[ir.Type]*ir.Value{}
+	var zeros [ir.F64 + 1]*ir.Value
 	zeroFor := func(t ir.Type) *ir.Value {
-		if z, ok := zeros[t]; ok {
+		if z := zeros[t]; z != nil {
 			return z
 		}
 		z := f.NewValue(ir.OpConst, t)
@@ -130,19 +176,22 @@ func Build(f *ir.Func) {
 		zeros[t] = z
 		return z
 	}
-	top := func(name string, t ir.Type) *ir.Value {
-		s := stacks[name]
+	top := func(j int32, t ir.Type) *ir.Value {
+		s := stacks[j]
 		if len(s) == 0 {
 			return zeroFor(t)
 		}
 		return s[len(s)-1]
 	}
 
+	// pushed logs the variables pushed by the blocks on the walk's path;
+	// each block pops its own entries on the way out.
+	var pushed []int32
 	var rename func(b *ir.Block)
 	rename = func(b *ir.Block) {
-		var pushed []string
+		mark := len(pushed)
 		for _, v := range b.Instrs {
-			if g, isPhi := phiGroup[v]; isPhi {
+			if g := phiOf(v); g >= 0 {
 				v.Name = f.FreshName()
 				stacks[g] = append(stacks[g], v)
 				pushed = append(pushed, g)
@@ -150,13 +199,18 @@ func Build(f *ir.Func) {
 			}
 			if v.Op != ir.OpPhi { // pre-existing φs keep their args
 				for i, a := range v.Args {
-					if a != nil && vars[origName[a]] {
-						v.Args[i] = top(origName[a], a.Type)
+					if a == nil {
+						continue
+					}
+					if g := varOf(a); g >= 0 {
+						v.Args[i] = top(g, a.Type)
 					}
 				}
 			}
-			if v.Defines() && vars[origName[v]] {
-				g := origName[v]
+			if !v.Defines() {
+				continue
+			}
+			if g := varOf(v); g >= 0 {
 				v.Name = f.FreshName()
 				stacks[g] = append(stacks[g], v)
 				pushed = append(pushed, g)
@@ -168,20 +222,19 @@ func Build(f *ir.Func) {
 					continue // a block may be a duplicate predecessor
 				}
 				for _, phi := range s.Phis() {
-					g, ours := phiGroup[phi]
-					if !ours {
-						continue
+					if g := phiOf(phi); g >= 0 {
+						phi.Args[pi] = top(g, phi.Type)
 					}
-					phi.Args[pi] = top(g, phi.Type)
 				}
 			}
 		}
 		for _, c := range info.DomChildren[b.Index] {
 			rename(c)
 		}
-		for _, g := range pushed {
+		for _, g := range pushed[mark:] {
 			stacks[g] = stacks[g][:len(stacks[g])-1]
 		}
+		pushed = pushed[:mark]
 	}
 	rename(f.Entry())
 
@@ -198,11 +251,20 @@ func Build(f *ir.Func) {
 // predecessor's exit.
 func VerifySSA(f *ir.Func) error {
 	info := cfg.Compute(f)
-	seen := map[string]*ir.Value{}
-	order := map[*ir.Value]int{}
+	defs := 0
+	for _, b := range f.Blocks {
+		for _, v := range b.Instrs {
+			if v.Defines() {
+				defs++
+			}
+		}
+	}
+	seen := make(map[string]*ir.Value, defs)
+	// order[id] is the value's index in its block.
+	order := make([]int32, f.NumValues())
 	for _, b := range f.Blocks {
 		for i, v := range b.Instrs {
-			order[v] = i
+			order[v.ID] = int32(i)
 			if !v.Defines() {
 				continue
 			}
@@ -214,7 +276,7 @@ func VerifySSA(f *ir.Func) error {
 	}
 	domValue := func(def, use *ir.Value) bool {
 		if def.Block == use.Block {
-			return order[def] < order[use]
+			return order[def.ID] < order[use.ID]
 		}
 		return info.StrictlyDominates(def.Block, use.Block)
 	}
@@ -243,17 +305,17 @@ func VerifySSA(f *ir.Func) error {
 // Valid only in SSA form.
 func PropagateCopies(f *ir.Func) {
 	// Resolve chains first.
-	resolve := map[*ir.Value]*ir.Value{}
+	resolve := make([]*ir.Value, f.NumValues())
 	var root func(v *ir.Value) *ir.Value
 	root = func(v *ir.Value) *ir.Value {
 		if v.Op != ir.OpCopy {
 			return v
 		}
-		if r, ok := resolve[v]; ok {
+		if r := resolve[v.ID]; r != nil {
 			return r
 		}
 		r := root(v.Args[0])
-		resolve[v] = r
+		resolve[v.ID] = r
 		return r
 	}
 	for _, b := range f.Blocks {
@@ -278,12 +340,13 @@ func PropagateCopies(f *ir.Func) {
 // EliminateDeadValues removes instructions whose results are unused and
 // that have no side effects, iterating to a fixed point. Valid in SSA.
 func EliminateDeadValues(f *ir.Func) {
+	used := make([]bool, f.NumValues())
 	for {
-		used := map[*ir.Value]bool{}
+		clear(used)
 		for _, b := range f.Blocks {
 			for _, v := range b.Instrs {
 				for _, a := range v.Args {
-					used[a] = true
+					used[a.ID] = true
 				}
 			}
 		}
@@ -291,7 +354,7 @@ func EliminateDeadValues(f *ir.Func) {
 		for _, b := range f.Blocks {
 			kept := b.Instrs[:0]
 			for _, v := range b.Instrs {
-				if v.Defines() && !used[v] && !v.Op.HasSideEffects() && v.Op != ir.OpParam && v.Op != ir.OpAlloca {
+				if v.Defines() && !used[v.ID] && !v.Op.HasSideEffects() && v.Op != ir.OpParam && v.Op != ir.OpAlloca {
 					removed = true
 					continue
 				}

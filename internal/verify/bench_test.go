@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"idemproc/internal/codegen"
 	"idemproc/internal/workloads"
 )
 
@@ -22,6 +23,33 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(progs)), "ns/program")
+}
+
+// BenchmarkCompileMatrix compiles every workload under the ten
+// compileBuilds per op, serially, from source to linked program, and
+// verifies each idempotent program, as a full-verify compile cache does
+// on a miss. ns/program is ns/op divided by the program count; profile
+// the compiler with -cpuprofile or -memprofile on it.
+func BenchmarkCompileMatrix(b *testing.B) {
+	ws := workloads.All()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, w := range ws {
+			for _, m := range compileBuilds {
+				p, _, err := codegen.CompileModuleOpts(w.Module(), "main", w.MemWords, m.mo)
+				if err != nil {
+					b.Fatalf("compile %s/%s: %v", m.name, w.Name, err)
+				}
+				if !m.mo.Idempotent {
+					continue
+				}
+				if rep := Verify(p); !rep.OK() {
+					b.Fatalf("%s/%s: %s", m.name, w.Name, rep.Summary())
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ws)*len(compileBuilds)), "ns/program")
 }
 
 // verifyAllocCeiling is a fifth of the 42,682 allocations one Verify of

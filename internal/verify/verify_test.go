@@ -49,6 +49,10 @@ var matrix = []build{
 		Core: func() core.Options { o := core.DefaultOptions(); o.RedElim = false; return o }()}},
 }
 
+// compileBuilds are the ten builds of the compile benchmark's matrix, in
+// its order: the nine option sets above, then the conventional build.
+var compileBuilds = append(matrix[:len(matrix):len(matrix)], build{"conventional", codegen.ModuleOptions{Core: core.DefaultOptions()}})
+
 func compile(t *testing.T, w workloads.Workload, mo codegen.ModuleOptions) *codegen.Program {
 	t.Helper()
 	p, _, err := codegen.CompileModuleOpts(w.Module(), "main", w.MemWords, mo)
@@ -62,13 +66,12 @@ func compile(t *testing.T, w workloads.Workload, mo codegen.ModuleOptions) *code
 // compiler output over the full workload × ModuleOptions matrix must
 // verify with zero violations. It also pins the artifacts: the combined
 // sha256 over each build's encoded program, in the compile benchmark's
-// order (workload, then the nine option sets, then the conventional
-// build), must equal the benchmark's pinned compile digest, so a compiler
-// change that alters artifact bytes fails tier-1 and not only a
-// benchmark run.
+// order (workload, then compileBuilds), must equal the benchmark's pinned
+// compile digest, so a compiler change that alters artifact bytes fails
+// tier-1 and not only a benchmark run.
 func TestWorkloadMatrixClean(t *testing.T) {
 	ws := workloads.All()
-	builds := append(matrix[:len(matrix):len(matrix)], build{"conventional", codegen.ModuleOptions{Core: core.DefaultOptions()}})
+	builds := compileBuilds
 	sums := make([][][sha256.Size]byte, len(builds))
 	t.Cleanup(func() {
 		if t.Failed() {
