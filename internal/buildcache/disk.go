@@ -12,13 +12,14 @@ package buildcache
 //
 // Every artifact carries a header — magic, codec version, the full key
 // (workload, memWords, verbatim fingerprint), and a sha256 of the
-// payload — and the payload itself decodes strictly. A mismatch on any
-// of these is a MISS, never an error: a stale fingerprint (hash
-// collision or a codec/options change), a truncated write, or bit rot
-// all degrade to a recompile, and the invalid file is removed so it is
-// not re-validated on every miss. Disk I/O failures are likewise
-// swallowed: persistence is an optimization and the cache must keep
-// working on a full or read-only disk.
+// payload — and the payload itself decodes strictly into a program the
+// simulator and the fault transforms can index (checkProgram). A
+// mismatch on any of these is a MISS, never an error: a stale
+// fingerprint (hash collision or a codec/options change), a truncated
+// write, or bit rot all degrade to a recompile, and the invalid file is
+// removed so it is not re-validated on every miss. Disk I/O failures
+// are likewise swallowed: persistence is an optimization and the cache
+// must keep working on a full or read-only disk.
 //
 // Writes go through a temp file in the same directory followed by an
 // atomic rename, so a crash mid-write never leaves a partially-visible
@@ -43,6 +44,7 @@ import (
 	"sync/atomic"
 
 	"idemproc/internal/codegen"
+	"idemproc/internal/isa"
 )
 
 // artifactMagic is the 8-byte file signature. The trailing newline makes
@@ -192,6 +194,9 @@ func (d *Disk) load(key Key) (p *codegen.Program, st *codegen.BuildStats, ok boo
 	if err == nil {
 		p, st, err = codegen.DecodeProgram(payload)
 	}
+	if err == nil {
+		err = checkProgram(key, p)
+	}
 	if err != nil {
 		d.corrupt.Add(1)
 		d.misses.Add(1)
@@ -200,6 +205,50 @@ func (d *Disk) load(key Key) (p *codegen.Program, st *codegen.BuildStats, ok boo
 	}
 	d.hits.Add(1)
 	return p, st, true
+}
+
+// checkProgram rejects a decoded program whose values would index past
+// what they name: DecodeProgram checks only the encoding, and a damaged
+// artifact can carry a valid checksum. The machine sizes its memory by
+// MemWords and indexes its register file by every register operand;
+// the entry, function entries and branch and call targets index Instrs,
+// the fault transforms index FuncOf by instruction, and machine reset
+// writes each global's initializer at its base.
+func checkProgram(key Key, p *codegen.Program) error {
+	n := int64(len(p.Instrs))
+	inCode := func(pc int64) bool { return pc >= 0 && pc < n }
+	switch {
+	case p.MemWords != key.MemWords:
+		return fmt.Errorf("memWords %d, key says %d", p.MemWords, key.MemWords)
+	case !inCode(int64(p.Entry)):
+		return fmt.Errorf("entry %d outside %d instructions", p.Entry, n)
+	case int64(len(p.FuncOf)) < n:
+		return fmt.Errorf("FuncOf names %d of %d instructions", len(p.FuncOf), n)
+	}
+	for name, e := range p.FuncEntry {
+		if !inCode(int64(e)) {
+			return fmt.Errorf("function %s entry %d outside %d instructions", name, e, n)
+		}
+	}
+	for pc, in := range p.Instrs {
+		if max(in.Rd, in.Rs1, in.Rs2) >= isa.NumRegs {
+			return fmt.Errorf("pc %d: register outside the register file", pc)
+		}
+		switch in.Op {
+		case isa.B, isa.CBZ, isa.CBNZ, isa.CALL:
+			if !inCode(in.Imm) {
+				return fmt.Errorf("pc %d: target %d outside %d instructions", pc, in.Imm, n)
+			}
+		}
+	}
+	mem := int64(p.MemWords)
+	for _, g := range p.Globals {
+		base := p.GlobalBase[g.Name]
+		if base < 0 || base > mem || max(g.Size, int64(len(g.Init))) > mem-base {
+			return fmt.Errorf("global %s outside %d words of memory", g.Name, mem)
+		}
+	}
+	return nil
 }
 
 // reject prunes an artifact that decoded cleanly but failed semantic

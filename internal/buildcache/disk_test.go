@@ -3,13 +3,16 @@ package buildcache
 import (
 	"bytes"
 	"context"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"idemproc/internal/codegen"
 	"idemproc/internal/core"
+	"idemproc/internal/isa"
 	"idemproc/internal/machine"
 	"idemproc/internal/workloads"
 )
@@ -354,4 +357,87 @@ func FuzzParseArtifact(f *testing.F) {
 			t.Fatalf("re-framed artifact parses to %+v, %q (%v), want %+v, %q", k2, payload2, err, k, payload)
 		}
 	})
+}
+
+// TestDiskRejectsOutOfRangeProgram: an artifact with a valid checksum
+// whose program indexes past what it names — memory, the register file,
+// the instruction stream, FuncOf — would panic the simulator or the
+// fault transforms, so even a verify-off cache treats it as corrupt:
+// pruned, counted, and served as a fresh compile.
+func TestDiskRejectsOutOfRangeProgram(t *testing.T) {
+	w := testWorkload(t)
+	mo := codegen.ModuleOptions{Core: core.DefaultOptions()}
+	key := KeyOf(w, mo)
+	p, st, err := codegen.CompileModuleOpts(w.Module(), "main", w.MemWords, mo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := codegen.EncodeProgram(p, st)
+	for _, cw := range workloads.All() {
+		for _, cmo := range []codegen.ModuleOptions{mo, {Idempotent: true, Core: core.DefaultOptions()}} {
+			cp, _, err := codegen.CompileModuleOpts(cw.Module(), "main", cw.MemWords, cmo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkProgram(KeyOf(cw, cmo), cp); err != nil {
+				t.Fatalf("%s: clean build rejected: %v", cw.Name, err)
+			}
+		}
+	}
+
+	// damage returns a copy of p with one field broken by edit.
+	damage := func(edit func(q *codegen.Program)) *codegen.Program {
+		q := *p
+		q.Instrs = slices.Clone(p.Instrs)
+		q.FuncEntry = maps.Clone(p.FuncEntry)
+		q.GlobalBase = maps.Clone(p.GlobalBase)
+		edit(&q)
+		return &q
+	}
+	firstOp := func(q *codegen.Program, ops ...isa.Op) *isa.Instr {
+		for i := range q.Instrs {
+			if slices.Contains(ops, q.Instrs[i].Op) {
+				return &q.Instrs[i]
+			}
+		}
+		t.Fatalf("%s has no %v", w.Name, ops)
+		return nil
+	}
+	n := int64(len(p.Instrs))
+	for _, tc := range []struct {
+		name string
+		edit func(q *codegen.Program)
+	}{
+		{"mem-words", func(q *codegen.Program) { q.MemWords *= 2 }},
+		{"register", func(q *codegen.Program) { firstOp(q, isa.ADD).Rd = 200 }},
+		{"entry", func(q *codegen.Program) { q.Entry = -1 }},
+		{"func-entry", func(q *codegen.Program) { q.FuncEntry[q.Main] = int(n) }},
+		{"branch-target", func(q *codegen.Program) { firstOp(q, isa.CBZ, isa.CBNZ).Imm = n + 3 }},
+		{"call-target", func(q *codegen.Program) { firstOp(q, isa.CALL).Imm = -2 }},
+		{"short-funcof", func(q *codegen.Program) { q.FuncOf = q.FuncOf[:n-1] }},
+		{"global", func(q *codegen.Program) {
+			if len(q.Globals) == 0 {
+				t.Fatalf("%s has no globals", w.Name)
+			}
+			q.GlobalBase[q.Globals[0].Name] = int64(q.MemWords)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewBoundedDisk(0, t.TempDir())
+			if err := c.disk.store(key, damage(tc.edit), st); err != nil {
+				t.Fatal(err)
+			}
+			p2, st2, err := c.Compile(context.Background(), w, mo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flushDisk(t, c)
+			if !bytes.Equal(codegen.EncodeProgram(p2, st2), want) {
+				t.Fatal("served the damaged artifact, not a fresh compile")
+			}
+			if s := c.Stats(); s.DiskCorrupt != 1 || s.DiskHits != 0 || s.Compiles != 1 {
+				t.Fatalf("got %d corrupt / %d disk hits / %d compiles, want 1/0/1", s.DiskCorrupt, s.DiskHits, s.Compiles)
+			}
+		})
+	}
 }

@@ -54,10 +54,10 @@ func invalidMutant(t *testing.T, w workloads.Workload, mo codegen.ModuleOptions)
 
 // TestVerifyRejectsInvalidArtifact: a disk artifact that decodes cleanly
 // but fails verification is pruned and the request recompiles — never an
-// error — with the rejection counted. That holds for a criterion breach
-// (a dropped MARK) and for structural damage the decoder lets through
-// (a register operand outside the register file, an entry outside the
-// instruction stream).
+// error — with the rejection counted. Structural damage the decoder lets
+// through (a register operand outside the register file, an entry
+// outside the instruction stream) takes the same path earlier: the disk
+// tier's load check counts it as corrupt before verify sees it.
 func TestVerifyRejectsInvalidArtifact(t *testing.T) {
 	mo := codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()}
 	var w workloads.Workload
@@ -87,21 +87,23 @@ func TestVerifyRejectsInvalidArtifact(t *testing.T) {
 	badEntry.Entry = len(p.Instrs) + 7
 
 	for _, tc := range []struct {
-		name   string
-		mutant *codegen.Program
+		name    string
+		mutant  *codegen.Program
+		corrupt bool // caught by the disk tier's load check, not by verify
 	}{
-		{"dropped-mark", dropped},
-		{"register-out-of-range", &badReg},
-		{"entry-out-of-range", &badEntry},
+		{"dropped-mark", dropped, false},
+		{"register-out-of-range", &badReg, true},
+		{"entry-out-of-range", &badEntry, true},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testRejectedArtifact(t, w, mo, tc.mutant) })
+		t.Run(tc.name, func(t *testing.T) { testRejectedArtifact(t, w, mo, tc.mutant, tc.corrupt) })
 	}
 }
 
 // testRejectedArtifact plants mutant as w's disk artifact and checks that
 // a full-verify cache prunes it, recompiles, and writes a clean artifact
-// back.
-func testRejectedArtifact(t *testing.T, w workloads.Workload, mo codegen.ModuleOptions, mutant *codegen.Program) {
+// back. A corrupt mutant is pruned at load, so verify checks only the
+// fresh compile; any other is pruned by verify.
+func testRejectedArtifact(t *testing.T, w workloads.Workload, mo codegen.ModuleOptions, mutant *codegen.Program, corrupt bool) {
 	dir := t.TempDir()
 	c := NewBoundedDisk(0, dir)
 	c.SetVerifyMode(VerifyFull)
@@ -122,14 +124,21 @@ func testRejectedArtifact(t *testing.T, w workloads.Workload, mo codegen.ModuleO
 	}
 
 	st := c.Stats()
-	if st.VerifyRejectedArtifacts != 1 {
-		t.Errorf("VerifyRejectedArtifacts = %d, want 1", st.VerifyRejectedArtifacts)
+	rejected, diskCorrupt := int64(1), int64(0)
+	if corrupt {
+		rejected, diskCorrupt = 0, 1
 	}
-	if st.VerifyFailed != 1 {
-		t.Errorf("VerifyFailed = %d, want 1 (the artifact)", st.VerifyFailed)
+	if st.VerifyRejectedArtifacts != rejected {
+		t.Errorf("VerifyRejectedArtifacts = %d, want %d", st.VerifyRejectedArtifacts, rejected)
 	}
-	if st.VerifyChecked != 2 {
-		t.Errorf("VerifyChecked = %d, want 2 (artifact + fresh compile)", st.VerifyChecked)
+	if st.VerifyFailed != rejected {
+		t.Errorf("VerifyFailed = %d, want %d (the artifact)", st.VerifyFailed, rejected)
+	}
+	if st.VerifyChecked != 1+rejected {
+		t.Errorf("VerifyChecked = %d, want %d (the artifact if it loads, and the fresh compile)", st.VerifyChecked, 1+rejected)
+	}
+	if st.DiskCorrupt != diskCorrupt {
+		t.Errorf("DiskCorrupt = %d, want %d", st.DiskCorrupt, diskCorrupt)
 	}
 	if st.Compiles != 1 {
 		t.Errorf("Compiles = %d, want 1 (rejection falls through to the compiler)", st.Compiles)

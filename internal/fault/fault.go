@@ -43,17 +43,18 @@ const (
 // Schemes lists the recovery schemes in Figure 12's order.
 var Schemes = []Scheme{SchemeDMR, SchemeTMR, SchemeCheckpointLog, SchemeIdempotence}
 
-// schemeTable is the one place a scheme's names and machine
-// configuration are spelled out; Apply holds its transform.
+// schemeTable is the one place a scheme's names, machine configuration
+// and per-instruction transform are spelled out.
 var schemeTable = [...]struct {
 	name, flag string
 	cfg        machine.Config
+	edit       func(int, isa.Instr) (before, after []isa.Instr)
 }{
 	// DMR detects only; its campaigns report detections, not recoveries.
-	SchemeDMR:           {"DMR", "dmr", machine.Config{}},
-	SchemeTMR:           {"INSTRUCTION-TMR", "tmr", machine.Config{Recovery: machine.RecoverTMR}},
-	SchemeCheckpointLog: {"CHECKPOINT-AND-LOG", "cl", machine.Config{Recovery: machine.RecoverCheckpointLog}},
-	SchemeIdempotence:   {"IDEMPOTENCE", "idem", machine.Config{Recovery: machine.RecoverIdempotence, BufferStores: true}},
+	SchemeDMR:           {"DMR", "dmr", machine.Config{}, dmr.edit},
+	SchemeTMR:           {"INSTRUCTION-TMR", "tmr", machine.Config{Recovery: machine.RecoverTMR}, tmr.edit},
+	SchemeCheckpointLog: {"CHECKPOINT-AND-LOG", "cl", machine.Config{Recovery: machine.RecoverCheckpointLog}, clEdit},
+	SchemeIdempotence:   {"IDEMPOTENCE", "idem", machine.Config{Recovery: machine.RecoverIdempotence, BufferStores: true}, dmr.edit},
 }
 
 func (s Scheme) String() string {
@@ -90,105 +91,77 @@ func (s Scheme) Config() machine.Config {
 
 // Apply instruments p for the scheme and returns the new program.
 func Apply(p *codegen.Program, s Scheme) *codegen.Program {
-	switch s {
-	case SchemeDMR, SchemeIdempotence:
-		return instrument(p, func(i int, in isa.Instr) ([]isa.Instr, []isa.Instr) {
-			return dmrEdit(in, 1)
-		})
-	case SchemeTMR:
-		return instrument(p, tmrEdit)
-	case SchemeCheckpointLog:
-		return instrument(p, clEdit)
+	if int(s) < len(schemeTable) {
+		return instrument(p, schemeTable[s].edit)
 	}
 	return p
 }
 
 // DMREdit exposes the DMR transform of a single instruction for display
 // purposes (Figure 11 rendering).
-func DMREdit(in isa.Instr) (before, after []isa.Instr) { return dmrEdit(in, 1) }
+func DMREdit(in isa.Instr) (before, after []isa.Instr) { return dmr.edit(0, in) }
 
 // TMREdit exposes the TMR transform of a single instruction.
-func TMREdit(i int, in isa.Instr) (before, after []isa.Instr) { return tmrEdit(i, in) }
+func TMREdit(i int, in isa.Instr) (before, after []isa.Instr) { return tmr.edit(i, in) }
 
 // CLEdit exposes the checkpoint-and-log transform of a single instruction.
 func CLEdit(i int, in isa.Instr) (before, after []isa.Instr) { return clEdit(i, in) }
 
-// dmrEdit produces the DMR before/after lists for one instruction; copies
-// is the number of redundant copies (1 for DMR, 2 for TMR's ALU part).
-func dmrEdit(in isa.Instr, copies uint8) (before, after []isa.Instr) {
-	switch {
-	case in.Op == isa.LDR || in.Op == isa.FLDR:
-		before = append(before, isa.Instr{Op: isa.CHECK, Rs1: in.Rs1})
-		// The redundant load (Fig. 11 shows DMR duplicating loads).
-		sh := in
-		sh.Shadow = 1
-		after = append(after, sh)
-	case in.Op == isa.STR || in.Op == isa.FSTR:
-		before = append(before,
-			isa.Instr{Op: isa.CHECK, Rs1: in.Rs1},
-			isa.Instr{Op: isa.CHECK, Rs1: in.Rs2})
-	case in.Op == isa.CBZ || in.Op == isa.CBNZ:
-		before = append(before, isa.Instr{Op: isa.CHECK, Rs1: in.Rs1})
-	case in.Op == isa.RET:
-		// Control-flow verification at the return: the return address
-		// and the outputs flowing through r0/f0.
-		before = append(before,
-			isa.Instr{Op: isa.CHECK, Rs1: isa.LR},
-			isa.Instr{Op: isa.CHECK, Rs1: isa.R0},
-			isa.Instr{Op: isa.CHECK, Rs1: isa.F(0)})
-	case writesArch(in):
-		for c := uint8(1); c <= copies; c++ {
-			sh := in
-			sh.Shadow = c
-			after = append(after, sh)
-		}
-	}
-	return before, after
+// redundancy is the DMR and TMR transform: a vote on every register a
+// guarded instruction reads, and shadow copies of every computation.
+type redundancy struct {
+	vote   isa.Op // CHECK detects a divergence, MAJ outvotes it
+	copies uint8  // shadow copies of each computation
 }
 
-// writesArch reports whether in computes an architectural register result
-// worth duplicating (ALU, moves, constants, conversions).
-func writesArch(in isa.Instr) bool {
+var (
+	dmr = redundancy{vote: isa.CHECK, copies: 1}
+	tmr = redundancy{vote: isa.MAJ, copies: 2}
+)
+
+// edit produces the before/after lists for one instruction. Memory
+// operations and the register-reading branches (CBZ, CBNZ, RET) are
+// guarded: each register they read is voted on first, and a load is
+// duplicated (Fig. 11 shows DMR duplicating loads). An instruction that
+// writes a register outside the convention gets r.copies shadow copies;
+// sp, lr and rp are protected by the control checks instead, so sp stays
+// identical across banks.
+func (r redundancy) edit(_ int, in isa.Instr) (before, after []isa.Instr) {
 	switch in.Op {
-	case isa.NOP, isa.B, isa.CBZ, isa.CBNZ, isa.CALL, isa.RET, isa.HALT,
-		isa.MARK, isa.CHECK, isa.MAJ, isa.LDR, isa.FLDR, isa.STR, isa.FSTR:
-		return false
-	}
-	// Stack-pointer arithmetic is protected by the control checks; skip
-	// duplicating it so sp stays identical across banks.
-	if in.Rd == isa.SP || in.Rd == isa.LR || in.Rd == isa.RP {
-		return false
-	}
-	return true
-}
-
-// tmrEdit triples computations and votes before memory and control ops.
-func tmrEdit(i int, in isa.Instr) (before, after []isa.Instr) {
-	switch {
-	case in.Op == isa.LDR || in.Op == isa.FLDR:
-		before = append(before, isa.Instr{Op: isa.MAJ, Rd: in.Rs1})
-		sh := in
-		sh.Shadow = 1
-		after = append(after, sh)
-	case in.Op == isa.STR || in.Op == isa.FSTR:
-		before = append(before,
-			isa.Instr{Op: isa.MAJ, Rd: in.Rs1},
-			isa.Instr{Op: isa.MAJ, Rd: in.Rs2})
-	case in.Op == isa.CBZ || in.Op == isa.CBNZ:
-		before = append(before, isa.Instr{Op: isa.MAJ, Rd: in.Rs1})
-	case in.Op == isa.RET:
-		before = append(before,
-			isa.Instr{Op: isa.MAJ, Rd: isa.LR},
-			isa.Instr{Op: isa.MAJ, Rd: isa.R0},
-			isa.Instr{Op: isa.MAJ, Rd: isa.F(0)})
-	case writesArch(in):
-		for c := uint8(1); c <= 2; c++ {
+	case isa.LDR, isa.FLDR, isa.STR, isa.FSTR, isa.CBZ, isa.CBNZ, isa.RET:
+		srcs, n := in.Reads()
+		for _, reg := range srcs[:n] {
+			before = append(before, r.voteOn(reg))
+		}
+		switch in.Op {
+		case isa.RET:
+			// Control-flow verification at the return covers the
+			// outputs flowing through r0/f0 too.
+			before = append(before, r.voteOn(isa.R0), r.voteOn(isa.F(0)))
+		case isa.LDR, isa.FLDR:
 			sh := in
-			sh.Shadow = c
+			sh.Shadow = 1
 			after = append(after, sh)
+		}
+	default:
+		if in.Op.WritesRd() && !in.Rd.Reserved() {
+			for c := uint8(1); c <= r.copies; c++ {
+				sh := in
+				sh.Shadow = c
+				after = append(after, sh)
+			}
 		}
 	}
 	return before, after
+}
+
+// voteOn returns r's vote instruction on reg, in the operand the vote
+// reads.
+func (r redundancy) voteOn(reg isa.Reg) isa.Instr {
+	if r.vote == isa.MAJ {
+		return isa.Instr{Op: isa.MAJ, Rd: reg}
+	}
+	return isa.Instr{Op: r.vote, Rs1: reg}
 }
 
 // clEdit is CHECKPOINT-AND-LOG: DMR detection plus the undo-log sequence
@@ -207,7 +180,7 @@ func tmrEdit(i int, in isa.Instr) (before, after []isa.Instr) {
 // frame's return-address slot, and replay must be able to undo it; that
 // one store uses r12 as the address scratch since LR is the value.
 func clEdit(i int, in isa.Instr) (before, after []isa.Instr) {
-	before, after = dmrEdit(in, 1)
+	before, after = dmr.edit(i, in)
 	if in.Op == isa.STR || in.Op == isa.FSTR {
 		scratch := isa.LR
 		if in.Rs2 == isa.LR {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"idemproc/internal/codegen"
@@ -9,6 +10,7 @@ import (
 	"idemproc/internal/ir"
 	"idemproc/internal/isa"
 	"idemproc/internal/machine"
+	"idemproc/internal/workloads"
 )
 
 // kernel: a store-and-load loop with calls, enough to exercise every
@@ -93,6 +95,61 @@ func TestTransformShapes(t *testing.T) {
 	if countOps(base, isa.CHECK) != 0 {
 		t.Fatal("Apply mutated its input")
 	}
+}
+
+// TestInsertedCodeKeepsGuardedOperands is the structural check behind
+// ROADMAP item 1: no instruction a transform inserts before a guarded
+// instruction may write a register that the guarded instruction reads,
+// or the instrumentation changes the value it guards. It covers every
+// scheme on the default builds of all 31 workloads.
+func TestInsertedCodeKeepsGuardedOperands(t *testing.T) {
+	sites, allowedIn := 0, []string{}
+	for _, w := range workloads.All() {
+		var builds [2]*codegen.Program
+		for i, idem := range []bool{false, true} {
+			p, _, err := codegen.CompileModule(w.Module(), "main", w.MemWords, idem, core.DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+			builds[i] = p
+		}
+		for _, s := range Schemes {
+			p := builds[0]
+			if s.Idempotent() {
+				p = builds[1]
+			}
+			for i, in := range p.Instrs {
+				before, _ := schemeTable[s].edit(i, in)
+				srcs, n := in.Reads()
+				for _, b := range before {
+					if b.Shadow != 0 || !b.Op.WritesRd() || !slices.Contains(srcs[:n], b.Rd) {
+						continue
+					}
+					if s == SchemeCheckpointLog && logClobbersSpillStore(b, in) {
+						if !slices.Contains(allowedIn, w.Name) {
+							allowedIn = append(allowedIn, w.Name)
+						}
+						sites++
+						continue
+					}
+					t.Errorf("%s/%s: %q, inserted before %q, overwrites %s",
+						w.Name, schemeTable[s].flag, b, in, b.Rd)
+				}
+			}
+		}
+	}
+	t.Logf("allowed: C&L's fldr f30 before a float spill store, %d sites in %d workloads %v",
+		sites, len(allowedIn), allowedIn)
+}
+
+// logClobbersSpillStore reports C&L's one known clobber, ROADMAP item
+// 1: the log reads a store's old value through f30, which is also
+// codegen's float spill scratch, so before a spill store `fstr [sp, #k],
+// f30` the log's `fldr f30` overwrites the value about to be stored.
+// Item 1's fix deletes this allowance.
+func logClobbersSpillStore(inserted, guarded isa.Instr) bool {
+	return inserted.Op == isa.FLDR && inserted.Rd == isa.F(30) &&
+		guarded.Op == isa.FSTR && guarded.Rs2 == isa.F(30)
 }
 
 func storeOfLR(p *codegen.Program) int {

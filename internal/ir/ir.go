@@ -444,11 +444,10 @@ func (f *Func) FreshName() string {
 // ClaimName records that name is in use, so FreshName never returns it.
 // The parser uses this to honour source-level names like "t12".
 func (f *Func) ClaimName(name string) {
-	if len(name) < 2 || name[0] != 't' {
+	if len(name) < 2 || name[0] != 't' || strings.TrimLeft(name[1:], "0123456789") != "" {
 		return // not of FreshName's form
 	}
-	var n int
-	if _, err := fmt.Sscanf(name, "t%d", &n); err == nil && n >= f.nextName {
+	if n, err := strconv.Atoi(name[1:]); err == nil && n >= f.nextName {
 		f.nextName = n + 1
 	}
 }

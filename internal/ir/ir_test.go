@@ -493,3 +493,22 @@ e:
 		t.Fatalf("Verify = %v, want a use of a value not in the function", err)
 	}
 }
+
+// TestClaimName: only FreshName's own form, t<digits>, reserves a name.
+func TestClaimName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		next string
+	}{
+		{"t12", "t13"},
+		{"t12x", "t0"},
+		{"t+3", "t0"},
+		{"x7", "t0"},
+	} {
+		f := NewModule().NewFunc("f", I64)
+		f.ClaimName(tc.name)
+		if got := f.FreshName(); got != tc.next {
+			t.Errorf("after ClaimName(%q), FreshName() = %q, want %q", tc.name, got, tc.next)
+		}
+	}
+}

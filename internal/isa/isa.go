@@ -49,6 +49,10 @@ const (
 // IsFloat reports whether r is a floating point register.
 func (r Reg) IsFloat() bool { return r >= 16 }
 
+// Reserved reports whether r belongs to the calling and recovery
+// convention rather than to the program's values: sp, lr and rp.
+func (r Reg) Reserved() bool { return r == SP || r == LR || r == RP }
+
 func (r Reg) String() string {
 	if r.IsFloat() {
 		return fmt.Sprintf("f%d", int(r-16))
@@ -213,6 +217,41 @@ func (i Instr) IsBranch() bool {
 		return true
 	}
 	return false
+}
+
+// Reads returns the registers the instruction reads, in operand order,
+// as regs[:n]: a store's base then its value, a binary op's or
+// compare's two sources, MAJ's Rd, RET's lr, nothing for NOP, MOVI,
+// FMOVI, B, CALL, HALT and MARK, and Rs1 for every other op, an opcode
+// outside the ISA included.
+func (i Instr) Reads() (regs [2]Reg, n int) {
+	switch i.Op {
+	case NOP, MOVI, FMOVI, B, CALL, HALT, MARK:
+		return regs, 0
+	case RET:
+		return [2]Reg{LR}, 1
+	case MAJ:
+		return [2]Reg{i.Rd}, 1
+	case STR, FSTR,
+		ADD, SUB, MUL, DIV, REM, AND, ORR, EOR, LSL, ASR,
+		SEQ, SNE, SLT, SLE, SGT, SGE,
+		FADD, FSUB, FMUL, FDIV,
+		FSEQ, FSNE, FSLT, FSLE, FSGT, FSGE:
+		return [2]Reg{i.Rs1, i.Rs2}, 2
+	}
+	return [2]Reg{i.Rs1}, 1
+}
+
+// WritesRd reports whether the op computes a value into Rd: loads,
+// moves, constants, ALU ops, compares and conversions do, and so does
+// an opcode outside the ISA. CALL does not: its lr write is part of the
+// convention. Nor does MAJ: a vote restores Rd, it computes nothing.
+func (op Op) WritesRd() bool {
+	switch op {
+	case NOP, STR, FSTR, B, CBZ, CBNZ, CALL, RET, HALT, MARK, CHECK, MAJ:
+		return false
+	}
+	return true
 }
 
 // String renders the instruction in assembly syntax.

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,5 +74,52 @@ func TestAssemblyStrings(t *testing.T) {
 	}
 	if !strings.Contains((Instr{Op: CALL, Sym: "f", Imm: 9}).String(), "<f>") {
 		t.Fatal("call string lacks symbol")
+	}
+}
+
+// TestOperandRoles pins the registers every opcode reads, in operand
+// order, and whether it writes Rd, for each op from NOP to MAJ and for
+// opcodes outside the ISA (a corrupt artifact can carry any byte), and
+// the reserved registers.
+func TestOperandRoles(t *testing.T) {
+	groups := []struct {
+		ops    []Op
+		reads  []Reg // for Rd = r3, Rs1 = r1, Rs2 = r2
+		writes bool
+	}{
+		{[]Op{NOP, B, CALL, HALT, MARK}, nil, false},
+		{[]Op{MOVI, FMOVI}, nil, true},
+		{[]Op{MOV, FMOV, ADDI, NEG, MVN, FNEG, ITOF, FTOI, LDR, FLDR}, []Reg{R1}, true},
+		{[]Op{ADD, SUB, MUL, DIV, REM, AND, ORR, EOR, LSL, ASR,
+			SEQ, SNE, SLT, SLE, SGT, SGE, FADD, FSUB, FMUL, FDIV,
+			FSEQ, FSNE, FSLT, FSLE, FSGT, FSGE}, []Reg{R1, R2}, true},
+		{[]Op{STR, FSTR}, []Reg{R1, R2}, false},
+		{[]Op{CBZ, CBNZ, CHECK}, []Reg{R1}, false},
+		{[]Op{RET}, []Reg{LR}, false},
+		{[]Op{MAJ}, []Reg{R3}, false},
+		{[]Op{MAJ + 1, 200, 255}, []Reg{R1}, true},
+	}
+	seen := map[Op]bool{}
+	for _, g := range groups {
+		for _, op := range g.ops {
+			seen[op] = true
+			regs, n := Instr{Op: op, Rd: R3, Rs1: R1, Rs2: R2}.Reads()
+			if got := regs[:n]; !slices.Equal(got, g.reads) {
+				t.Errorf("%v reads %v, want %v", op, got, g.reads)
+			}
+			if got := op.WritesRd(); got != g.writes {
+				t.Errorf("%v.WritesRd() = %v, want %v", op, got, g.writes)
+			}
+		}
+	}
+	for op := NOP; op <= MAJ; op++ {
+		if !seen[op] {
+			t.Errorf("%v has no pinned roles", op)
+		}
+	}
+	for r := Reg(0); r < NumRegs; r++ {
+		if want := r == SP || r == LR || r == RP; r.Reserved() != want {
+			t.Errorf("%v.Reserved() = %v, want %v", r, r.Reserved(), want)
+		}
 	}
 }

@@ -214,6 +214,7 @@ func TestParseErrors(t *testing.T) {
 		"func f() int { 3 = 4; return 0; }",
 		"func f() int { return 1 +; }",
 		"func f() void { } func f() void { }",
+		"func f() float { return 1.2.3; }",
 	}
 	for _, src := range cases {
 		if _, err := Compile(src); err == nil {

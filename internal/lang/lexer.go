@@ -97,8 +97,8 @@ func lex(src string) ([]token, error) {
 			}
 			lit := src[i:j]
 			if isFloat {
-				var f float64
-				if _, err := fmt.Sscanf(lit, "%g", &f); err != nil {
+				f, err := strconv.ParseFloat(lit, 64)
+				if err != nil {
 					return nil, errf(line, "bad float literal %q", lit)
 				}
 				toks = append(toks, token{kind: tFloat, f: f, line: line})

@@ -227,20 +227,17 @@ func (t *Tracker) Instr(in isa.Instr, memAddr int64, sp uint64) {
 	// link register and rp belong to the calling convention, which the
 	// paper's study explicitly sets aside.
 	cs := t.cats[SemanticArtificial]
-	var buf [2]isa.Reg
-	for _, r := range srcRegsOf(in, buf[:0]) {
-		if conventionReg(r) {
-			continue
+	srcs, n := in.Reads()
+	for _, r := range srcs[:n] {
+		if !r.Reserved() {
+			cs.regAccess(r, false) // reads never clobber
 		}
-		cs.regAccess(r, false) // reads never clobber
 	}
-	if wRd := writesRegOf(in); wRd {
-		if !conventionReg(in.Rd) && cs.regAccess(in.Rd, true) {
-			cs.endPath()
-			// The clobbering write opens the new region with the
-			// location in written state.
-			cs.regAccess(in.Rd, true)
-		}
+	if in.Op.WritesRd() && !in.Rd.Reserved() && cs.regAccess(in.Rd, true) {
+		cs.endPath()
+		// The clobbering write opens the new region with the location
+		// in written state.
+		cs.regAccess(in.Rd, true)
 	}
 
 	for c := Category(0); c < numCategories; c++ {
@@ -272,10 +269,6 @@ func (t *Tracker) memAccess(addr int64, sp uint64, write bool) {
 	}
 }
 
-func conventionReg(r isa.Reg) bool {
-	return r == isa.SP || r == isa.LR || r == isa.RP
-}
-
 // Result summarizes one category's measurement.
 type Result struct {
 	Category Category
@@ -300,48 +293,4 @@ func (t *Tracker) Results() [3]Result {
 		out[c] = r
 	}
 	return out
-}
-
-// srcRegsOf mirrors the pipeline model's source-register extraction.
-func srcRegsOf(in isa.Instr, buf []isa.Reg) []isa.Reg {
-	switch in.Op {
-	case isa.NOP, isa.MOVI, isa.FMOVI, isa.B, isa.CALL, isa.HALT, isa.MARK:
-		return buf
-	case isa.RET:
-		return buf
-	case isa.CBZ, isa.CBNZ, isa.CHECK:
-		return append(buf, in.Rs1)
-	case isa.MAJ:
-		return append(buf, in.Rd)
-	case isa.STR, isa.FSTR:
-		return append(buf, in.Rs1, in.Rs2)
-	case isa.LDR, isa.FLDR:
-		return append(buf, in.Rs1)
-	default:
-		buf = append(buf, in.Rs1)
-		if hasTwoSources(in.Op) {
-			buf = append(buf, in.Rs2)
-		}
-		return buf
-	}
-}
-
-func hasTwoSources(op isa.Op) bool {
-	switch op {
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.ORR, isa.EOR,
-		isa.LSL, isa.ASR, isa.SEQ, isa.SNE, isa.SLT, isa.SLE, isa.SGT, isa.SGE,
-		isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV,
-		isa.FSEQ, isa.FSNE, isa.FSLT, isa.FSLE, isa.FSGT, isa.FSGE:
-		return true
-	}
-	return false
-}
-
-func writesRegOf(in isa.Instr) bool {
-	switch in.Op {
-	case isa.NOP, isa.STR, isa.FSTR, isa.B, isa.CBZ, isa.CBNZ,
-		isa.CALL, isa.RET, isa.HALT, isa.MARK, isa.CHECK, isa.MAJ:
-		return false
-	}
-	return true
 }

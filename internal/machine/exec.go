@@ -274,8 +274,7 @@ func (m *Machine) exec(last int64) error {
 				// Division by zero on a wrong path is a speculation artifact;
 				// a corrupted operand (e.g. a divisor flipped to zero) is a
 				// detection, exactly like a corrupted address register.
-				corrupt := m.tainted(d.rs1) || (hasRs2(d.op) && m.tainted(d.rs2))
-				if (m.wrongPath || corrupt) && m.Cfg.Recovery != RecoverNone {
+				if (m.wrongPath || m.readsTainted(&m.P.Instrs[pc])) && m.Cfg.Recovery != RecoverNone {
 					if m.recoverFault() {
 						m.Stats.Cycles = m.pipe.account(d)
 						continue
@@ -324,7 +323,7 @@ func (m *Machine) exec(last int64) error {
 		// log fills, a (free) register checkpoint resets it.
 		if ckptLog && d.writesRd && d.rd == uint8(isa.RP) {
 			m.logPtr = int64(m.Regs[isa.RP])
-			if m.logPtr >= m.Cfg.LogBase+m.Cfg.LogWords {
+			if m.logPtr >= m.logEnd {
 				if m.anyTaint() {
 					if !m.boundaryRecoverOrReconcile() {
 						return m.detectErr()
@@ -374,6 +373,18 @@ func (m *Machine) boundaryRecoverOrReconcile() bool {
 		return false
 	}
 	return m.recoverFault()
+}
+
+// readsTainted reports whether a register that in reads holds a
+// corrupted value.
+func (m *Machine) readsTainted(in *isa.Instr) bool {
+	srcs, n := in.Reads()
+	for _, r := range srcs[:n] {
+		if m.tainted(uint8(r)) {
+			return true
+		}
+	}
+	return false
 }
 
 // evalALU computes a register-writing ALU operation from a predecoded
@@ -467,16 +478,4 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-func hasRs2(op isa.Op) bool {
-	switch op {
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.ORR, isa.EOR,
-		isa.LSL, isa.ASR, isa.SEQ, isa.SNE, isa.SLT, isa.SLE, isa.SGT, isa.SGE,
-		isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV,
-		isa.FSEQ, isa.FSNE, isa.FSLT, isa.FSLE, isa.FSGT, isa.FSGE,
-		isa.STR, isa.FSTR:
-		return true
-	}
-	return false
 }

@@ -127,9 +127,6 @@ type Config struct {
 	TrackPaths bool
 	// Recovery selects the scheme driving CHECK/MAJ/MARK semantics.
 	Recovery Recovery
-	// LogBase/LogWords place the checkpoint-log scheme's undo log
-	// (defaults: just past the globals, 2048 words = 1K stores).
-	LogBase, LogWords int64
 	// MaxSteps bounds execution (default 500M).
 	MaxSteps int64
 	// WatchdogRef enables the livelock watchdog: when > 0 it is the
@@ -228,11 +225,12 @@ type Machine struct {
 	lastRecoverPC  int
 	consecBoundary int
 
-	// Checkpoint-log state.
-	logPtr   int64
-	ckptRegs [isa.NumRegs]uint64
-	ckptPC   int
-	ckptLog  int64
+	// Checkpoint-log state: the undo log fills [logBase, logEnd), just
+	// past the globals, and logPtr is its next free word.
+	logBase, logEnd int64
+	logPtr          int64
+	ckptRegs        [isa.NumRegs]uint64
+	ckptPC          int
 
 	// Pending fault injections, sorted by step: the first register-writing
 	// instruction at or after each step has destination bits flipped by
@@ -323,19 +321,18 @@ func (m *Machine) BindContext(ctx context.Context) {
 	m.nextPoll = m.Stats.DynInstrs + m.pollStride
 }
 
+// logWords is the size of the checkpoint-and-log scheme's undo log: 1K
+// logged stores, each a value and an address.
+const logWords = 2048
+
 // New creates a machine for p. It decodes p (see Predecode), and the
 // machine keeps the decoded form for its own lifetime.
 func New(p *codegen.Program, cfg Config) *Machine {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 500_000_000
 	}
-	if cfg.LogWords == 0 {
-		cfg.LogWords = 2048
-	}
-	if cfg.LogBase == 0 {
-		cfg.LogBase = p.GlobalEnd
-	}
-	m := &Machine{P: p, Cfg: cfg, code: Predecode(p)}
+	m := &Machine{P: p, Cfg: cfg, code: Predecode(p),
+		logBase: p.GlobalEnd, logEnd: p.GlobalEnd + logWords}
 	m.Reset()
 	return m
 }
@@ -365,8 +362,7 @@ func (m *Machine) Reset() {
 	m.hot = false
 	m.recalcNextEvent()
 	m.pathLen = 0
-	m.logPtr = m.Cfg.LogBase
-	m.ckptLog = m.Cfg.LogBase
+	m.logPtr = m.logBase
 	m.retryPC = -1
 	m.retryCount = 0
 	m.livelocked = false
@@ -589,7 +585,7 @@ func (m *Machine) Run(args ...uint64) (uint64, error) {
 	if m.Cfg.Recovery == RecoverCheckpointLog {
 		// The log pointer lives in rp (free in non-idempotent binaries);
 		// take the initial, cost-free register checkpoint.
-		m.Regs[isa.RP] = uint64(m.Cfg.LogBase)
+		m.Regs[isa.RP] = uint64(m.logBase)
 		m.takeCheckpoint()
 	}
 	var wdBudget int64
@@ -763,13 +759,13 @@ func (m *Machine) recoverFault() bool {
 	case RecoverCheckpointLog:
 		// Unwind the undo log back to the checkpoint, restore the
 		// register checkpoint, and resume from the checkpoint PC.
-		for p := m.logPtr - 2; p >= m.ckptLog; p -= 2 {
+		for p := m.logPtr - 2; p >= m.logBase; p -= 2 {
 			val, addr := m.Mem[p], int64(m.Mem[p+1])
 			if addr > 0 && addr < int64(len(m.Mem)) {
 				m.Mem[addr] = val
 			}
 		}
-		m.logPtr = m.ckptLog
+		m.logPtr = m.logBase
 		m.Regs = m.ckptRegs
 		// The checkpoint was verified clean when taken.
 		m.golden = m.ckptRegs
@@ -788,15 +784,14 @@ func (m *Machine) recoverFault() bool {
 // checkpoint-and-log scheme and resets the log (modelled as free, per the
 // paper's optimistic assumption for register checkpointing and polling).
 func (m *Machine) takeCheckpoint() {
-	m.Regs[isa.RP] = uint64(m.Cfg.LogBase)
+	m.Regs[isa.RP] = uint64(m.logBase)
 	// The log pointer is recovery infrastructure: its golden mirror
 	// follows the reset (otherwise every checkpoint would look like a
 	// divergence at the next wrap).
-	m.golden[isa.RP] = uint64(m.Cfg.LogBase)
+	m.golden[isa.RP] = uint64(m.logBase)
 	m.ckptRegs = m.Regs
 	m.ckptPC = m.PC
-	m.ckptLog = m.Cfg.LogBase
-	m.logPtr = m.Cfg.LogBase
+	m.logPtr = m.logBase
 	// A verified checkpoint is forward progress: reset the retry state.
 	m.retryPC = -1
 	m.retryCount = 0

@@ -93,6 +93,7 @@ func decodeOne(in isa.Instr, pc int) decoded {
 		rs1:      uint8(in.Rs1),
 		rs2:      uint8(in.Rs2),
 		meta:     in.Meta,
+		writesRd: in.Op.WritesRd(),
 		isBranch: in.IsBranch(),
 	}
 
@@ -104,7 +105,6 @@ func decodeOne(in isa.Instr, pc int) decoded {
 		d.kind = dNop
 	case isa.LDR, isa.FLDR:
 		d.kind = dLoad
-		d.writesRd = true
 	case isa.STR, isa.FSTR:
 		d.kind = dStore
 	case isa.B:
@@ -129,7 +129,6 @@ func decodeOne(in isa.Instr, pc int) decoded {
 		d.kind = dMaj
 	default:
 		d.kind = dALU
-		d.writesRd = true
 		switch in.Op {
 		case isa.MOVI:
 			d.cval = uint64(in.Imm)
@@ -141,26 +140,9 @@ func decodeOne(in isa.Instr, pc int) decoded {
 		d.kind = dShadow
 	}
 
-	// Pipeline operand slots: mirror srcRegs/writesReg of the timing
-	// model, with the shadow bank offset folded in.
-	var srcs [2]isa.Reg
-	n := 0
-	switch in.Op {
-	case isa.NOP, isa.MOVI, isa.FMOVI, isa.B, isa.CALL, isa.HALT, isa.MARK:
-	case isa.RET:
-		srcs[0], n = isa.LR, 1
-	case isa.CBZ, isa.CBNZ, isa.CHECK:
-		srcs[0], n = in.Rs1, 1
-	case isa.MAJ:
-		srcs[0], n = in.Rd, 1
-	case isa.STR, isa.FSTR:
-		srcs[0], srcs[1], n = in.Rs1, in.Rs2, 2
-	default:
-		srcs[0], n = in.Rs1, 1
-		if hasRs2(in.Op) {
-			srcs[1], n = in.Rs2, 2
-		}
-	}
+	// Pipeline operand slots: the isa operand roles, with the shadow
+	// bank offset folded in.
+	srcs, n := in.Reads()
 	d.psrc0, d.psrc1, d.pdst = zeroSlot, zeroSlot, sinkSlot
 	if n > 0 {
 		d.psrc0 = pipeSlot(srcs[0], in.Shadow, zeroSlot)
@@ -168,7 +150,7 @@ func decodeOne(in isa.Instr, pc int) decoded {
 	if n > 1 {
 		d.psrc1 = pipeSlot(srcs[1], in.Shadow, zeroSlot)
 	}
-	if pipeWritesReg(in.Op) {
+	if d.writesRd {
 		d.pdst = pipeSlot(in.Rd, in.Shadow, sinkSlot)
 	}
 	return d
@@ -182,15 +164,4 @@ func pipeSlot(r isa.Reg, bank uint8, sentinel uint8) uint8 {
 		return sentinel
 	}
 	return uint8(r) + bank*isa.NumRegs
-}
-
-// pipeWritesReg reports whether the timing model tracks a result latency
-// for the op (the CALL link write is modeled as free).
-func pipeWritesReg(op isa.Op) bool {
-	switch op {
-	case isa.NOP, isa.STR, isa.FSTR, isa.B, isa.CBZ, isa.CBNZ,
-		isa.RET, isa.HALT, isa.MARK, isa.CHECK, isa.MAJ, isa.CALL:
-		return false
-	}
-	return true
 }

@@ -476,7 +476,7 @@ func (vf *verifier) joinStackBase(pc int, slot int64) int64 {
 
 // exemptReg reports registers outside the criterion: SP and LR are
 // snapshotted at every MARK and restored on recovery, RP is the mark.
-func exemptReg(r isa.Reg) bool { return r == isa.SP || r == isa.LR || r == isa.RP }
+func exemptReg(r isa.Reg) bool { return r.Reserved() }
 
 func (vf *verifier) readReg(st *state, r isa.Reg) val {
 	if !exemptReg(r) && st.wregs&(1<<r) == 0 {
