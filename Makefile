@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check vet check lint test fuzz race race-fault bench bench-ledger layout serve-smoke chaos-smoke persist-smoke shard-smoke jobs-smoke verify-smoke ci
+.PHONY: all build fmt-check vet check lint test fuzz race race-fault bench bench-ledger layout loc serve-smoke chaos-smoke persist-smoke shard-smoke jobs-smoke verify-smoke ci
 
 all: build
 
@@ -159,5 +159,18 @@ layout:
 			printf '  0x%s  mod 64 = %2d  %s\n' "$$addr" $$((0x$$addr % 64)) "$$sym"; \
 		done; \
 	done
+
+# loc prints the non-test Go lines in tracked files outside bench/, and
+# how many of them are in the serving packages (internal/server,
+# internal/shard, internal/jobs, cmd/idemload, cmd/idemd and
+# cmd/idemfront): the two counts ROADMAP aim 2 tracks.
+SERVING_PKGS = ^(internal/(server|shard|jobs)|cmd/(idemload|idemd|idemfront))/
+
+loc:
+	@files=$$(git ls-files '*.go' | grep -v -e '^bench/' -e '_test\.go$$'); \
+	total=$$(cat $$files | wc -l); \
+	serving=$$(cat $$(printf '%s\n' $$files | grep -E '$(SERVING_PKGS)') | wc -l); \
+	echo "non-test Go lines outside bench/: $$total"; \
+	echo "in the serving packages: $$serving ($$((100 * serving / total))%)"
 
 ci: build check race

@@ -57,7 +57,7 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 		reqTimeout   = fs.Duration("request-timeout", 30*time.Second, "per-request deadline on /v1/* endpoints (negative disables)")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "compile-cache byte bound; LRU entries are evicted past it (0 = unbounded)")
 		cacheDir     = fs.String("cache-dir", "", "persistent artifact store directory: compiles are written behind as verified artifacts and reloaded across restarts (empty = memory-only)")
-		verifyMode   = fs.String("verify-mode", "off", "translation-validator mode: off, sampled (deterministic sample of fresh compiles + every disk artifact), or full (see docs/verify.md)")
+		verifyMode   = fs.String("verify-mode", "off", "translation-validator mode: off, or full (every fresh compile and disk artifact; see docs/verify.md)")
 		maxJobs      = fs.Int("max-jobs", 64, "bound on the async job table (/v1/jobs); excess submissions are shed with 429")
 		jobTTL       = fs.Duration("job-ttl", 10*time.Minute, "how long a finished job stays queryable before it is reaped")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before abandoning them")

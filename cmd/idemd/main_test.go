@@ -261,6 +261,24 @@ func TestCacheDirUnusableFailsFast(t *testing.T) {
 	}
 }
 
+// TestVerifyModeSampledRejected: verification is off or full, so any
+// other spelling, the deleted sampled mode included, is a usage error
+// that names the two valid modes.
+func TestVerifyModeSampledRejected(t *testing.T) {
+	var stderr bytes.Buffer
+	exit := make(chan int, 1)
+	go func() {
+		exit <- realMain([]string{"-addr", "127.0.0.1:0", "-verify-mode", "sampled"},
+			&stderr, make(chan os.Signal))
+	}()
+	if code := waitExit(t, exit, 10*time.Second); code != 2 {
+		t.Fatalf("-verify-mode sampled exit = %d, want 2", code)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "want off or full") {
+		t.Errorf("stderr %q does not name the valid modes", msg)
+	}
+}
+
 // TestGracefulDrainExitsZero: one signal, idle daemon, clean exit.
 func TestGracefulDrainExitsZero(t *testing.T) {
 	addr, sigs, exit := launch(t)

@@ -230,7 +230,7 @@ func (c *Cache) build(e *entry, w workloads.Workload, mo codegen.ModuleOptions) 
 			// not just produce. A rejection mirrors the corrupt-artifact
 			// contract — prune, re-book as a disk miss, recompile — and is
 			// never an error.
-			if c.verifyMode != VerifyOff {
+			if c.verifyMode == VerifyFull {
 				if rep := c.runVerify(p, mo); rep != nil && !rep.OK() {
 					c.verifyRejected.Add(1)
 					c.disk.reject(e.key)
@@ -249,7 +249,7 @@ func (c *Cache) build(e *entry, w workloads.Workload, mo codegen.ModuleOptions) 
 	compiled = true
 	c.compiles.Add(1)
 	e.prog, e.stats, e.err = codegen.CompileModuleOpts(w.Module(), "main", w.MemWords, mo)
-	if e.err == nil && c.verifyFresh(e.key) {
+	if e.err == nil && c.verifyMode == VerifyFull {
 		if rep := c.runVerify(e.prog, mo); rep != nil {
 			if rep.OK() {
 				e.verified = true
@@ -398,9 +398,9 @@ func (c *Cache) Stats() Stats {
 }
 
 // Verified reports whether the cached entry for (w, mo) was checked by
-// the translation validator and passed. It is false for entries that
-// were not sampled, were skipped (markless or relaxed-alloc builds),
-// are still in flight, or are not resident.
+// the translation validator and passed. It is false when verification
+// is off, for entries that were skipped (markless or relaxed-alloc
+// builds), and for entries still in flight or not resident.
 func (c *Cache) Verified(w workloads.Workload, mo codegen.ModuleOptions) bool {
 	key := KeyOf(w, mo)
 	c.mu.Lock()

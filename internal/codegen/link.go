@@ -66,6 +66,13 @@ func Link(m *ir.Module, funcs []*Compiled, main string, memWords int) (*Program,
 		MemWords:   memWords,
 	}
 
+	n := 3 // the startup stub
+	for _, c := range funcs {
+		n += len(c.Code)
+	}
+	p.Instrs = make([]isa.Instr, 0, n)
+	p.FuncOf = make([]string, 0, n)
+
 	// Startup stub: sp = memWords, call main, halt.
 	p.Entry = 0
 	p.Instrs = append(p.Instrs,

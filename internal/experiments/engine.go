@@ -151,8 +151,8 @@ func (e *Engine) simulate(ws []workloads.Workload, confs ...conf) ([][]simRun, e
 
 // RunMachine executes an already-prepared machine (configuration set,
 // injections armed) under ctx, accounting the wall time to the simulate
-// stage. The machine's step loop polls ctx every cfg.PreemptEvery
-// dynamic instructions, so a canceled or expired ctx — a request
+// stage. The machine's step loop polls ctx every 4096 dynamic
+// instructions, so a canceled or expired ctx — a request
 // deadline, an abandoned /v1/batch fan-out — stops the simulation with
 // machine.ErrPreempted within that instruction budget instead of
 // running the workload to completion.

@@ -171,16 +171,13 @@ func TestNestedFaultRecovery(t *testing.T) {
 // retry bound can stop the storm.)
 func TestNestedFaultStormEscalatesToLivelock(t *testing.T) {
 	ip := Apply(buildProgram(t, true), SchemeIdempotence)
-	cfg := machine.Config{
-		BufferStores:     true,
-		Recovery:         machine.RecoverIdempotence,
-		MaxRegionRetries: 4,
-	}
+	cfg := machine.Config{BufferStores: true, Recovery: machine.RecoverIdempotence}
 	livelocks := 0
 	for step := int64(5); step < 600; step += 13 {
 		m := machine.New(ip, cfg)
 		m.InjectFault(step, 9)
-		for k := int64(1); k <= 30; k++ {
+		// More nested faults than the machine's 64-retry bound.
+		for k := int64(1); k <= 100; k++ {
 			m.InjectNestedFault(k, 1<<9)
 		}
 		_, err := m.Run(40)

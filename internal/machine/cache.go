@@ -1,8 +1,15 @@
 package machine
 
-import (
-	"fmt"
-	"math/bits"
+// The L1 geometry resembles a 32 KB 2-way L1 with 4-word (32-byte)
+// lines: 512 sets × 2 ways × 4 words × 8 bytes, and a miss adds
+// missPenalty cycles. Sets and line words are powers of two, so a shift
+// and a mask replace the division by the line size and the modulo by
+// the set count.
+const (
+	cacheSets      = 512
+	cacheWays      = 2
+	cacheLineShift = 2 // log2 of the 4 words in a line
+	missPenalty    = 12
 )
 
 // dcache models a small set-associative L1 data cache with LRU
@@ -12,64 +19,39 @@ import (
 // the buffer or cache are cheap, approximating a write-back L1 like the
 // paper's gem5 ARM configuration.
 type dcache struct {
-	// tags/lru are flat sets×ways arrays indexed set*ways+way — two
-	// allocations total instead of 2+2×sets, and no double indirection
-	// on the access path.
-	tags  []int64
-	lru   []int64
-	clock int64
-	ways  int
-	// lineShift and setMask replace the division by the line size and
-	// the modulo by the set count: both are powers of two.
-	lineShift uint
-	setMask   int64
+	// tags/lru are flat sets×ways arrays indexed set*ways+way.
+	tags, lru [cacheSets * cacheWays]int64
+	clock     int64
 }
 
-// CacheConfig sizes the L1 model. The zero value disables it (flat
-// 2-cycle memory, the pre-cache behaviour).
+// CacheConfig selects the L1 data cache timing model. The zero value
+// disables it (flat 2-cycle memory, the pre-cache behaviour).
 type CacheConfig struct {
-	// Sets and Ways size the cache (capacity = Sets*Ways*LineWords
-	// words). LineWords is the words-per-line granularity. Sets and
-	// LineWords must be powers of two.
-	Sets, Ways, LineWords int
-	// MissPenalty is the extra cycles a miss costs.
-	MissPenalty int
+	enabled bool
 }
 
-// DefaultCache resembles a 32 KB 2-way L1 with 4-word (32-byte) lines:
-// 512 sets × 2 ways × 4 words × 8 bytes.
+// DefaultCache enables the L1 model: the gem5-like configuration the
+// experiment drivers use.
 func DefaultCache() CacheConfig {
-	return CacheConfig{Sets: 512, Ways: 2, LineWords: 4, MissPenalty: 12}
+	return CacheConfig{enabled: true}
 }
 
-// newDCache builds the cache model. It panics when Sets or LineWords is
-// not a power of two: only code sets them, never request input.
-func newDCache(cfg CacheConfig) *dcache {
-	if !powerOfTwo(cfg.Sets) || !powerOfTwo(cfg.LineWords) {
-		panic(fmt.Sprintf("machine: cache sets (%d) and line words (%d) must be powers of two", cfg.Sets, cfg.LineWords))
-	}
-	c := &dcache{
-		ways:      cfg.Ways,
-		tags:      make([]int64, cfg.Sets*cfg.Ways),
-		lru:       make([]int64, cfg.Sets*cfg.Ways),
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineWords))),
-		setMask:   int64(cfg.Sets - 1),
-	}
+// newDCache builds an empty cache model.
+func newDCache() *dcache {
+	c := &dcache{}
 	for i := range c.tags {
 		c.tags[i] = -1
 	}
 	return c
 }
 
-func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
-
 // access touches addr, which the machine has already bounds-checked to
 // be positive; reports whether it hit.
 func (c *dcache) access(addr int64) bool {
-	line := addr >> c.lineShift
-	base := int(line&c.setMask) * c.ways
+	line := addr >> cacheLineShift
+	base := int(line&(cacheSets-1)) * cacheWays
 	c.clock++
-	for w := base; w < base+c.ways; w++ {
+	for w := base; w < base+cacheWays; w++ {
 		if c.tags[w] == line {
 			c.lru[w] = c.clock
 			return true
@@ -77,7 +59,7 @@ func (c *dcache) access(addr int64) bool {
 	}
 	// Miss: replace the LRU way.
 	victim := base
-	for w := base + 1; w < base+c.ways; w++ {
+	for w := base + 1; w < base+cacheWays; w++ {
 		if c.lru[w] < c.lru[victim] {
 			victim = w
 		}

@@ -115,7 +115,7 @@ func (m *Machine) exec(last int64) error {
 					m.Stats.CacheHits++
 				} else {
 					m.Stats.CacheMisses++
-					m.pipe.extraLat = int64(m.Cfg.Cache.MissPenalty)
+					m.pipe.extraLat = missPenalty
 				}
 			}
 		case dStore:
@@ -140,9 +140,7 @@ func (m *Machine) exec(last int64) error {
 					m.Stats.CacheMisses++
 					// Write-allocate fill: a short stall rather than a
 					// dependent-latency extension (nothing waits on a store).
-					if fill := int64(m.Cfg.Cache.MissPenalty / 3); fill > 0 {
-						m.pipe.stall(fill)
-					}
+					m.pipe.stall(missPenalty / 3)
 				}
 			}
 		case dJump:

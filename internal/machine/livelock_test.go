@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -35,10 +36,13 @@ func TestWatchdogCatchesCorruptedLoopCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	span := ref.Stats.DynInstrs
+	// Half the reference under the 16x factor is an 8x budget.
+	wdRef := span / 2
+	budget := wdRef*watchdogFactor + watchdogSlack
 
 	livelocks := 0
 	for step := int64(3); step < span-5; step += 2 {
-		m := New(p, Config{WatchdogRef: span, WatchdogFactor: 8})
+		m := New(p, Config{WatchdogRef: wdRef})
 		m.InjectFaultMask(step, 1<<63)
 		_, err := m.Run(64)
 		if err == nil {
@@ -49,7 +53,6 @@ func TestWatchdogCatchesCorruptedLoopCounter(t *testing.T) {
 		}
 		livelocks++
 		// The watchdog fires on the first instruction past the budget.
-		budget := span*8 + 4096
 		if m.Stats.DynInstrs != budget+1 {
 			t.Fatalf("step %d: watchdog fired at %d dyn instrs, want budget %d + 1", step, m.Stats.DynInstrs, budget)
 		}
@@ -69,14 +72,30 @@ func TestWatchdogQuietOnCleanRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An eighth of the reference under the 16x factor is a 2x budget.
 	m := New(p, Config{BufferStores: true, Recovery: RecoverIdempotence,
-		WatchdogRef: ref.Stats.DynInstrs, WatchdogFactor: 2})
+		WatchdogRef: ref.Stats.DynInstrs / 8})
 	got, err := m.Run(64)
 	if err != nil {
 		t.Fatalf("watchdog fired on a clean run: %v", err)
 	}
 	if got != want {
 		t.Fatalf("got %d, want %d", got, want)
+	}
+
+	// A reference too large for the budget to fit in int64, which a
+	// /v1/simulate request may send, saturates the budget instead of
+	// wrapping it to a small one: 2^60+1 wraps to 4,112 instructions.
+	want, err = New(p, Config{BufferStores: true, Recovery: RecoverIdempotence}).Run(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wdRef := range []int64{1<<60 + 1, math.MaxInt64} {
+		m := New(p, Config{BufferStores: true, Recovery: RecoverIdempotence, WatchdogRef: wdRef})
+		got, err := m.Run(1000)
+		if err != nil || got != want {
+			t.Fatalf("WatchdogRef %d: got %d, %v; want %d after %d instructions", wdRef, got, err, want, m.Stats.DynInstrs)
+		}
 	}
 }
 

@@ -131,26 +131,12 @@ type Config struct {
 	MaxSteps int64
 	// WatchdogRef enables the livelock watchdog: when > 0 it is the
 	// fault-free reference dynamic-instruction count, and execution is
-	// aborted with ErrLivelock once DynInstrs exceeds
-	// WatchdogRef*WatchdogFactor + a fixed slack. Injected faults that
+	// aborted with ErrLivelock once DynInstrs exceeds WatchdogRef*16 +
+	// 4096 (watchdogFactor and watchdogSlack). Injected faults that
 	// corrupt loop bounds (directly or through memory) otherwise spin
 	// until the generic MaxSteps limit, which is orders of magnitude
 	// larger and indistinguishable from a simulator bug.
 	WatchdogRef int64
-	// WatchdogFactor is the dynamic-instruction budget relative to the
-	// fault-free reference (default 16x when WatchdogRef is set).
-	WatchdogFactor float64
-	// MaxRegionRetries bounds consecutive re-executions restarting at
-	// the same point (default 64): a fault storm that re-corrupts every
-	// re-execution escalates to ErrLivelock instead of spinning.
-	MaxRegionRetries int
-	// PreemptEvery is the cancellation-poll stride in dynamic
-	// instructions for a context bound via BindContext (default 4096).
-	// It is the preemption budget: once the bound context is canceled,
-	// Run stops within PreemptEvery further instructions. The poll is a
-	// non-blocking channel receive gated on an instruction counter, so
-	// the fault-free hot path stays allocation-free.
-	PreemptEvery int64
 	// Tracer, if set, observes every executed instruction.
 	Tracer Tracer
 	// Cache configures the L1 data cache timing model; the zero value
@@ -273,10 +259,9 @@ type Machine struct {
 
 	// Cooperative preemption state (see BindContext): preemptDone is the
 	// bound context's cancellation channel, polled by Run every
-	// pollStride dynamic instructions once DynInstrs reaches nextPoll.
+	// preemptStride dynamic instructions once DynInstrs reaches nextPoll.
 	preemptCtx  context.Context
 	preemptDone <-chan struct{}
-	pollStride  int64
 	nextPoll    int64
 
 	halted bool
@@ -294,7 +279,7 @@ var ErrLivelock = errors.New("machine: livelock watchdog fired")
 
 // ErrPreempted reports cooperative preemption: the context bound via
 // BindContext was canceled and the step loop stopped within the
-// Cfg.PreemptEvery instruction budget instead of running the workload to
+// 4096-instruction poll stride instead of running the workload to
 // completion. The returned error also wraps the context's error, so
 // errors.Is(err, context.Canceled) / context.DeadlineExceeded hold.
 // Because every region is idempotent and the machine's outcome is a pure
@@ -304,26 +289,41 @@ var ErrLivelock = errors.New("machine: livelock watchdog fired")
 var ErrPreempted = errors.New("machine: preempted")
 
 // BindContext arms cooperative preemption: Run polls ctx's cancellation
-// channel every Cfg.PreemptEvery dynamic instructions (default 4096) and
-// returns ErrPreempted within that budget once ctx is canceled. Binding
-// nil or a context that can never be canceled disarms the poll. The
-// binding survives Reset, like armed fault injections.
+// channel every 4096 dynamic instructions (preemptStride) and returns
+// ErrPreempted within that budget once ctx is canceled. Binding nil or a
+// context that can never be canceled disarms the poll. The binding
+// survives Reset, like armed fault injections.
 func (m *Machine) BindContext(ctx context.Context) {
 	if ctx == nil || ctx.Done() == nil {
 		m.preemptCtx, m.preemptDone = nil, nil
 		return
 	}
-	m.pollStride = m.Cfg.PreemptEvery
-	if m.pollStride <= 0 {
-		m.pollStride = 4096
-	}
 	m.preemptCtx, m.preemptDone = ctx, ctx.Done()
-	m.nextPoll = m.Stats.DynInstrs + m.pollStride
+	m.nextPoll = m.Stats.DynInstrs + preemptStride
 }
 
-// logWords is the size of the checkpoint-and-log scheme's undo log: 1K
-// logged stores, each a value and an address.
-const logWords = 2048
+const (
+	// logWords is the size of the checkpoint-and-log scheme's undo log:
+	// 1K logged stores, each a value and an address.
+	logWords = 2048
+	// watchdogFactor and watchdogSlack set the livelock watchdog's
+	// dynamic-instruction budget, WatchdogRef*watchdogFactor +
+	// watchdogSlack; the slack absorbs instrumentation and recovery
+	// overhead on short programs.
+	watchdogFactor = 16
+	watchdogSlack  = 4096
+	// maxRegionRetries bounds consecutive re-executions restarting at
+	// the same point: a fault storm that re-corrupts every re-execution
+	// escalates to ErrLivelock instead of spinning.
+	maxRegionRetries = 64
+	// preemptStride is the cancellation-poll stride, in dynamic
+	// instructions, for a context bound via BindContext. It is the
+	// preemption budget: once the bound context is canceled, Run stops
+	// within preemptStride further instructions. The poll is a
+	// non-blocking channel receive gated on an instruction counter, so
+	// the fault-free hot path stays allocation-free.
+	preemptStride = 4096
+)
 
 // New creates a machine for p. It decodes p (see Predecode), and the
 // machine keeps the decoded form for its own lifetime.
@@ -351,8 +351,8 @@ func (m *Machine) Reset() {
 	m.Regs = [isa.NumRegs]uint64{}
 	m.Stats = Stats{PathLens: map[int64]int64{}, FirstFaultStep: -1, FirstDetectStep: -1}
 	m.pipe = pipeline{}
-	if m.Cfg.Cache.Sets > 0 {
-		m.cache = newDCache(m.Cfg.Cache)
+	if m.Cfg.Cache.enabled {
+		m.cache = newDCache()
 	} else {
 		m.cache = nil
 	}
@@ -367,7 +367,7 @@ func (m *Machine) Reset() {
 	m.retryCount = 0
 	m.livelocked = false
 	if m.preemptDone != nil {
-		m.nextPoll = m.pollStride
+		m.nextPoll = preemptStride
 	}
 	m.halted = false
 }
@@ -390,6 +390,23 @@ type pendingMemFault struct {
 type pendingNested struct {
 	after int64
 	mask  uint64
+}
+
+// at is each pending fault's queue key: the step it is armed for, or
+// for a nested fault the recovery count it waits for.
+func (f pendingFault) at() int64    { return f.step }
+func (f pendingMemFault) at() int64 { return f.step }
+func (f pendingNested) at() int64   { return f.after }
+
+// enqueue inserts v into q, kept sorted by key, before the first entry
+// whose key is at or past v's, so faults armed for the same step (or the
+// same recovery count) fire newest first.
+func enqueue[T any](q []T, v T, key func(T) int64) []T {
+	i := 0
+	for i < len(q) && key(q[i]) < key(v) {
+		i++
+	}
+	return slices.Insert(q, i, v)
 }
 
 // recalcNextEvent recomputes the earliest step any scheduled injection
@@ -467,13 +484,7 @@ func (m *Machine) InjectFault(step int64, bit uint) {
 // InjectFaultMask is InjectFault generalized to an arbitrary flip mask
 // (multi-bit masks model burst faults).
 func (m *Machine) InjectFaultMask(step int64, mask uint64) {
-	i := 0
-	for i < len(m.faultAt) && m.faultAt[i].step < step {
-		i++
-	}
-	m.faultAt = append(m.faultAt, pendingFault{})
-	copy(m.faultAt[i+1:], m.faultAt[i:])
-	m.faultAt[i] = pendingFault{step: step, mask: mask}
+	m.faultAt = enqueue(m.faultAt, pendingFault{step: step, mask: mask}, pendingFault.at)
 	m.recalcNextEvent()
 }
 
@@ -485,13 +496,7 @@ func (m *Machine) InjectFaultMask(step int64, mask uint64) {
 // AutoCheck line of work targets: they surface as silent data
 // corruptions, crashes, or livelocks rather than detections.
 func (m *Machine) InjectMemFault(step, addr int64, mask uint64) {
-	i := 0
-	for i < len(m.memFaultAt) && m.memFaultAt[i].step < step {
-		i++
-	}
-	m.memFaultAt = append(m.memFaultAt, pendingMemFault{})
-	copy(m.memFaultAt[i+1:], m.memFaultAt[i:])
-	m.memFaultAt[i] = pendingMemFault{step: step, addr: addr, mask: mask}
+	m.memFaultAt = enqueue(m.memFaultAt, pendingMemFault{step: step, addr: addr, mask: mask}, pendingMemFault.at)
 	m.recalcNextEvent()
 }
 
@@ -502,13 +507,7 @@ func (m *Machine) InjectMemFault(step, addr int64, mask uint64) {
 // maximal re-execution distance and the §4.4 live-in invariant carries
 // the entire burden.
 func (m *Machine) InjectBoundaryFault(step int64, mask uint64) {
-	i := 0
-	for i < len(m.boundaryAt) && m.boundaryAt[i].step < step {
-		i++
-	}
-	m.boundaryAt = append(m.boundaryAt, pendingFault{})
-	copy(m.boundaryAt[i+1:], m.boundaryAt[i:])
-	m.boundaryAt[i] = pendingFault{step: step, mask: mask}
+	m.boundaryAt = enqueue(m.boundaryAt, pendingFault{step: step, mask: mask}, pendingFault.at)
 	m.recalcNextEvent()
 }
 
@@ -518,13 +517,7 @@ func (m *Machine) InjectBoundaryFault(step int64, mask uint64) {
 // recovery-under-failure. If no recovery ever happens the fault stays
 // vacuous.
 func (m *Machine) InjectNestedFault(after int64, mask uint64) {
-	i := 0
-	for i < len(m.nestedAt) && m.nestedAt[i].after < after {
-		i++
-	}
-	m.nestedAt = append(m.nestedAt, pendingNested{})
-	copy(m.nestedAt[i+1:], m.nestedAt[i:])
-	m.nestedAt[i] = pendingNested{after: after, mask: mask}
+	m.nestedAt = enqueue(m.nestedAt, pendingNested{after: after, mask: mask}, pendingNested.at)
 	m.recalcNextEvent()
 }
 
@@ -535,13 +528,7 @@ func (m *Machine) InjectNestedFault(after int64, mask uint64) {
 // verification detects the failure and recovery re-executes from rp
 // (§2.3, "tolerating control flow errors").
 func (m *Machine) InjectControlFlowError(step int64) {
-	i := 0
-	for i < len(m.flipAt) && m.flipAt[i] < step {
-		i++
-	}
-	m.flipAt = append(m.flipAt, 0)
-	copy(m.flipAt[i+1:], m.flipAt[i:])
-	m.flipAt[i] = step
+	m.flipAt = enqueue(m.flipAt, step, func(s int64) int64 { return s })
 	m.recalcNextEvent()
 }
 
@@ -589,14 +576,13 @@ func (m *Machine) Run(args ...uint64) (uint64, error) {
 		m.takeCheckpoint()
 	}
 	var wdBudget int64
-	if m.Cfg.WatchdogRef > 0 {
-		f := m.Cfg.WatchdogFactor
-		if f <= 0 {
-			f = 16
+	if ref := m.Cfg.WatchdogRef; ref > 0 {
+		// A reference from a request can be as large as it likes; past
+		// int64 the budget saturates, which leaves MaxSteps in charge.
+		wdBudget = math.MaxInt64
+		if ref <= (math.MaxInt64-watchdogSlack)/watchdogFactor {
+			wdBudget = ref*watchdogFactor + watchdogSlack
 		}
-		// The slack absorbs instrumentation and recovery overhead on
-		// short programs.
-		wdBudget = int64(float64(m.Cfg.WatchdogRef)*f) + 4096
 	}
 	for !m.halted {
 		// Each check below fires once DynInstrs exceeds a bound, so exec
@@ -619,7 +605,7 @@ func (m *Machine) Run(args ...uint64) (uint64, error) {
 				return 0, fmt.Errorf("%w after %d instructions: %w",
 					ErrPreempted, m.Stats.DynInstrs, context.Cause(m.preemptCtx))
 			default:
-				m.nextPoll = m.Stats.DynInstrs + m.pollStride
+				m.nextPoll = m.Stats.DynInstrs + preemptStride
 			}
 		}
 		if wdBudget > 0 && m.Stats.DynInstrs > wdBudget {
@@ -727,11 +713,7 @@ func (m *Machine) recoverFault() bool {
 		} else {
 			m.retryPC, m.retryCount = target, 1
 		}
-		limit := m.Cfg.MaxRegionRetries
-		if limit <= 0 {
-			limit = 64
-		}
-		if m.retryCount > limit {
+		if m.retryCount > maxRegionRetries {
 			m.livelocked = true
 			return false
 		}

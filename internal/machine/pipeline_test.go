@@ -126,7 +126,7 @@ func TestMispredictPenalty(t *testing.T) {
 }
 
 func TestCacheMissLatency(t *testing.T) {
-	cfg := Config{Cache: CacheConfig{Sets: 4, Ways: 1, LineWords: 2, MissPenalty: 20}}
+	cfg := Config{Cache: DefaultCache()}
 	// Load then immediately use the result: a miss delays the consumer.
 	prog := []isa.Instr{
 		{Op: isa.MOVI, Rd: isa.R1, Imm: 10},
@@ -136,8 +136,8 @@ func TestCacheMissLatency(t *testing.T) {
 	}
 	miss := cycles(t, cfg, prog...)
 	flat := cycles(t, Config{}, prog...)
-	if miss-flat < 15 {
-		t.Fatalf("cold miss should add ~20 cycles: %d vs %d", miss, flat)
+	if miss-flat != missPenalty {
+		t.Fatalf("cold miss should add the %d-cycle miss penalty: %d vs %d", missPenalty, miss, flat)
 	}
 	m := New(rawProgram(prog...), cfg)
 	if _, err := m.Run(); err != nil {
@@ -149,12 +149,12 @@ func TestCacheMissLatency(t *testing.T) {
 }
 
 func TestCacheHitsOnReuse(t *testing.T) {
-	cfg := Config{Cache: CacheConfig{Sets: 4, Ways: 2, LineWords: 2, MissPenalty: 20}}
+	cfg := Config{Cache: DefaultCache()}
 	prog := []isa.Instr{
 		{Op: isa.MOVI, Rd: isa.R1, Imm: 10},
 		{Op: isa.LDR, Rd: isa.R2, Rs1: isa.R1, Imm: 0},
 		{Op: isa.LDR, Rd: isa.R3, Rs1: isa.R1, Imm: 0},
-		{Op: isa.LDR, Rd: isa.R4, Rs1: isa.R1, Imm: 1}, // same 2-word line
+		{Op: isa.LDR, Rd: isa.R4, Rs1: isa.R1, Imm: 1}, // same 4-word line
 		{Op: isa.HALT},
 	}
 	m := New(rawProgram(prog...), cfg)
@@ -167,45 +167,27 @@ func TestCacheHitsOnReuse(t *testing.T) {
 }
 
 func TestCacheLRUReplacement(t *testing.T) {
-	// 1 set, 2 ways, 1-word lines: A B A C evicts B (LRU), not A.
-	c := newDCache(CacheConfig{Sets: 1, Ways: 2, LineWords: 1, MissPenalty: 1})
-	if c.access(1) {
+	// Lines A, B and C map to one 2-way set: A B A C evicts B (LRU), not A.
+	const setSpan = cacheSets << cacheLineShift // words between lines of one set
+	a, b, c := int64(1), int64(1+setSpan), int64(1+2*setSpan)
+	d := newDCache()
+	if d.access(a) {
 		t.Fatal("cold A should miss")
 	}
-	if c.access(2) {
+	if d.access(b) {
 		t.Fatal("cold B should miss")
 	}
-	if !c.access(1) {
+	if !d.access(a) {
 		t.Fatal("A should hit")
 	}
-	if c.access(3) {
+	if d.access(c) {
 		t.Fatal("cold C should miss")
 	}
-	if !c.access(1) {
+	if !d.access(a) {
 		t.Fatal("A should survive (B was LRU)")
 	}
-	if c.access(2) {
+	if d.access(b) {
 		t.Fatal("B should have been evicted")
-	}
-}
-
-// TestCacheRejectsNonPowerOfTwo: the cache indexes by shift and mask, so
-// a set count or line size that is not a power of two must fail loudly
-// at construction instead of silently mapping lines to the wrong sets.
-func TestCacheRejectsNonPowerOfTwo(t *testing.T) {
-	for _, cfg := range []CacheConfig{
-		{Sets: 3, Ways: 2, LineWords: 4, MissPenalty: 1},
-		{Sets: 4, Ways: 2, LineWords: 6, MissPenalty: 1},
-		{Sets: 4, Ways: 2, LineWords: 0, MissPenalty: 1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("newDCache(%+v) did not panic", cfg)
-				}
-			}()
-			newDCache(cfg)
-		}()
 	}
 }
 

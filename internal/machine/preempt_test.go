@@ -28,12 +28,11 @@ func longLoop(trips int64) []isa.Instr {
 
 // TestPreemptBoundsInstructions pins the preemption budget: with the
 // bound context already canceled, Run must stop at the first poll,
-// exactly PreemptEvery dynamic instructions in — the documented worst
+// exactly preemptStride dynamic instructions in — the documented worst
 // case — instead of running the workload to completion.
 func TestPreemptBoundsInstructions(t *testing.T) {
-	const stride = 512
 	p := rawProgram(longLoop(100_000_000)...)
-	m := New(p, Config{BufferStores: true, PreemptEvery: stride})
+	m := New(p, Config{BufferStores: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m.BindContext(ctx)
@@ -45,8 +44,8 @@ func TestPreemptBoundsInstructions(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("preemption error %v does not wrap context.Canceled", err)
 	}
-	if got := m.Stats.DynInstrs; got != stride {
-		t.Errorf("executed %d instructions after cancellation, want the poll stride %d", got, stride)
+	if got := m.Stats.DynInstrs; got != preemptStride {
+		t.Errorf("executed %d instructions after cancellation, want the poll stride %d", got, preemptStride)
 	}
 }
 
@@ -54,7 +53,7 @@ func TestPreemptBoundsInstructions(t *testing.T) {
 // wraps DeadlineExceeded so the service maps it to 503.
 func TestPreemptDeadline(t *testing.T) {
 	p := rawProgram(longLoop(100_000_000)...)
-	m := New(p, Config{BufferStores: true, PreemptEvery: 1024})
+	m := New(p, Config{BufferStores: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	m.BindContext(ctx)
@@ -74,7 +73,7 @@ func TestPreemptDeadline(t *testing.T) {
 func TestPreemptAsyncCancel(t *testing.T) {
 	const trips = 400_000_000
 	p := rawProgram(longLoop(trips)...)
-	m := New(p, Config{BufferStores: true, PreemptEvery: 4096, MaxSteps: 10 * trips})
+	m := New(p, Config{BufferStores: true, MaxSteps: 10 * trips})
 	ctx, cancel := context.WithCancel(context.Background())
 	m.BindContext(ctx)
 
@@ -103,7 +102,7 @@ func TestPreemptDisarmed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := New(rawProgram(prog...), Config{BufferStores: true, PreemptEvery: 64})
+	m := New(rawProgram(prog...), Config{BufferStores: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m.BindContext(ctx)
@@ -128,9 +127,8 @@ func TestPreemptDisarmed(t *testing.T) {
 // TestPreemptSurvivesReset mirrors the injection contract: Reset keeps
 // the binding and restarts the poll counter from zero.
 func TestPreemptSurvivesReset(t *testing.T) {
-	const stride = 256
 	p := rawProgram(longLoop(100_000_000)...)
-	m := New(p, Config{BufferStores: true, PreemptEvery: stride})
+	m := New(p, Config{BufferStores: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m.BindContext(ctx)
@@ -140,7 +138,7 @@ func TestPreemptSurvivesReset(t *testing.T) {
 	if !errors.Is(err, ErrPreempted) {
 		t.Fatalf("Run after Reset = %v, want ErrPreempted", err)
 	}
-	if got := m.Stats.DynInstrs; got > stride {
-		t.Errorf("executed %d instructions after Reset+cancel, budget is %d", got, stride)
+	if got := m.Stats.DynInstrs; got > preemptStride {
+		t.Errorf("executed %d instructions after Reset+cancel, budget is %d", got, preemptStride)
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// metricsPage is a /metrics page captured from idemd (sampled verify)
-// after a short seeded idemload run.
+// metricsPage is a /metrics page captured from idemd, with translation
+// validation on, after a short seeded idemload run.
 func metricsPage(tb testing.TB) string {
 	tb.Helper()
 	b, err := os.ReadFile("testdata/metrics.txt")

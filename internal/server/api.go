@@ -221,8 +221,8 @@ type CompileReport struct {
 
 	// Verified is true when the serving cache's translation validator
 	// (see Config.VerifyMode and docs/verify.md) checked this build and
-	// found no §2.1 violations; false when verification is off, the
-	// build was not sampled, or there was nothing to check. The library
+	// found no §2.1 violations; false when verification is off or there
+	// was nothing to check (a markless or relaxed-alloc build). The library
 	// constructor ReportForBuild leaves it false — only the serving path
 	// knows the cache's verification status.
 	Verified bool `json:"verified"`

@@ -58,8 +58,8 @@ type Config struct {
 	CacheDir string
 	// VerifyMode re-checks compiled programs against the §2.1 criterion
 	// with the internal/verify translation validator (off by default;
-	// see docs/verify.md). Sampled and full modes also re-verify every
-	// disk artifact after decode.
+	// see docs/verify.md). Full mode checks every fresh compile and
+	// every disk artifact after decode.
 	VerifyMode buildcache.VerifyMode
 	// MaxSimSteps caps simulated dynamic instructions per request
 	// (default 2^28); requests may lower but not raise it.
