@@ -139,14 +139,15 @@ bench-ledger:
 
 # layout prints where the linker put the hot loops in the binaries that
 # `bash bench/run.sh` last built and measured: the address, and the
-# address mod 64, of (*Machine).exec, (*verifier).step,
-# (*verifier).provPass and the limit study's (*Tracker).Instr, which
+# address mod 64, of (*Machine).exec, verify's block walks
+# (*verifier).analyzeRegion and (*verifier).provBlock and the region
+# pass's (*verifier).step, and the limit study's (*Tracker).Instr, which
 # Figs. 4 and 9 call on every simulated instruction, in
 # .bench_build/bench and .bench_build/idemd. Their 64-byte alignment
 # alone has moved simulator- and verify-bound bench numbers by several
 # percent, so compare this output between two checkouts before crediting
 # or blaming a change for such a move.
-LAYOUT_SYMS = \((\*Machine\)\.exec|\*verifier\)\.(step|provPass)|\*Tracker\)\.Instr)$$
+LAYOUT_SYMS = \((\*Machine\)\.exec|\*verifier\)\.(step|analyzeRegion|provBlock)|\*Tracker\)\.Instr)$$
 
 layout:
 	@for b in .bench_build/bench .bench_build/idemd; do \

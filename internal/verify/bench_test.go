@@ -52,16 +52,16 @@ func BenchmarkCompileMatrix(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ws)*len(compileBuilds)), "ns/program")
 }
 
-// verifyAllocCeiling is a fifth of the 42,682 allocations one Verify of
-// astar took when the dataflow cloned its state at every step; a return
-// to per-step cloning fails this test.
-const verifyAllocCeiling = 42682 / 5
+// verifyAllocCeiling lies between the 664 allocations one Verify of astar
+// makes since both fixpoints keep states only at block entries and the
+// 3,625 it made with a state at every pc.
+const verifyAllocCeiling = 800
 
-// verifyBytesCeiling lies between the 3.77 MB one Verify of astar
-// allocated when the provenance pre-pass copied and merged every fact at
-// every step and the 3.22 MB it allocates since it propagates only
-// changed facts.
-const verifyBytesCeiling = 3_500_000
+// verifyBytesCeiling lies between the 0.49 MB one Verify of astar
+// allocates since then and the 3.22 MB it allocated before. A 424-byte
+// pre-pass state at each of astar's 742 pcs, rather than at its 123 block
+// entries alone, would add 0.26 MB and cross it.
+const verifyBytesCeiling = 600_000
 
 // TestVerifyAllocs guards the verifier's allocation count and bytes on
 // astar under the default options.

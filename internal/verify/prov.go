@@ -1,24 +1,17 @@
 package verify
 
-import (
-	"math/bits"
+import "idemproc/internal/isa"
 
-	"idemproc/internal/isa"
-)
-
-// The pre-pass's dirty masks and the region pass's exposure and kill sets
-// are uint64 bitsets with one bit per register: this fails to compile if
-// the register file outgrows them.
+// The region pass's exposure and kill sets are uint64 bitsets with one
+// bit per register: this fails to compile if the register file outgrows
+// them.
 var _ [64 - isa.NumRegs]struct{}
 
 // provReg is the whole-program pre-pass lattice for one value: which
 // global object it must point into when used as an address (obj, 0 =
 // unknown), and — independently — whether it is a known compile-time
 // constant (ck/cv). Both facts are path-invariants joined over every way
-// execution can reach a pc; mismatches degrade to unknown. A fact at a
-// pc can degrade only once, but each degradation flows on to every pc
-// downstream, so the FIFO worklist steps each pc about five times on the
-// workload matrix.
+// execution can reach a block; mismatches degrade to unknown.
 type provReg struct {
 	obj int64 // global object anchor (0 = unknown)
 	ck  bool  // constant value known on every path
@@ -36,7 +29,7 @@ func (f provReg) meet(out provReg) provReg {
 	return f
 }
 
-// provState is the pre-pass dataflow state at one pc: a fact per
+// provState is the pre-pass dataflow state at one block entry: a fact per
 // register, plus facts about absolutely-addressed memory words. SP is
 // itself tracked as a constant (the startup stub materializes it and
 // frames adjust it by immediates), so spill slots have known absolute
@@ -46,24 +39,14 @@ func (f provReg) meet(out provReg) provReg {
 // The integer registers' facts are stored inline. The float registers'
 // facts live in an array allocated with the first nonzero one: compiled
 // code never gives a float register a fact (only malformed artifacts
-// do), so a pc's state takes 432 bytes. Read and write facts through reg
-// and setReg. dirty marks the registers whose fact changed since the pc
-// was last stepped, and memDirty the words; reached marks the pcs the
-// pass has visited.
+// do), so a block's state takes 424 bytes. Read and write facts through
+// reg and setReg. reached marks the blocks the pass has visited.
 type provState struct {
-	ints     [isa.NumIntRegs]provReg
-	floats   *[isa.NumFloatRegs]provReg
-	mem      provWords
-	dirty    uint64
-	memDirty bool
-	reached  bool
+	ints    [isa.NumIntRegs]provReg
+	floats  *[isa.NumFloatRegs]provReg
+	mem     provWords
+	reached bool
 }
-
-// allRegs is a dirty mask with every register set.
-const allRegs = 1<<isa.NumRegs - 1
-
-// intRegs is a mask of the integer registers.
-const intRegs = 1<<isa.NumIntRegs - 1
 
 // noReg is what provStep returns for an instruction that writes no
 // register.
@@ -95,44 +78,36 @@ func (s *provState) setReg(r isa.Reg, f provReg) {
 	s.floats[r-isa.NumIntRegs] = f
 }
 
-// reach gives an unreached pc the state leaving src: src's facts, with
-// rd (unless noReg) holding f and words as the memory. Every fact is
-// dirty, because no successor has seen any of them.
-func (s *provState) reach(src *provState, rd isa.Reg, f provReg, words provWords) {
+// copyFrom makes s's facts a copy of src's, reusing s's words.
+func (s *provState) copyFrom(src *provState) {
 	s.ints = src.ints
+	s.floats = nil
 	if src.floats != nil {
 		fl := *src.floats
 		s.floats = &fl
 	}
-	if rd != noReg {
-		s.setReg(rd, f)
-	}
-	s.mem = append(provWords(nil), words...)
-	s.dirty, s.memDirty, s.reached = allRegs, true, true
+	s.mem = append(s.mem[:0], src.mem...)
 }
 
-// meetRegs joins into s the registers in mask of the state leaving src,
-// where rd holds f and every other register src's own fact. It marks
-// the facts it changes dirty and reports change.
-func (s *provState) meetRegs(src *provState, mask uint64, rd isa.Reg, f provReg) bool {
-	if s.floats == nil {
-		mask &= intRegs // a zero fact meets anything to zero
-	}
+// meet joins out into s, reporting change: facts that differ degrade to
+// unknown, and a word must be known on both sides to survive.
+func (s *provState) meet(out *provState) bool {
 	changed := false
-	for ; mask != 0; mask &= mask - 1 {
-		r := isa.Reg(bits.TrailingZeros64(mask))
-		out := f
-		if r != rd {
-			out = src.reg(r)
-		}
-		cur := s.reg(r)
-		if m := cur.meet(out); m != cur {
-			s.setReg(r, m)
-			s.dirty |= 1 << r
+	for r := range s.ints {
+		if m := s.ints[r].meet(out.ints[r]); m != s.ints[r] {
+			s.ints[r] = m
 			changed = true
 		}
 	}
-	return changed
+	if s.floats != nil { // a zero fact meets anything to zero
+		for r, f := range s.floats {
+			if m := f.meet(out.reg(isa.Reg(isa.NumIntRegs + r))); m != f {
+				s.floats[r] = m
+				changed = true
+			}
+		}
+	}
+	return s.mem.meet(out.mem) || changed
 }
 
 type provWord struct {
@@ -190,8 +165,7 @@ func (w *provWords) dropWords(drop func(addr int64) bool) {
 
 // meet joins out into w, reporting change: a word must be known on both
 // sides to survive, and facts that differ degrade to unknown. Both lists
-// are sorted, so one pass over each suffices. out may be w itself (a pc
-// that is its own successor); nothing changes then.
+// are sorted, so one pass over each suffices.
 func (w *provWords) meet(out provWords) bool {
 	changed := false
 	m := (*w)[:0]
@@ -216,10 +190,10 @@ func (w *provWords) meet(out provWords) bool {
 	return changed
 }
 
-// provPass computes per-pc provenance, flowing straight through MARKs.
-// Region boundaries erase value provenance from the per-region analysis
-// (live-in registers and stack slots become opaque symbols), which loses
-// facts the machine itself preserves:
+// provPass computes the provenance facts at every block entry, flowing
+// straight through MARKs. Region boundaries erase value provenance from
+// the per-region analysis (live-in registers and stack slots become
+// opaque symbols), which loses facts the machine itself preserves:
 //
 //   - a pointer into global A computed in one region and dereferenced in
 //     the next would may-alias every other global (obj recovers this);
@@ -240,70 +214,69 @@ func (w *provWords) meet(out provWords) bool {
 // discipline the per-region analysis leans on — so they invalidate only
 // stack-range facts, not global ones.
 //
-// A visit merges into each successor only what changed since the pc was
-// last stepped: its dirty registers, the register it writes, and its
-// words when they changed or when it is a store whose operands' facts
-// did. Nothing is copied except a store's words. This computes exactly
-// what merging the whole stepped state would, with the same pushes in
-// the same order, because:
-//
-//  1. once a pc is reached, merging into it only degrades facts, one
-//     fact at a time, with a meet that is idempotent, commutative and
-//     associative;
-//  2. provSuccs depends only on the instruction, so every visit merges
-//     into the same successors, and the first visit reaches them all;
-//  3. so a successor has already absorbed every fact of the state
-//     leaving pc that is unchanged since pc's last visit, and merging it
-//     again would change nothing and report no change.
-//
-// The transfer functions themselves are not monotone; the pass still
-// keeps a state at every pc. The order of words does not matter to
-// load, store, dropWords or meet.
-func (vf *verifier) provPass() []provState {
-	instrs := vf.p.Instrs
-	prov := make([]provState, len(instrs))
-	entry := vf.p.Entry
-	prov[entry] = provState{dirty: allRegs, memDirty: true, reached: true}
-	wl := append(vf.wl[:0], entry)
-	vf.inWL[entry] = true
-	for head := 0; head < len(wl); head++ {
-		pc := wl[head]
-		vf.inWL[pc] = false
-		st := &prov[pc]
-		mask, memDirty := st.dirty, st.memDirty
-		st.dirty, st.memDirty = 0, false
-		rd, f := vf.provStep(st, pc)
-		if rd != noReg {
-			mask |= 1 << rd
-		}
-		words := st.mem
-		if in := instrs[pc]; isProvStore(in) && (memDirty || mask&(1<<in.Rs1|1<<in.Rs2) != 0) {
-			words, memDirty = vf.provStore(st, in), true
-		}
-		for _, s := range vf.provSuccs(pc) {
-			if s < 0 || s >= len(instrs) {
+// States live only at block entries. The pass sweeps the blocks in
+// reverse postorder, round after round, stepping each pending block from
+// its entry state through one scratch state (provBlock) and meeting the
+// result into each successor's entry state; a successor that changes
+// becomes pending. A block's entry state only ever degrades, one fact at
+// a time, so the sweeps end. When they do, every successor's state has
+// absorbed the output of its predecessor's last step, which started from
+// that predecessor's final entry state: the final states are a fixpoint,
+// although the transfer functions are not monotone. The block order is
+// fixed, so the facts are deterministic. The order of words does not
+// matter to load, store, dropWords or meet.
+func (vf *verifier) provPass() {
+	g := &vf.blocks
+	prov := make([]provState, len(g.start))
+	entry := g.of[vf.p.Entry]
+	prov[entry].reached = true
+	order := g.postorder(entry)
+	pending := make([]bool, len(g.start))
+	pending[entry] = true
+	var cur provState
+	for left := 1; left > 0; {
+		for i := len(order) - 1; i >= 0; i-- {
+			b := order[i]
+			if !pending[b] {
 				continue
 			}
-			cur := &prov[s]
-			changed := true
-			if cur.reached {
-				changed = cur.meetRegs(st, mask, rd, f)
-				if memDirty && cur.mem.meet(words) {
-					cur.memDirty = true
-					changed = true
+			pending[b] = false
+			left--
+			cur.copyFrom(&prov[b])
+			vf.provBlock(&cur, b)
+			for _, s := range g.succs(b) {
+				next := &prov[s]
+				if next.reached && !next.meet(&cur) {
+					continue
 				}
-			} else {
-				cur.reach(st, rd, f, words)
-			}
-			if changed && !vf.inWL[s] {
-				wl = append(wl, s)
-				vf.inWL[s] = true
+				if !next.reached {
+					next.copyFrom(&cur)
+					next.reached = true
+				}
+				if !pending[s] {
+					pending[s] = true
+					left++
+				}
 			}
 		}
 	}
-	vf.wl = wl
-	return prov
+	vf.prov = prov
 }
+
+// provBlock steps st, the state on entry to block b, through the block.
+func (vf *verifier) provBlock(st *provState, b int32) {
+	for pc, end := vf.blocks.start[b], vf.blocks.end(b); pc < end; pc++ {
+		if in := vf.p.Instrs[pc]; isProvStore(in) {
+			vf.provStore(st, in)
+		} else if rd, f := vf.provStep(st, pc); rd != noReg {
+			st.setReg(rd, f)
+		}
+	}
+}
+
+// provAt returns the pre-pass facts on entry to the block that starts at
+// pc.
+func (vf *verifier) provAt(pc int) *provState { return &vf.prov[vf.blocks.of[pc]] }
 
 // provStep is the transfer function for registers: it returns the
 // register the instruction at pc writes (noReg for none) and that
@@ -400,10 +373,8 @@ func isProvStore(in isa.Instr) bool {
 }
 
 // provStore is the transfer function for the words at a store: it
-// returns the words leaving it, built in the verifier's scratch from the
-// state st on entry.
-func (vf *verifier) provStore(st *provState, in isa.Instr) provWords {
-	out := append(vf.provOut[:0], st.mem...)
+// updates st's words, read on entry to the store, in place.
+func (vf *verifier) provStore(st *provState, in isa.Instr) {
 	a := st.reg(in.Rs1)
 	switch {
 	case a.ck:
@@ -411,21 +382,19 @@ func (vf *verifier) provStore(st *provState, in isa.Instr) provWords {
 		if in.Op == isa.STR {
 			v = st.reg(in.Rs2)
 		}
-		out.store(a.cv+in.Imm, v)
+		st.mem.store(a.cv+in.Imm, v)
 	case in.Rs1 == isa.SP:
 		// Unknown SP (function called from several stack depths): the
 		// store lands somewhere in the current frame, so only facts in
 		// the stack range are at risk.
-		out.dropWords(func(addr int64) bool { return addr >= vf.p.GlobalEnd })
+		st.mem.dropWords(func(addr int64) bool { return addr >= vf.p.GlobalEnd })
 	case a.obj != 0:
 		// Store somewhere inside one global: facts about other objects
 		// and the stack survive.
-		out.dropWords(func(addr int64) bool { g, _ := vf.anchor(addr); return g == a.obj })
+		st.mem.dropWords(func(addr int64) bool { g, _ := vf.anchor(addr); return g == a.obj })
 	default:
-		out = out[:0]
+		st.mem = st.mem[:0]
 	}
-	vf.provOut = out
-	return out
 }
 
 // provSuccs mirrors the machine CFG without LR tracking: RET flows to

@@ -625,7 +625,7 @@ func (vf *verifier) step(st *state, pc, region int) []int {
 				// region-entry SP, so the absolute slot address is known
 				// whenever SP's is.
 				if k.base == 0 {
-					if ps := &vf.prov[vf.regionStart]; ps.reached && ps.reg(isa.SP).ck {
+					if ps := vf.entryProv; ps.reached && ps.reg(isa.SP).ck {
 						f := ps.mem.load(ps.reg(isa.SP).cv + k.off)
 						if f.ck {
 							res = vconst(f.cv)

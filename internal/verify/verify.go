@@ -119,7 +119,7 @@ func Verify(p *codegen.Program) *Report {
 	vf.analyzeRegion(p.Entry)
 	rep.Regions++
 	for pc, in := range p.Instrs {
-		if in.Op == isa.MARK && in.Shadow == 0 {
+		if isRegionMark(in) {
 			vf.analyzeRegion(pc)
 			rep.Regions++
 		}
@@ -162,18 +162,18 @@ type verifier struct {
 	p       *codegen.Program
 	gbase   []int64          // sorted global base addresses (extent table)
 	callers map[string][]int // function name -> return-site pcs
-	prov    []provState      // per-pc register + memory provenance (see prov.go)
-	provOut provWords        // the words leaving a store, reused by provPass
+	blocks  blocks           // leaders and block successors (see blocks.go)
+	prov    []provState      // register + memory provenance at each block entry (see prov.go)
 
-	// regionStart is the first in-region pc of the region currently under
+	// entryProv is the pre-pass's facts at the start of the region under
 	// analysis; slot reads use it to look up entry-content provenance.
-	regionStart int
+	entryProv *provState
 
-	// Worklist storage, indexed by pc and reused by every region (and by
-	// the provenance pass, which runs first): the state at each reached
-	// pc (nil elsewhere), the pcs that hold one, the FIFO worklist and
-	// its membership flags. free recycles states between steps and
-	// regions; succ backs the successor lists step returns.
+	// Worklist storage for the region pass, indexed by pc and reused by
+	// every region: the state at each block entry reached (nil
+	// elsewhere), the pcs that hold one, the FIFO worklist and its
+	// membership flags. free recycles states between blocks and regions;
+	// succ backs the successor lists step returns.
 	states  []*state
 	touched []int
 	wl      []int
@@ -228,7 +228,8 @@ func newVerifier(p *codegen.Program) *verifier {
 	for r := range vf.entryID {
 		vf.entryID[r] = vf.fresh()
 	}
-	vf.prov = vf.provPass()
+	vf.buildBlocks()
+	vf.provPass()
 	return vf
 }
 
@@ -262,15 +263,18 @@ func (vf *verifier) violate(region, pc int, loc Loc, kind Kind) {
 // analyzeRegion runs the exposure dataflow for the region entered at
 // entry (a MARK pc, or the program entry for the startup pseudo-region)
 // to a fixpoint over every path that ends at the next MARK or HALT.
+//
+// States live only at block entries: a worklist of leaders, each walked
+// through its block in one scratch state and merged into its successors
+// at the block's end. A RET whose tracked LR lands inside a block stores
+// a state there too, and a walk that reaches a stored state merges into
+// it. The budget counts instruction steps.
 func (vf *verifier) analyzeRegion(entry int) {
 	instrs := vf.p.Instrs
-	start := entry
-	if instrs[entry].Op == isa.MARK {
-		start = entry + 1
-		if start >= len(instrs) {
-			vf.violate(entry, entry, Loc{Space: SpaceAny}, KindBadBranch)
-			return
-		}
+	start := regionStart(instrs, entry)
+	if start >= len(instrs) {
+		vf.violate(entry, entry, Loc{Space: SpaceAny}, KindBadBranch)
+		return
 	}
 	for _, pc := range vf.touched {
 		vf.free = append(vf.free, vf.states[pc])
@@ -282,45 +286,72 @@ func (vf *verifier) analyzeRegion(entry int) {
 	vf.wl = append(vf.wl[:0], start)
 	vf.inWL[start] = true
 	budget := 128*len(instrs) + 4096
+	steps := 0
 	for head := 0; head < len(vf.wl); head++ {
-		if head == budget {
-			vf.violate(entry, entry, Loc{Space: SpaceAny}, KindBudget)
-			return
-		}
 		pc := vf.wl[head]
 		vf.inWL[pc] = false
 		st := vf.newState()
 		st.copyFrom(vf.states[pc])
-		kept := false // st became a successor's state
-		for _, s := range vf.step(st, pc, entry) {
-			if s < 0 || s >= len(instrs) {
-				vf.violate(entry, pc, Loc{Space: SpaceAny}, KindBadBranch)
+		for {
+			if steps == budget {
+				vf.violate(entry, entry, Loc{Space: SpaceAny}, KindBudget)
+				return
+			}
+			steps++
+			succs := vf.step(st, pc, entry)
+			if len(succs) == 1 && vf.inBlock(pc, succs[0]) {
+				pc = succs[0]
 				continue
 			}
-			if instrs[s].Op == isa.MARK && instrs[s].Shadow == 0 {
-				continue // region boundary: state commits here
-			}
-			changed := true
-			if cur := vf.states[s]; cur != nil {
-				changed = cur.mergeFrom(st, s, vf)
-			} else {
-				next := st
-				if kept {
-					next = vf.newState()
-					next.copyFrom(st)
-				}
-				kept = true
-				vf.states[s] = next
-				vf.touched = append(vf.touched, s)
-			}
-			if changed && !vf.inWL[s] {
-				vf.wl = append(vf.wl, s)
-				vf.inWL[s] = true
-			}
+			vf.mergeSuccs(st, succs, pc, entry)
+			break
 		}
-		if !kept {
-			vf.free = append(vf.free, st)
+	}
+}
+
+// inBlock reports whether the walk steps on from pc to s in the same
+// scratch state: s follows pc, starts no block, holds no state and is no
+// region boundary.
+func (vf *verifier) inBlock(pc, s int) bool {
+	return s == pc+1 && s < len(vf.p.Instrs) && !vf.blocks.leader(s) &&
+		vf.states[s] == nil && !isRegionMark(vf.p.Instrs[s])
+}
+
+// mergeSuccs ends a block walk at pc: st, the state leaving pc, flows
+// into each successor's stored state (a region boundary commits it), and
+// a successor that changes joins the worklist. st becomes the first new
+// successor's state, or goes back to the free list.
+func (vf *verifier) mergeSuccs(st *state, succs []int, pc, entry int) {
+	instrs := vf.p.Instrs
+	kept := false // st became a successor's state
+	for _, s := range succs {
+		if s < 0 || s >= len(instrs) {
+			vf.violate(entry, pc, Loc{Space: SpaceAny}, KindBadBranch)
+			continue
 		}
+		if isRegionMark(instrs[s]) {
+			continue // region boundary: state commits here
+		}
+		changed := true
+		if cur := vf.states[s]; cur != nil {
+			changed = cur.mergeFrom(st, s, vf)
+		} else {
+			next := st
+			if kept {
+				next = vf.newState()
+				next.copyFrom(st)
+			}
+			kept = true
+			vf.states[s] = next
+			vf.touched = append(vf.touched, s)
+		}
+		if changed && !vf.inWL[s] {
+			vf.wl = append(vf.wl, s)
+			vf.inWL[s] = true
+		}
+	}
+	if !kept {
+		vf.free = append(vf.free, st)
 	}
 }
 
@@ -362,8 +393,8 @@ func (vf *verifier) entryState(start int) *state {
 	st := vf.newState()
 	st.eregs, st.wregs = 0, 0
 	st.mem, st.emem, st.wmem = st.mem[:0], st.emem[:0], st.wmem[:0]
-	vf.regionStart = start
-	pv := &vf.prov[start]
+	pv := vf.provAt(start)
+	vf.entryProv = pv
 	for r := 0; r < isa.NumRegs; r++ {
 		st.regs[r] = val{kind: vSym, base: vf.entryID[r], exact: true, rigid: true}
 		if pv.reached {

@@ -344,7 +344,7 @@ func FuzzVerifyArtifact(f *testing.F) {
 		}
 		Verify(p).Render(p)
 		if len(structural(p)) == 0 {
-			checkProvPass(t, "fuzz", p)
+			checkProvFixpoint(t, "fuzz", p)
 		}
 		enc := codegen.EncodeProgram(p, st)
 		p2, st2, err := codegen.DecodeProgram(enc)
